@@ -340,8 +340,8 @@ def _simulate_measurement(cfg, args, reference, out: Path):
         seed=child_seed(cfg["seed"], "measurement"),
         acceleration=cfg["sampler"]["R"],
     )
-    save_measurement(out / "measurement", system, y, cfg["seed"], args.mask_density)
-    return system, y
+    names = save_measurement(out / "measurement", system, y, cfg["seed"], args.mask_density)
+    return system, y, [f"measurement/{name}" for name in names]
 
 
 def _write_diagnostics(out: Path, rows) -> None:
@@ -349,12 +349,14 @@ def _write_diagnostics(out: Path, rows) -> None:
 
 
 def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
+    samp = cfg["sampler"]
+    if samp["correction"] == "learned" and not args.schedule:
+        raise ConfigError("correction='learned' requires --schedule")
     reference = read_cimg(args.image) if args.image else _phantom(cfg, "eval-image", 0)
     write_cimg(out / "reference.cimg", reference)
-    system, y = _simulate_measurement(cfg, args, reference, out)
+    system, y, measurement_files = _simulate_measurement(cfg, args, reference, out)
     operator = _make_operator(args, reference)
 
-    samp = cfg["sampler"]
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
     scfg = SamplerConfig(
         t_f=proc.t_f,
@@ -395,15 +397,13 @@ def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
         "zerofill.cimg",
         "diagnostics.csv",
         "summary.json",
-        "measurement/measurement.json",
-        "measurement/mask.kmsk",
-    ] + [f"measurement/coil_{c:02d}.cimg" for c in range(system.n_coils)]
+    ] + measurement_files
 
 
 def cmd_ddpm_reconstruct(cfg, args, out: Path) -> list[str]:
     reference = read_cimg(args.image) if args.image else _phantom(cfg, "eval-image", 0)
     write_cimg(out / "reference.cimg", reference)
-    system, y = _simulate_measurement(cfg, args, reference, out)
+    system, y, measurement_files = _simulate_measurement(cfg, args, reference, out)
     operator = _make_operator(args, reference)
     schedule = ddpm_schedule(args.ddpm_steps)
     result = ddpm_reconstruct(
@@ -420,7 +420,9 @@ def cmd_ddpm_reconstruct(cfg, args, out: Path) -> list[str]:
     }
     write_json(out / "summary.json", summary)
     print(f"T={schedule.t_steps}  PSNR recon {summary['psnr_recon_db']:.2f} dB")
-    return ["reference.cimg", "recon.cimg", "zerofill.cimg", "diagnostics.csv", "summary.json"]
+    return [
+        "reference.cimg", "recon.cimg", "zerofill.cimg", "diagnostics.csv", "summary.json"
+    ] + measurement_files
 
 
 ABLATION_VARIANTS = (

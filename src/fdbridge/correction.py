@@ -12,7 +12,7 @@ and a linear ablation schedule are also provided.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,9 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
         raise ConfigError(f"mc_samples must be >= 1, got {mc_samples}")
     t_f = process.t_f
     grid = KSpaceGrid(*images[0].shape)
+    if any(x.shape != grid.shape for x in images):
+        raise ValueError("all dataset images must share one shape")
+    energies = [np.abs(dft2(x).ravel()) ** 2 for x in images]
 
     sum_e0 = 0.0
     sum_et = np.zeros(t_f + 1)            # running sums of ||X_t||^2, t = 0..t_f
@@ -77,21 +80,11 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     sum_deficit = np.zeros(t_f)           # running sums of ||X_0 - X_t||^2
 
     for i in range(mc_samples):
-        x0 = images[i % len(images)]
-        if x0.shape != grid.shape:
-            raise ValueError("all dataset images must share one shape")
-        traj_cfg = ProcessConfig(
-            r_prime=process.r_prime,
-            t_f=t_f,
-            density=process.density,
-            step_count_schedule=process.step_count_schedule,
-            process_kind=process.process_kind,
-            seed=child_seed(seed, "mc-trajectory", i),
-        )
+        energy = energies[i % len(images)]
+        traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
         traj = sample_trajectory(grid, traj_cfg, t_total=t_f)
-        energy = np.abs(dft2(x0).ravel()) ** 2
         e0 = float(energy.sum())
-        removed = np.array([float(energy[s].sum()) for s in traj.sets])
+        removed = np.array([float(energy[s].sum()) for s in traj.removal_sets()])
         deficit = np.cumsum(removed)
         sum_e0 += e0
         sum_et[0] += e0

@@ -2,10 +2,13 @@
 
 A trajectory removes a scheduled number of not-yet-removed k-space
 components per step, sampled uniformly from the annulus above a shrinking
-radius threshold (peripheral-to-central order).  Cumulative keep-masks
-define an image-domain corruption operator: forward DFT, mask, inverse
-DFT.  The DC component is never removed, so total image energy cannot
-vanish.
+radius threshold (peripheral-to-central order).  Each component is
+removed at most once, so one realization is stored as a removal-time map:
+the step at which each component was removed, 0 for never.  The keep-mask
+at step t (components never removed or removed after t) defines an
+image-domain corruption operator: forward DFT, mask, inverse DFT.  The DC
+component is never removed, so total image energy cannot vanish.  Only
+this module reads the map; other modules use the trajectory's accessors.
 """
 
 from __future__ import annotations
@@ -124,8 +127,11 @@ def step_counts(n_components: int, cfg: ProcessConfig, t_total: int) -> np.ndarr
 class DegradationTrajectory:
     """One realization of the removal process over steps 1..t_total.
 
-    ``cumulative[t]`` is the keep-mask after step t (``cumulative[0]`` is
-    all-true); ``sets[t-1]`` holds the flat indices removed at step t.
+    ``removed_at`` is an (H, W) map holding, per component, the step in
+    1..t_total at which it was removed, or 0 if it is never removed (DC
+    always).  Keep-masks and removal sets are derived from it on demand,
+    so a trajectory holds O(N + t_total) bytes whatever its length.
+    ``counts``, ``thresholds`` and ``relaxed`` hold one entry per step.
     """
 
     grid: KSpaceGrid
@@ -134,8 +140,7 @@ class DegradationTrajectory:
     n: int
     seed: int
     counts: np.ndarray
-    sets: list[np.ndarray]
-    cumulative: list[np.ndarray]
+    removed_at: np.ndarray
     thresholds: np.ndarray
     relaxed: np.ndarray
     density: str = "radius_scheduled"
@@ -144,8 +149,22 @@ class DegradationTrajectory:
     def relaxation_count(self) -> int:
         return int(self.relaxed.sum())
 
+    def keep_mask(self, t: int) -> np.ndarray:
+        """Boolean (H, W) mask of the components still present after step t."""
+        return (self.removed_at == 0) | (self.removed_at > t)
+
+    def removed_mask(self, t: int) -> np.ndarray:
+        """Boolean (H, W) mask of the components removed at step t."""
+        return self.removed_at == t
+
     def keep_count(self, t: int) -> int:
-        return int(self.cumulative[t].sum())
+        return int(np.count_nonzero(self.keep_mask(t)))
+
+    def removal_sets(self) -> list[np.ndarray]:
+        """Flat indices removed at each step 1..t_total, ascending within a step."""
+        order = np.argsort(self.removed_at, axis=None, kind="stable")
+        removed = order[order.size - int(self.counts.sum()) :]
+        return np.split(removed, np.cumsum(self.counts))[:-1]
 
 
 def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None = None) -> DegradationTrajectory:
@@ -169,12 +188,10 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
 
     radius = grid.radius.ravel()
     n_step = per_step_count(grid.n_components, cfg.r_prime, cfg.t_f)
-    removed = np.zeros(grid.n_components, dtype=bool)
-    removed[grid.dc_index] = True  # sentinel: DC is never eligible
-
-    sets: list[np.ndarray] = []
-    keep = np.ones(grid.n_components, dtype=bool)
-    cumulative = [keep.reshape(grid.shape).copy()]
+    available = np.ones(grid.n_components, dtype=bool)
+    available[grid.dc_index] = False  # DC is never eligible
+    removed_at = np.zeros(grid.shape, dtype=np.int32)
+    removed_flat = removed_at.reshape(-1)
     thresholds = np.zeros(t_total)
     relaxed = np.zeros(t_total, dtype=bool)
 
@@ -185,7 +202,6 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
         else:
             rbar = 0.0
         thresholds[t - 1] = rbar
-        available = ~removed
         eligible = np.flatnonzero(available & (radius > rbar))
         if eligible.size < need:
             remaining = np.flatnonzero(available)
@@ -200,11 +216,8 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
             relaxed[t - 1] = True
         rng = substream(cfg.seed, "degradation", t)
         picked = np.sort(rng.choice(eligible, size=need, replace=False))
-        removed[picked] = True
-        keep = keep.copy()
-        keep[picked] = False
-        sets.append(picked)
-        cumulative.append(keep.reshape(grid.shape).copy())
+        available[picked] = False
+        removed_flat[picked] = t
 
     return DegradationTrajectory(
         grid=grid,
@@ -213,8 +226,7 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
         n=n_step,
         seed=cfg.seed,
         counts=counts,
-        sets=sets,
-        cumulative=cumulative,
+        removed_at=removed_at,
         thresholds=thresholds,
         relaxed=relaxed,
         density=cfg.density,
@@ -230,7 +242,7 @@ def corrupt(x0: np.ndarray, traj: DegradationTrajectory, t: int) -> np.ndarray:
         raise ValueError(f"image shape {x0.shape} does not match grid {traj.grid.shape}")
     if t == 0:
         return x0.copy()
-    return idft2(apply_mask(dft2(x0), traj.cumulative[t]))
+    return idft2(apply_mask(dft2(x0), traj.keep_mask(t)))
 
 
 def averaging_corrupt(x0: np.ndarray, x_start: np.ndarray, t: int, t_f: int) -> np.ndarray:
@@ -252,7 +264,7 @@ def export_trajectory(traj: DegradationTrajectory, cfg: ProcessConfig, out_dir, 
         if not 0 <= t <= traj.t_total:
             raise ValueError(f"snapshot step {t} out of range [0, {traj.t_total}]")
         name = f"mask_t{t:04d}.kmsk"
-        write_kmsk(out_dir / name, traj.cumulative[t])
+        write_kmsk(out_dir / name, traj.keep_mask(t))
         files[str(t)] = name
     manifest = {
         "seed": traj.seed,

@@ -83,10 +83,6 @@ def radius_map(height: int, width: int) -> KSpaceGrid:
     return KSpaceGrid(int(height), int(width))
 
 
-def full_mask(height: int, width: int) -> np.ndarray:
-    return np.ones((height, width), dtype=bool)
-
-
 def apply_mask(spectrum: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Zero masked-out components; retained components are passed through bit-identically."""
     spectrum = np.asarray(spectrum)

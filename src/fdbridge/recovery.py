@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .degradation import DegradationTrajectory, ProcessConfig, corrupt, sample_trajectory
+from .degradation import ProcessConfig, averaging_corrupt, corrupt, sample_trajectory
 from .errors import ConfigError, TrainingError
 from .fileio import atomic_write_bytes, write_csv
 from .grid import KSpaceGrid, apply_mask, as_image, dft2, idft2
@@ -214,7 +214,7 @@ def bridge_loss(operator, images, trajectories, steps, mode: str = "upper_bound"
         x_t = corrupt(x0, traj, t)
         residual = operator.recover(x_t, t) - x0
         if mode == "weighted":
-            residual = idft2(apply_mask(dft2(residual), traj.cumulative[t]))
+            residual = idft2(apply_mask(dft2(residual), traj.keep_mask(t)))
         total += _energy(residual)
     return total / len(images)
 
@@ -264,23 +264,12 @@ def _draw_corrupted(x0, process, t_f, seed_tags):
     if isinstance(process, ProcessConfig):
         grid = KSpaceGrid(*x0.shape)
         t = int(rng_t.integers(1, t_f + 1))
-        traj_seed = child_seed(seed_tags[0], "train-traj", *seed_tags[1:])
-        traj_cfg = ProcessConfig(
-            r_prime=process.r_prime,
-            t_f=process.t_f,
-            density=process.density,
-            step_count_schedule=process.step_count_schedule,
-            process_kind=process.process_kind,
-            seed=traj_seed,
-        )
-        traj = sample_trajectory(grid, traj_cfg, t_total=t)
+        traj_cfg = replace(process, seed=child_seed(seed_tags[0], "train-traj", *seed_tags[1:]))
         if process.process_kind == "averaging_constraint":
-            from .degradation import averaging_corrupt
-
             x_start = corrupt(x0, sample_trajectory(grid, traj_cfg, t_total=process.t_f), process.t_f)
-            x_t = averaging_corrupt(x0, x_start, t, process.t_f)
-            return x_t, t, None
-        return corrupt(x0, traj, t), t, traj.cumulative[t]
+            return averaging_corrupt(x0, x_start, t, process.t_f), t, None
+        traj = sample_trajectory(grid, traj_cfg, t_total=t)
+        return corrupt(x0, traj, t), t, traj.keep_mask(t)
     if isinstance(process, DdpmSchedule):
         t = int(rng_t.integers(1, process.t_steps + 1))
         noise_seed = child_seed(seed_tags[0], "train-noise", *seed_tags[1:])

@@ -13,7 +13,7 @@ for comparison runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,12 +82,10 @@ def reverse_step(
         raise TrajectoryError(f"step {t} exceeds trajectory length {traj.t_total}")
     x_t = as_image(x_t)
     x0_est = as_image(x0_est)
-    keep_prev = traj.cumulative[t - 1]
-    keep_cur = traj.cumulative[t]
     est_spec = dft2(x0_est)
-    update = np.where(keep_prev & ~keep_cur, est_spec, 0.0)
+    update = np.where(traj.removed_mask(t), est_spec, 0.0)
     if corrected and weight != 0.0:
-        update = update + weight * np.where(keep_cur, est_spec - dft2(x_t), 0.0)
+        update = update + weight * np.where(traj.keep_mask(t), est_spec - dft2(x_t), 0.0)
     return x_t + idft2(update)
 
 
@@ -155,15 +153,7 @@ def reconstruct(
         if cfg.ct_mode != "independent":
             raise ConfigError("ct_mode='fixed' requires a stored DegradationTrajectory")
         traj_seed = child_seed(cfg.seed, "test-trajectory")
-        draw_cfg = ProcessConfig(
-            r_prime=traj_source.r_prime,
-            t_f=traj_source.t_f,
-            density=traj_source.density,
-            step_count_schedule=traj_source.step_count_schedule,
-            process_kind=traj_source.process_kind,
-            seed=traj_seed,
-        )
-        traj = sample_trajectory(KSpaceGrid(*x.shape), draw_cfg, t_total=t_r)
+        traj = sample_trajectory(KSpaceGrid(*x.shape), replace(traj_source, seed=traj_seed), t_total=t_r)
     else:
         raise ConfigError(f"unsupported trajectory source: {type(traj_source).__name__}")
 

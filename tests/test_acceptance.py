@@ -56,12 +56,13 @@ def test_criterion_2_trajectory_laws():
     r_prime, t_f = 2.0, 64
     for seed in range(50):
         traj = fb.sample_trajectory(grid, fb.ProcessConfig(r_prime=r_prime, t_f=t_f, seed=seed))
-        flat = np.concatenate(traj.sets)
+        sets = traj.removal_sets()
+        flat = np.concatenate(sets)
         assert len(flat) == len(set(flat.tolist())), "removal sets overlap"
-        assert all(len(s) == traj.n for s in traj.sets), "per-step count differs from n"
+        assert all(len(s) == traj.n for s in sets), "per-step count differs from n"
         keep_fraction = traj.keep_count(t_f) / grid.n_components
         assert abs(keep_fraction - 1.0 / r_prime) <= traj.n / grid.n_components
-        for t, (s, relaxed) in enumerate(zip(traj.sets, traj.relaxed), start=1):
+        for t, (s, relaxed) in enumerate(zip(sets, traj.relaxed), start=1):
             if not relaxed:
                 assert np.all(radius[s] > traj.thresholds[t - 1])
     elapsed = time.monotonic() - started
@@ -161,7 +162,7 @@ def test_criterion_6_reconstruction_steps_formula():
     for r in (4.0, 8.0):
         t_r = fb.reconstruction_steps(64, r, 2.0)
         traj = fb.sample_trajectory(grid, fb.ProcessConfig(r_prime=2.0, t_f=64, seed=3), t_total=t_r)
-        removed = sum(len(s) for s in traj.sets)
+        removed = sum(len(s) for s in traj.removal_sets())
         target = grid.n_components * (r - 1.0) / r
         assert abs(removed - target) <= traj.n, f"R={r}: removed {removed} vs target {target}"
     _report(6, "T_r formula and extension", time.monotonic() - started)

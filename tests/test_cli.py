@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdbridge.cli import main, validate_config
+from fdbridge.correction import constant_weights, save_schedule
 from fdbridge.errors import ConfigError
 from fdbridge.fileio import read_cimg, read_csv, read_json, read_kmsk
 from fdbridge.metrics import psnr, ssim
@@ -164,7 +165,24 @@ class TestTrainReconstruct:
         assert summary["psnr_recon_db"] == pytest.approx(psnr(ref, recon), rel=1e-12)
 
     def test_learned_correction_without_schedule_is_config_error(self, tmp_path, config_path):
-        assert run("reconstruct", "--config", config_path, "--out", str(tmp_path / "r")) == 1
+        out = tmp_path / "r"
+        assert run("reconstruct", "--config", config_path, "--out", str(out)) == 1
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "ddpm-reconstruct"])
+    def test_manifest_lists_every_output(self, tmp_path, config_path, command):
+        out = tmp_path / "rec"
+        if command == "reconstruct":
+            save_schedule(tmp_path, constant_weights(8, 0.5), r_prime=2.0, seed=0)
+            extra = ["--schedule", str(tmp_path / "schedule.csv")]
+        else:
+            extra = ["--ddpm-steps", "30"]
+        assert run(command, "--config", config_path, "--out", str(out), "--coils", "2",
+                   "--recovery", "oracle", *extra) == 0
+        on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        on_disk.remove("run_manifest.json")
+        assert "measurement/sens_01.cimg" in on_disk
+        assert read_json(out / "run_manifest.json")["outputs"] == on_disk
 
     def test_ddpm_reconstruct_smoke(self, tmp_path, config_path):
         out = tmp_path / "drec"

@@ -91,10 +91,10 @@ class TestEstimateWeights:
             traj = sample_trajectory(grid, cfg_i, t_total=t_f)
             spec = dft2(x0)
             for t in range(t_f + 1):
-                x_t_spec = np.where(traj.cumulative[t], spec, 0)
+                x_t_spec = np.where(traj.keep_mask(t), spec, 0)
                 sum_et[t] += np.sum(np.abs(x_t_spec) ** 2)
                 if t >= 1:
-                    prev = np.where(traj.cumulative[t - 1], spec, 0)
+                    prev = np.where(traj.keep_mask(t - 1), spec, 0)
                     sum_diff[t - 1] += np.sum(np.abs(prev - x_t_spec) ** 2)
                     sum_deficit[t - 1] += np.sum(np.abs(spec - x_t_spec) ** 2)
         balance = (sum_et[:-1] - sum_et[1:]) / (sum_et[0] - sum_et[1:])

@@ -88,8 +88,8 @@ class TestSampleTrajectory:
         cfg = ProcessConfig(r_prime=2.0, t_f=16, seed=77)
         a = sample_trajectory(grid, cfg)
         b = sample_trajectory(grid, cfg)
-        assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
-        assert all(np.array_equal(x, y) for x, y in zip(a.cumulative, b.cumulative))
+        assert all(np.array_equal(x, y) for x, y in zip(a.removal_sets(), b.removal_sets()))
+        assert all(np.array_equal(a.keep_mask(t), b.keep_mask(t)) for t in range(a.t_total + 1))
 
     def test_scripted_draw_oracle_8x8(self):
         # independent re-enactment of the point process: n=1, four steps
@@ -113,8 +113,8 @@ class TestSampleTrajectory:
             removed[pick] = True
             expected_sets.append(pick)
 
-        assert all(np.array_equal(a, b) for a, b in zip(traj.sets, expected_sets))
-        flat = np.concatenate(traj.sets)
+        assert all(np.array_equal(a, b) for a, b in zip(traj.removal_sets(), expected_sets))
+        flat = np.concatenate(traj.removal_sets())
         assert len(flat) == len(set(flat.tolist()))  # disjoint singletons
         assert traj.keep_count(4) == 60
 
@@ -123,20 +123,22 @@ class TestSampleTrajectory:
         cfg = ProcessConfig(r_prime=4.0, t_f=12, seed=3)
         traj = sample_trajectory(grid, cfg)
         seen = set()
-        for t, s in enumerate(traj.sets, start=1):
+        for t, s in enumerate(traj.removal_sets(), start=1):
             assert not (seen & set(s.tolist()))
             seen.update(s.tolist())
-            prev = traj.cumulative[t - 1]
-            cur = traj.cumulative[t]
+            prev = traj.keep_mask(t - 1)
+            cur = traj.keep_mask(t)
             assert np.all(cur <= prev)
             assert prev.sum() - cur.sum() == len(s)
+            assert np.array_equal(traj.removed_mask(t), prev & ~cur)
+            assert np.array_equal(np.flatnonzero(traj.removed_mask(t)), s)
 
     def test_radius_discipline_on_unrelaxed_steps(self):
         grid = radius_map(48, 48)
         cfg = ProcessConfig(r_prime=8.0, t_f=12, seed=21)
         traj = sample_trajectory(grid, cfg)
         radius = grid.radius.ravel()
-        for t, (s, relaxed) in enumerate(zip(traj.sets, traj.relaxed), start=1):
+        for t, (s, relaxed) in enumerate(zip(traj.removal_sets(), traj.relaxed), start=1):
             if not relaxed:
                 assert np.all(radius[s] > traj.thresholds[t - 1])
 
@@ -144,8 +146,18 @@ class TestSampleTrajectory:
         grid = radius_map(16, 16)
         cfg = ProcessConfig(r_prime=2.0, t_f=4, density="uniform", seed=1)
         traj = sample_trajectory(grid, cfg)
-        assert grid.dc_index not in np.concatenate(traj.sets)
-        assert traj.cumulative[-1].ravel()[grid.dc_index]
+        assert grid.dc_index not in np.concatenate(traj.removal_sets())
+        assert traj.keep_mask(traj.t_total).ravel()[grid.dc_index]
+
+    def test_storage_is_linear_in_grid_and_steps(self):
+        # one removal-time map plus per-step vectors, not a mask per step
+        grid = radius_map(64, 64)
+        traj = sample_trajectory(grid, ProcessConfig(r_prime=2.0, t_f=64, seed=4), t_total=96)
+        held = 0
+        for value in vars(traj).values():
+            arrays = value if isinstance(value, (list, tuple)) else [value]
+            held += sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert held <= 8 * grid.n_components + 64 * traj.t_total
 
     def test_infeasible_budget_rejected(self):
         grid = radius_map(8, 8)
@@ -161,7 +173,7 @@ class TestSampleTrajectory:
         spec = dft2(x0)
         total = np.sum(np.abs(spec) ** 2)
         for t in (1, 4, 8):
-            keep = traj.cumulative[t]
+            keep = traj.keep_mask(t)
             kept = np.sum(np.abs(spec[keep]) ** 2)
             dropped = np.sum(np.abs(spec[~keep]) ** 2)
             assert abs(total - (kept + dropped)) <= 1e-10 * total
@@ -224,4 +236,4 @@ def test_export_trajectory(tmp_path):
     assert stored["step_counts"] == [int(c) for c in traj.counts]
     for t in (0, 2, 4):
         mask = read_kmsk(tmp_path / manifest["mask_files"][str(t)])
-        assert np.array_equal(mask, traj.cumulative[t])
+        assert np.array_equal(mask, traj.keep_mask(t))

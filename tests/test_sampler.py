@@ -38,7 +38,7 @@ class TestReconstructionSteps:
             cfg = ProcessConfig(r_prime=2.0, t_f=64, seed=0)
             t_r = reconstruction_steps(64, r, 2.0)
             traj = sample_trajectory(grid, cfg, t_total=t_r)
-            removed = sum(len(s) for s in traj.sets)
+            removed = sum(len(s) for s in traj.removal_sets())
             target = grid.n_components * (r - 1.0) / r
             assert abs(removed - target) <= traj.n
 
@@ -83,7 +83,7 @@ class TestReverseStep:
         t = 4
         out = reverse_step(x_t, t, traj, est, corrected=False)
         delta_spec = dft2(out) - dft2(x_t)
-        step_set = traj.cumulative[t - 1] & ~traj.cumulative[t]
+        step_set = traj.keep_mask(t - 1) & ~traj.keep_mask(t)
         assert np.max(np.abs(delta_spec[~step_set])) <= 1e-12 * np.linalg.norm(est)
 
     def test_t_zero_rejected(self):

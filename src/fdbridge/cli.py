@@ -325,7 +325,7 @@ def _make_operator(args, reference):
     return ZeroFillRecovery()
 
 
-def _simulate_measurement(cfg, args, reference, out: Path):
+def _simulate_measurement(cfg, args, reference):
     grid = KSpaceGrid(*reference.shape)
     calib = args.calib if args.calib is not None else default_calib(*reference.shape)
     mask = make_sampling_mask(
@@ -340,12 +340,23 @@ def _simulate_measurement(cfg, args, reference, out: Path):
         seed=child_seed(cfg["seed"], "measurement"),
         acceleration=cfg["sampler"]["R"],
     )
+    return system, y
+
+
+def _write_reconstruction(cfg, args, out: Path, reference, system, y, result, zero_fill) -> list[str]:
+    """Write the inputs and results of a finished reconstruction; returns the names written.
+
+    Called only after the reconstruction succeeded, so a run that fails
+    on its inputs or while sampling leaves ``out`` without files.
+    """
+    write_cimg(out / "reference.cimg", reference)
     names = save_measurement(out / "measurement", system, y, cfg["seed"], args.mask_density)
-    return system, y, [f"measurement/{name}" for name in names]
-
-
-def _write_diagnostics(out: Path, rows) -> None:
-    write_csv(out / "diagnostics.csv", ["t", "residual", "psnr_db"], rows)
+    write_cimg(out / "recon.cimg", result.image)
+    write_cimg(out / "zerofill.cimg", zero_fill)
+    write_csv(out / "diagnostics.csv", ["t", "residual", "psnr_db"], result.diagnostics)
+    return ["reference.cimg", "recon.cimg", "zerofill.cimg", "diagnostics.csv"] + [
+        f"measurement/{name}" for name in names
+    ]
 
 
 def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
@@ -353,8 +364,7 @@ def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
     if samp["correction"] == "learned" and not args.schedule:
         raise ConfigError("correction='learned' requires --schedule")
     reference = read_cimg(args.image) if args.image else _phantom(cfg, "eval-image", 0)
-    write_cimg(out / "reference.cimg", reference)
-    system, y, measurement_files = _simulate_measurement(cfg, args, reference, out)
+    system, y = _simulate_measurement(cfg, args, reference)
     operator = _make_operator(args, reference)
 
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
@@ -376,9 +386,7 @@ def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
     result = reconstruct(y, system, operator, traj_source, schedule, scfg, reference=reference)
 
     zero_fill = adjoint(system, y)
-    write_cimg(out / "recon.cimg", result.image)
-    write_cimg(out / "zerofill.cimg", zero_fill)
-    _write_diagnostics(out, result.diagnostics)
+    names = _write_reconstruction(cfg, args, out, reference, system, y, result, zero_fill)
     summary = {
         "T_r": result.t_r,
         "psnr_recon_db": psnr(reference, result.image),
@@ -391,28 +399,19 @@ def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
         f"T_r={result.t_r}  PSNR recon {summary['psnr_recon_db']:.2f} dB "
         f"vs zero-fill {summary['psnr_zerofill_db']:.2f} dB"
     )
-    return [
-        "reference.cimg",
-        "recon.cimg",
-        "zerofill.cimg",
-        "diagnostics.csv",
-        "summary.json",
-    ] + measurement_files
+    return names + ["summary.json"]
 
 
 def cmd_ddpm_reconstruct(cfg, args, out: Path) -> list[str]:
     reference = read_cimg(args.image) if args.image else _phantom(cfg, "eval-image", 0)
-    write_cimg(out / "reference.cimg", reference)
-    system, y, measurement_files = _simulate_measurement(cfg, args, reference, out)
+    system, y = _simulate_measurement(cfg, args, reference)
     operator = _make_operator(args, reference)
     schedule = ddpm_schedule(args.ddpm_steps)
     result = ddpm_reconstruct(
         y, system, operator, schedule, seed=child_seed(cfg["seed"], "ddpm-sampling"), reference=reference
     )
     zero_fill = adjoint(system, y)
-    write_cimg(out / "recon.cimg", result.image)
-    write_cimg(out / "zerofill.cimg", zero_fill)
-    _write_diagnostics(out, result.diagnostics)
+    names = _write_reconstruction(cfg, args, out, reference, system, y, result, zero_fill)
     summary = {
         "T": schedule.t_steps,
         "psnr_recon_db": psnr(reference, result.image),
@@ -420,9 +419,7 @@ def cmd_ddpm_reconstruct(cfg, args, out: Path) -> list[str]:
     }
     write_json(out / "summary.json", summary)
     print(f"T={schedule.t_steps}  PSNR recon {summary['psnr_recon_db']:.2f} dB")
-    return [
-        "reference.cimg", "recon.cimg", "zerofill.cimg", "diagnostics.csv", "summary.json"
-    ] + measurement_files
+    return names + ["summary.json"]
 
 
 ABLATION_VARIANTS = (

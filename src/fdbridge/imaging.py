@@ -245,12 +245,16 @@ def adjoint(system: ImagingSystem, y) -> np.ndarray:
     return out
 
 
-def dc_projection(system: ImagingSystem, x: np.ndarray, y) -> np.ndarray:
-    """Data-consistency update x + A^H (y - A x)."""
+def dc_projection(system: ImagingSystem, x: np.ndarray, y) -> tuple[np.ndarray, float]:
+    """Data-consistency update x + A^H (y - A x).
+
+    Returns the updated image and ||y - A x||, the data residual of the
+    input, which the update computes anyway.
+    """
     x = as_image(x)
     data = _measurement_data(y)
     residual = data - apply_forward(system, x)
-    return x + adjoint(system, residual)
+    return x + adjoint(system, residual), float(np.linalg.norm(residual))
 
 
 def residual_norm(system: ImagingSystem, x: np.ndarray, y) -> float:

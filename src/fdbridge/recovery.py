@@ -7,6 +7,11 @@ estimate of the clean image through three 3x3 convolutions
 The step index conditions the network through an 8-dimensional sinusoidal
 embedding, linearly projected to a per-channel bias added after the first
 convolution.  Everything is double precision and deterministic.
+
+Each convolution is a sum of nine shifted matrix products over one
+zero-padded, flattened copy of its input (see ``_conv3x3``); the forward
+cache keeps those padded copies, and the weight gradients read the same
+nine shifted views of them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .degradation import ProcessConfig, averaging_corrupt, corrupt, sample_trajectory
 from .errors import ConfigError, TrainingError
@@ -59,17 +63,61 @@ def _channels_to_complex(chan: np.ndarray) -> np.ndarray:
     return (chan[0] + 1j * chan[1]).astype(np.complex128)
 
 
+def _pad_flat(x: np.ndarray) -> np.ndarray:
+    """Zero-pad (C, H, W) by one pixel and flatten each channel.
+
+    Returns (C, (H+2)(W+2) + 2): the padded rows back to back, then two
+    zeros so that the last tap's view of H(W+2) values stays in bounds.
+    """
+    c, h, wd = x.shape
+    xp = np.zeros((c, (h + 2) * (wd + 2) + 2))
+    xp[:, : (h + 2) * (wd + 2)].reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1] = x
+    return xp
+
+
+def _tap_offsets(wd: int):
+    """(dy, dx, flat offset) of the nine kernel taps in a row of W+2 values."""
+    return [(dy, dx, dy * (wd + 2) + dx) for dy in range(3) for dx in range(3)]
+
+
 def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
-    """3x3 convolution with zero padding via im2col; returns (out, cols)."""
+    """3x3 zero-padded cross-correlation; returns (out, padded input).
+
+    With xp the flattened padded input (``_pad_flat``) and rows of W+2
+    values, output pixel (i, j) sits at flat index i(W+2) + j and tap
+    (dy, dx) reads xp at that index plus o = dy(W+2) + dx.  So the
+    output is the sum over taps of w[:, :, dy, dx] @ xp[:, o : o + H(W+2)],
+    and each row's last two columns, where a tap wraps into the next
+    padded row, are cropped.
+    """
     cin, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    cols = sliding_window_view(xp, (3, 3), axis=(1, 2))
-    cols = np.ascontiguousarray(cols.transpose(1, 2, 0, 3, 4)).reshape(h * wd, cin * 9)
-    out = cols @ w.reshape(w.shape[0], -1).T
-    out = np.ascontiguousarray(out.T).reshape(w.shape[0], h, wd)
+    xp = _pad_flat(x)
+    n = h * (wd + 2)
+    # products go into preallocated buffers: a fresh (C_out, n) temporary per tap costs more than the product
+    out = np.empty((w.shape[0], n))
+    tap = np.empty_like(out)
+    for k, (dy, dx, o) in enumerate(_tap_offsets(wd)):
+        np.matmul(w[:, :, dy, dx], xp[:, o : o + n], out=tap if k else out)
+        if k:
+            out += tap
+    out = np.ascontiguousarray(out.reshape(w.shape[0], h, wd + 2)[:, :, :wd])
     if b is not None:
         out += b[:, None, None]
-    return out, cols
+    return out, xp
+
+
+def _conv3x3_weight_grad(dout: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """dL/dw for ``_conv3x3`` given dL/d(out) and the padded input it returned."""
+    cout, h, wd = dout.shape
+    n = h * (wd + 2)
+    # dL/d(out) in the layout of the uncropped output; the wrapped columns get no gradient
+    d = np.zeros((cout, h, wd + 2))
+    d[:, :, :wd] = dout
+    d = d.reshape(cout, n)
+    grad = np.empty((cout, xp.shape[0], 3, 3))
+    for dy, dx, o in _tap_offsets(wd):
+        grad[:, :, dy, dx] = d @ xp[:, o : o + n].T
+    return grad
 
 
 def _conv3x3_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -151,36 +199,33 @@ class TinyRegressor:
         """Forward pass on a (2, H, W) channel stack; returns (out, cache)."""
         p = self.params
         feat = time_features(t, self.t_f)
-        h1, cols1 = _conv3x3(chan_in, p["conv1_w"], p["conv1_b"])
+        h1, xp1 = _conv3x3(chan_in, p["conv1_w"], p["conv1_b"])
         h1 += (p["time_w"] @ feat)[:, None, None]
         a1 = _leaky(h1)
-        h2, cols2 = _conv3x3(a1, p["conv2_w"], p["conv2_b"])
+        h2, xp2 = _conv3x3(a1, p["conv2_w"], p["conv2_b"])
         a2 = _leaky(h2)
-        out, cols3 = _conv3x3(a2, p["conv3_w"], p["conv3_b"])
-        cache = (feat, cols1, h1, cols2, h2, cols3)
+        out, xp3 = _conv3x3(a2, p["conv3_w"], p["conv3_b"])
+        cache = (feat, xp1, h1, xp2, h2, xp3)
         return out, cache
 
     def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for the cached forward pass given dL/d(out)."""
         p = self.params
-        feat, cols1, h1, cols2, h2, cols3 = cache
+        feat, xp1, h1, xp2, h2, xp3 = cache
         grads: dict[str, np.ndarray] = {}
 
-        dflat = dout.reshape(2, -1)
-        grads["conv3_w"] = (dflat @ cols3).reshape(p["conv3_w"].shape)
+        grads["conv3_w"] = _conv3x3_weight_grad(dout, xp3)
         grads["conv3_b"] = dout.sum(axis=(1, 2))
         da2 = _conv3x3_input_grad(dout, p["conv3_w"])
 
         dh2 = da2 * _leaky_grad(h2)
-        dflat = dh2.reshape(HIDDEN, -1)
-        grads["conv2_w"] = (dflat @ cols2).reshape(p["conv2_w"].shape)
+        grads["conv2_w"] = _conv3x3_weight_grad(dh2, xp2)
         grads["conv2_b"] = dh2.sum(axis=(1, 2))
         da1 = _conv3x3_input_grad(dh2, p["conv2_w"])
 
         dh1 = da1 * _leaky_grad(h1)
         grads["time_w"] = np.outer(dh1.sum(axis=(1, 2)), feat)
-        dflat = dh1.reshape(HIDDEN, -1)
-        grads["conv1_w"] = (dflat @ cols1).reshape(p["conv1_w"].shape)
+        grads["conv1_w"] = _conv3x3_weight_grad(dh1, xp1)
         grads["conv1_b"] = dh1.sum(axis=(1, 2))
         return grads
 

@@ -105,7 +105,9 @@ def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t
 class ReconstructionResult:
     image: np.ndarray
     t_r: int
-    diagnostics: list[tuple]  # rows (t, residual, psnr_db) recorded after each step's update
+    # rows (t, residual, psnr_db): residual is ||y - A x|| of the step's update before its DC
+    # projection; psnr_db is that of the step's final iterate
+    diagnostics: list[tuple]
     weights: np.ndarray
     trajectory_seed: int | None = None
 
@@ -132,6 +134,7 @@ def reconstruct(
     t_r = reconstruction_steps(cfg.t_f, cfg.r, cfg.r_prime)
     if t_r < 1:
         raise ConfigError(f"T_r={t_r}; R={cfg.r} leaves nothing to reconstruct")
+    weights = _resolve_schedule(cfg, schedule, t_r)
 
     if x_start is not None:
         x = as_image(x_start).copy()
@@ -157,7 +160,6 @@ def reconstruct(
     else:
         raise ConfigError(f"unsupported trajectory source: {type(traj_source).__name__}")
 
-    weights = _resolve_schedule(cfg, schedule, t_r)
     corrected = cfg.correction != "none"
     diagnostics: list[tuple] = []
 
@@ -165,10 +167,13 @@ def reconstruct(
         x0_est = operator.recover(x, t)
         x = reverse_step(x, t, traj, x0_est, weight=float(weights[t - 1]), corrected=corrected)
         if cfg.dc_every_step:
-            x = dc_projection(system, x, y)
+            x, res = dc_projection(system, x, y)
+        elif y is not None and system is not None:
+            res = residual_norm(system, x, y)
+        else:
+            res = float("nan")
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite iterate at step {t}")
-        res = residual_norm(system, x, y) if (y is not None and system is not None) else float("nan")
         quality = psnr(reference, x) if reference is not None else float("nan")
         diagnostics.append((t, res, quality))
 
@@ -262,10 +267,9 @@ def ddpm_reconstruct(
         noise_sd = math.sqrt((1.0 - gb_prev) / (1.0 - gb_t) * beta)
         z = _complex_noise(x.shape, substream(seed, "ddpm-reverse", t)) if t > 1 else 0.0
         x = coef_x * x + coef_est * x0_est + noise_sd * z
-        x = dc_projection(system, x, y)
+        x, res = dc_projection(system, x, y)
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite iterate at step {t}")
-        res = residual_norm(system, x, y)
         quality = psnr(reference, x) if reference is not None else float("nan")
         diagnostics.append((t, res, quality))
     return ReconstructionResult(

@@ -169,6 +169,13 @@ class TestTrainReconstruct:
         assert run("reconstruct", "--config", config_path, "--out", str(out)) == 1
         assert not [p for p in out.rglob("*") if p.is_file()]
 
+    def test_short_schedule_writes_nothing(self, tmp_path, config_path):
+        save_schedule(tmp_path, constant_weights(4, 0.5), r_prime=2.0, seed=0)  # T_f is 8
+        out = tmp_path / "r"
+        assert run("reconstruct", "--config", config_path, "--out", str(out),
+                   "--schedule", str(tmp_path / "schedule.csv")) == 2
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
     @pytest.mark.parametrize("command", ["reconstruct", "ddpm-reconstruct"])
     def test_manifest_lists_every_output(self, tmp_path, config_path, command):
         out = tmp_path / "rec"

@@ -11,6 +11,9 @@ from fdbridge.recovery import (
     TinyRegressor,
     TrainConfig,
     ZeroFillRecovery,
+    _conv3x3,
+    _conv3x3_input_grad,
+    _conv3x3_weight_grad,
     bridge_loss,
     grad_check,
     load_checkpoint,
@@ -113,6 +116,86 @@ class TestTinyRegressor:
         b = TinyRegressor(t_f=16, seed=3).flat_params()
         assert np.array_equal(a, b)
 
+    def test_forward_cache_is_small(self):
+        # the cache holds one padded copy of each conv input plus h1, h2: about 2.2 MB at 64^2
+        model = TinyRegressor(t_f=64, seed=4)
+        _, cache = model.forward(np.stack([rand_image(64, 64, seed=5).real] * 2), 3)
+        held = sum(a.nbytes for a in cache if isinstance(a, np.ndarray))
+        assert held <= 3_000_000
+
+
+def _conv_reference(x, w):
+    """Direct 9-tap loop over the 2-D zero-padded input, no flat offsets."""
+    cin, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros((w.shape[0], h, wd))
+    for dy in range(3):
+        for dx in range(3):
+            out += np.einsum("oc,chw->ohw", w[:, :, dy, dx], xp[:, dy : dy + h, dx : dx + wd])
+    return out
+
+
+def _conv_grads_reference(x, w, dout):
+    """(dL/dx, dL/dw) of the reference conv: scatter each tap back, no flipped kernel."""
+    cin, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for dy in range(3):
+        for dx in range(3):
+            dw[:, :, dy, dx] = np.einsum("ohw,chw->oc", dout, xp[:, dy : dy + h, dx : dx + wd])
+            dxp[:, dy : dy + h, dx : dx + wd] += np.einsum("oc,ohw->chw", w[:, :, dy, dx], dout)
+    return dxp[:, 1:-1, 1:-1], dw
+
+
+def _border_impulses(c, h, wd):
+    """One unit impulse per (channel-cycled) border pixel: the four corners and every edge pixel."""
+    border = [(i, j) for i in range(h) for j in range(wd) if i in (0, h - 1) or j in (0, wd - 1)]
+    for k, (i, j) in enumerate(border):
+        x = np.zeros((c, h, wd))
+        x[k % c, i, j] = 1.0
+        yield x
+
+
+class TestConv3x3:
+    """The flat shifted-product conv against a direct loop, on a non-square 5x7 grid.
+
+    Impulses on the border catch a tap that wraps from the end of one row
+    into the start of the next in the flattened layout.
+    """
+
+    H, W = 5, 7
+    TOL = 1e-12
+
+    def _cases(self, cin, cout):
+        rng = np.random.default_rng(cin * 100 + cout)
+        w = rng.standard_normal((cout, cin, 3, 3))
+        inputs = list(_border_impulses(cin, self.H, self.W)) + [rng.standard_normal((cin, self.H, self.W))]
+        grads = list(_border_impulses(cout, self.H, self.W)) + [rng.standard_normal((cout, self.H, self.W))]
+        return w, inputs, grads
+
+    def _close(self, got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= self.TOL * max(np.max(np.abs(ref)), 1.0)
+
+    @pytest.mark.parametrize("cin,cout", [(2, 16), (16, 16), (16, 2)])
+    def test_forward_matches_direct_loop(self, cin, cout):
+        w, inputs, _ = self._cases(cin, cout)
+        b = np.arange(cout, dtype=float)
+        for x in inputs:
+            out, _ = _conv3x3(x, w, b)
+            self._close(out, _conv_reference(x, w) + b[:, None, None])
+
+    @pytest.mark.parametrize("cin,cout", [(2, 16), (16, 16), (16, 2)])
+    def test_gradients_match_direct_loop(self, cin, cout):
+        w, inputs, grads = self._cases(cin, cout)
+        for x in inputs[:: len(inputs) - 1]:  # a corner impulse and the dense input
+            _, xp = _conv3x3(x, w, None)
+            for dout in grads:
+                dx_ref, dw_ref = _conv_grads_reference(x, w, dout)
+                self._close(_conv3x3_input_grad(dout, w), dx_ref)
+                self._close(_conv3x3_weight_grad(dout, xp), dw_ref)
+
 
 class TestGradCheck:
     def test_fresh_model_matches_finite_differences(self):
@@ -120,6 +203,13 @@ class TestGradCheck:
         sample = make_phantom(PhantomSpec(32, 32, seed=10))
         target = make_phantom(PhantomSpec(32, 32, seed=11))
         err = grad_check(model, sample, t=9, target=target, n_params=50, seed=0)
+        assert err < 1e-4
+
+    def test_non_square_input_matches_finite_differences(self):
+        model = TinyRegressor(t_f=64, seed=5)
+        sample = rand_image(24, 40, seed=12)
+        target = rand_image(24, 40, seed=13)
+        err = grad_check(model, sample, t=17, target=target, n_params=50, seed=1)
         assert err < 1e-4
 
     def test_zero_input_conv1_weight_grads_vanish(self):

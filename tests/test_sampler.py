@@ -5,7 +5,7 @@ from fdbridge.correction import constant_weights, power_law_weights
 from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, ScheduleError, TrajectoryError
 from fdbridge.grid import dft2, radius_map
-from fdbridge.imaging import adjoint, forward, make_sampling_mask
+from fdbridge.imaging import adjoint, forward, make_sampling_mask, residual_norm
 from fdbridge.metrics import psnr
 from fdbridge.phantoms import PhantomSpec, make_phantom
 from fdbridge.recovery import OracleRecovery, ZeroFillRecovery
@@ -131,7 +131,7 @@ class TestReconstruct:
         op = ZeroFillRecovery()
         for t in range(traj.t_total, 0, -1):
             x = reverse_step(x, t, traj, op.recover(x, t), weight=0.3, corrected=True)
-            x = dc_projection(sys_, x, y)
+            x, _ = dc_projection(sys_, x, y)
             spec = dft2(x)
             assert np.max(np.abs(spec[mask] - y.data[0][mask])) <= 1e-12 * np.linalg.norm(y.data)
 
@@ -157,6 +157,23 @@ class TestReconstruct:
         ts = [row[0] for row in res.diagnostics]
         assert ts == list(range(res.t_r, 0, -1))
         assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in res.diagnostics)
+
+    def test_single_coil_residual_is_taken_before_dc(self):
+        # a single-coil iterate fits its data exactly after DC, so only the pre-DC residual is informative
+        grid, proc, _, x0 = _matched_setup(seed=27)
+        mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=28)
+        sys_ = unit_system(mask)
+        y = forward(sys_, x0)
+        t_r = reconstruction_steps(proc.t_f, 4.0, 2.0)
+        traj = sample_trajectory(grid, proc, t_total=t_r)
+        cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="none", ct_mode="fixed", seed=29)
+        res = reconstruct(y, sys_, ZeroFillRecovery(), traj, None, cfg)
+        x_start = adjoint(sys_, y)
+        first_update = reverse_step(x_start, t_r, traj, ZeroFillRecovery().recover(x_start, t_r))
+        assert res.diagnostics[0][1] == pytest.approx(residual_norm(sys_, first_update, y), rel=1e-12)
+        assert max(row[1] for row in res.diagnostics) > 1e-12
+        ddpm = ddpm_reconstruct(y, sys_, ZeroFillRecovery(), ddpm_schedule(30), seed=30)
+        assert max(row[1] for row in ddpm.diagnostics) > 1e-12
 
     def test_fixed_trajectory_must_cover_t_r(self):
         grid, proc, traj, x0 = _matched_setup(seed=21)

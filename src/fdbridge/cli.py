@@ -5,6 +5,13 @@ keys are rejected, all seeds are explicit), writes its artifacts
 atomically under --out, and drops a run manifest that allows exact
 replay (``fdb replay <manifest>``).  Exit codes: 0 success, 1 config
 error, 2 runtime failure.
+
+``reconstruct``, ``ddpm-reconstruct`` and ``ablate`` share one path:
+simulate the acquisition of a reference image (sampling mask, coil maps,
+noisy multi-coil k-space), reconstruct it, and score the result by PSNR
+and SSIM against the reference.  ``train`` and each ablation variant
+train the recovery operator through one recipe.  Inputs are loaded and
+checked before anything is written.
 """
 
 from __future__ import annotations
@@ -12,10 +19,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +42,7 @@ from .imaging import (
     synth_coil_maps,
 )
 from .metrics import psnr, ssim
-from .phantoms import CONTRASTS, PhantomSpec, make_phantom, save_dataset
+from .phantoms import generate_dataset, load_dataset, save_dataset, seeded_phantom
 from .recovery import (
     OracleRecovery,
     TinyRegressor,
@@ -48,13 +54,7 @@ from .recovery import (
     train,
 )
 from .rng import child_seed, substream
-from .sampler import (
-    SamplerConfig,
-    ddpm_reconstruct,
-    ddpm_schedule,
-    reconstruct,
-    reconstruction_steps,
-)
+from .sampler import SamplerConfig, ddpm_reconstruct, ddpm_schedule, reconstruct
 
 # ---------------------------------------------------------------------------
 # Run configuration
@@ -129,48 +129,24 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
     return cfg
 
 
-def _process_config(cfg: dict, seed: int, **overrides) -> ProcessConfig:
-    p = dict(cfg["process"])
-    p.update(overrides)
+def _process_config(cfg: dict, seed: int) -> ProcessConfig:
+    p = cfg["process"]
     return ProcessConfig(
         r_prime=p["R_prime"],
         t_f=p["T_f"],
         density=p["density"],
         step_count_schedule=p["step_count_schedule"],
-        process_kind=p.get("process_kind", "frequency_removal"),
         seed=seed,
     )
 
 
-def _phantom(cfg: dict, *tags) -> np.ndarray:
-    data = cfg["data"]
-    spec = PhantomSpec(
-        height=data["dims"],
-        width=data["dims"],
-        contrast=data["contrast"],
-        seed=child_seed(cfg["seed"], *tags),
-    )
-    return make_phantom(spec)
-
-
-def _dataset(cfg: dict, count: int, group: str) -> list[np.ndarray]:
-    return [_phantom(cfg, group, i) for i in range(count)]
-
-
-def _load_images(path) -> list[np.ndarray]:
-    """A dataset directory (manifest.json + images/) or a single CIMG file."""
-    path = Path(path)
-    if path.is_dir():
-        manifest = read_json(path / "manifest.json")
-        return [read_cimg(path / "images" / name) for name in manifest["ids"]]
-    return [read_cimg(path)]
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _training_images(cfg: dict, args) -> list[np.ndarray]:
+    """--dataset (a dataset directory or a single CIMG file), else the config's generated dataset."""
+    if not args.dataset:
+        data = cfg["data"]
+        return generate_dataset(data["count"], data["dims"], data["dims"], data["contrast"], cfg["seed"])
+    path = Path(args.dataset)
+    return load_dataset(path) if path.is_dir() else [read_cimg(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +155,9 @@ def _pmap(fn, items, threads: int):
 
 
 def cmd_phantom(cfg, args, out: Path) -> list[str]:
-    images = _dataset(cfg, cfg["data"]["count"], "dataset")
-    manifest = save_dataset(out, images, cfg["data"]["contrast"], cfg["seed"])
+    data = cfg["data"]
+    images = generate_dataset(data["count"], data["dims"], data["dims"], data["contrast"], cfg["seed"])
+    manifest = save_dataset(out, images, data["contrast"], cfg["seed"])
     return ["manifest.json"] + [f"images/{name}" for name in manifest["ids"]]
 
 
@@ -226,22 +203,23 @@ def _parse_snapshots(text: str | None, t_total: int) -> list[int]:
 
 
 def cmd_forward(cfg, args, out: Path) -> list[str]:
-    dims = cfg["data"]["dims"]
+    data = cfg["data"]
+    grid = KSpaceGrid(data["dims"], data["dims"])
+    if args.image:
+        x0 = read_cimg(args.image)
+        if x0.shape != grid.shape:
+            raise ConfigError(f"image shape {x0.shape} does not match configured dims {data['dims']}")
+    else:
+        x0 = seeded_phantom(data["dims"], data["dims"], data["contrast"], cfg["seed"], "forward-image")
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "trajectory"))
     t_total = args.t_total if args.t_total is not None else proc.t_f
-    grid = KSpaceGrid(dims, dims)
     traj = sample_trajectory(grid, proc, t_total=t_total)
     steps = _parse_snapshots(args.snapshots, t_total)
     manifest = export_trajectory(traj, proc, out, steps)
     names = ["trajectory.json"] + list(manifest["mask_files"].values())
-    if args.image:
-        x0 = read_cimg(args.image)
-    else:
-        x0 = _phantom(cfg, "forward-image")
+    if not args.image:
         write_cimg(out / "original.cimg", x0)
         names.append("original.cimg")
-    if x0.shape != grid.shape:
-        raise ConfigError(f"image shape {x0.shape} does not match configured dims {dims}")
     for t in steps:
         name = f"corrupted_t{t:04d}.cimg"
         write_cimg(out / name, corrupt(x0, traj, t))
@@ -255,7 +233,7 @@ def _plot_schedule(out: Path, weights: np.ndarray) -> str | None:
 
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
-    except Exception:
+    except ImportError:  # matplotlib is the optional "plot" extra
         return None
     fig, ax = plt.subplots(figsize=(5, 3.2))
     ax.plot(np.arange(1, weights.size + 1), weights, lw=1.5)
@@ -270,10 +248,7 @@ def _plot_schedule(out: Path, weights: np.ndarray) -> str | None:
 
 
 def cmd_estimate_w(cfg, args, out: Path) -> list[str]:
-    if args.dataset:
-        images = _load_images(args.dataset)
-    else:
-        images = _dataset(cfg, cfg["data"]["count"], "dataset")
+    images = _training_images(cfg, args)
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
     schedule = estimate_weights(images, proc, args.mc_samples, seed=child_seed(cfg["seed"], "mc"))
     save_schedule(out, schedule, r_prime=proc.r_prime, seed=cfg["seed"])
@@ -285,141 +260,142 @@ def cmd_estimate_w(cfg, args, out: Path) -> list[str]:
     return names
 
 
-def _train_model(cfg, images, corruption: str, ddpm_steps: int):
+def _train_model(cfg, images, process, *tags):
+    """Train a fresh recovery operator on ``process`` (a ProcessConfig or DdpmSchedule).
+
+    ``tags`` name the run among several (an ablation variant), so each
+    gets its own initialization and training seeds.  The averaging
+    ablation has no removal masks and so trains on the upper bound.
+    """
     tc = cfg["train"]
+    averaging = isinstance(process, ProcessConfig) and process.process_kind == "averaging_constraint"
     train_cfg = TrainConfig(
         learning_rate=tc["learning_rate"],
         epochs=tc["epochs"],
         batch=tc["batch"],
-        loss_mode=tc["loss_mode"],
-        seed=child_seed(cfg["seed"], "train"),
+        loss_mode="upper_bound" if averaging else tc["loss_mode"],
+        seed=child_seed(cfg["seed"], "train", *tags),
     )
-    if corruption == "ddpm":
-        process = ddpm_schedule(ddpm_steps)
-        t_f = ddpm_steps
-    else:
-        process = _process_config(cfg, seed=child_seed(cfg["seed"], "train-process"))
-        t_f = process.t_f
-    model = TinyRegressor(t_f=t_f, seed=child_seed(cfg["seed"], "model-init"))
-    model, trace = train(model, images, process, train_cfg)
-    return model, trace, train_cfg
+    model = TinyRegressor(t_f=process.t_f, seed=child_seed(cfg["seed"], "model-init", *tags))
+    return train(model, images, process, train_cfg)
 
 
 def cmd_train(cfg, args, out: Path) -> list[str]:
-    if args.dataset:
-        images = _load_images(args.dataset)
+    images = _training_images(cfg, args)
+    if args.corruption == "ddpm":
+        process = ddpm_schedule(args.ddpm_steps)
     else:
-        images = _dataset(cfg, cfg["data"]["count"], "dataset")
-    model, trace, train_cfg = _train_model(cfg, images, args.corruption, args.ddpm_steps)
-    save_checkpoint(out / "checkpoint.ckpt", model, epochs=train_cfg.epochs)
+        process = _process_config(cfg, seed=child_seed(cfg["seed"], "train-process"))
+    model, trace = _train_model(cfg, images, process)
+    save_checkpoint(out / "checkpoint.ckpt", model, epochs=cfg["train"]["epochs"])
     save_loss_trace(out / "loss_trace.csv", trace)
     return ["checkpoint.ckpt", "loss_trace.csv"]
 
 
-def _make_operator(args, reference):
+def _load_operator(args, reference, horizon: int):
+    """The recovery operator: --checkpoint, which must be trained on ``horizon`` steps, else --recovery."""
     if args.checkpoint:
         model, _ = load_checkpoint(args.checkpoint)
+        if model.t_f != horizon:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} was trained with T_f={model.t_f}, "
+                f"but this run queries it on {horizon} steps"
+            )
         return model
     if args.recovery == "oracle":
         return OracleRecovery(reference)
     return ZeroFillRecovery()
 
 
-def _simulate_measurement(cfg, args, reference):
+def _acquire(cfg, args, reference, mask_seed: int, coil_seed: int, noise_seed: int):
+    """Simulate the acquisition of ``reference``: sampling mask, coil maps and measurement."""
     grid = KSpaceGrid(*reference.shape)
-    calib = args.calib if args.calib is not None else default_calib(*reference.shape)
-    mask = make_sampling_mask(
-        grid, cfg["sampler"]["R"], args.mask_density, calib, seed=child_seed(cfg["seed"], "mask")
-    )
-    maps = synth_coil_maps(grid, args.coils, seed=child_seed(cfg["seed"], "coils"))
+    rate = cfg["sampler"]["R"]
+    mask = make_sampling_mask(grid, rate, args.mask_density, args.calib, seed=mask_seed)
+    maps = synth_coil_maps(grid, args.coils, seed=coil_seed)
     system = ImagingSystem(mask=mask, coil_maps=maps, grid=grid)
-    y = forward(
-        system,
-        reference,
-        noise_sigma=args.noise_sigma,
-        seed=child_seed(cfg["seed"], "measurement"),
-        acceleration=cfg["sampler"]["R"],
-    )
+    y = forward(system, reference, noise_sigma=args.noise_sigma, seed=noise_seed, acceleration=rate)
     return system, y
 
 
-def _write_reconstruction(cfg, args, out: Path, reference, system, y, result, zero_fill) -> list[str]:
-    """Write the inputs and results of a finished reconstruction; returns the names written.
-
-    Called only after the reconstruction succeeded, so a run that fails
-    on its inputs or while sampling leaves ``out`` without files.
-    """
-    write_cimg(out / "reference.cimg", reference)
-    names = save_measurement(out / "measurement", system, y, cfg["seed"], args.mask_density)
-    write_cimg(out / "recon.cimg", result.image)
-    write_cimg(out / "zerofill.cimg", zero_fill)
-    write_csv(out / "diagnostics.csv", ["t", "residual", "psnr_db"], result.diagnostics)
-    return ["reference.cimg", "recon.cimg", "zerofill.cimg", "diagnostics.csv"] + [
-        f"measurement/{name}" for name in names
-    ]
-
-
-def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
-    samp = cfg["sampler"]
-    if samp["correction"] == "learned" and not args.schedule:
-        raise ConfigError("correction='learned' requires --schedule")
-    reference = read_cimg(args.image) if args.image else _phantom(cfg, "eval-image", 0)
-    system, y = _simulate_measurement(cfg, args, reference)
-    operator = _make_operator(args, reference)
-
-    proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
-    scfg = SamplerConfig(
-        t_f=proc.t_f,
-        r_prime=proc.r_prime,
+def _sampler_config(cfg, process: ProcessConfig, *tags, **overrides) -> SamplerConfig:
+    """The config's sampler settings, with ``overrides``, on ``process``; ``tags`` extend the seed's path."""
+    samp = {**cfg["sampler"], **overrides}
+    return SamplerConfig(
+        t_f=process.t_f,
+        r_prime=process.r_prime,
         r=samp["R"],
         correction=samp["correction"],
         ct_mode=samp["ct_mode"],
         dc_every_step=samp["dc_every_step"],
-        seed=child_seed(cfg["seed"], "sampling"),
+        seed=child_seed(cfg["seed"], "sampling", *tags),
     )
-    schedule = load_schedule(args.schedule) if args.schedule else None
-    if scfg.ct_mode == "fixed":
-        t_r = reconstruction_steps(scfg.t_f, scfg.r, scfg.r_prime)
-        traj_source = sample_trajectory(system.grid, proc, t_total=t_r)
-    else:
-        traj_source = proc
-    result = reconstruct(y, system, operator, traj_source, schedule, scfg, reference=reference)
 
+
+def _score(reference, image) -> tuple[float, float]:
+    """(PSNR in dB, SSIM) of ``image`` against ``reference``."""
+    return psnr(reference, image), ssim(reference, image)
+
+
+def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps_key: str) -> list[str]:
+    """The path of ``reconstruct`` and ``ddpm-reconstruct``; returns the names written.
+
+    Simulates the acquisition of --image (or of a generated held-out
+    phantom), loads the operator, runs ``sample(y, system, operator,
+    reference)``, and scores the result and the zero-filled baseline.
+    Nothing is written until the reconstruction succeeded, so a run that
+    fails on its inputs or while sampling leaves ``out`` without files.
+    """
+    seed, data = cfg["seed"], cfg["data"]
+    if args.image:
+        reference = read_cimg(args.image)
+    else:
+        reference = seeded_phantom(data["dims"], data["dims"], data["contrast"], seed, "eval-image", 0)
+    seeds = [child_seed(seed, tag) for tag in ("mask", "coils", "measurement")]
+    system, y = _acquire(cfg, args, reference, *seeds)
+    operator = _load_operator(args, reference, horizon)
+    result = sample(y, system, operator, reference)
     zero_fill = adjoint(system, y)
-    names = _write_reconstruction(cfg, args, out, reference, system, y, result, zero_fill)
-    summary = {
-        "T_r": result.t_r,
-        "psnr_recon_db": psnr(reference, result.image),
-        "psnr_zerofill_db": psnr(reference, zero_fill),
-        "ssim_recon": ssim(reference, result.image),
-        "ssim_zerofill": ssim(reference, zero_fill),
-    }
+
+    write_cimg(out / "reference.cimg", reference)
+    measured = save_measurement(out / "measurement", system, y, seed, args.mask_density)
+    write_cimg(out / "recon.cimg", result.image)
+    write_cimg(out / "zerofill.cimg", zero_fill)
+    write_csv(out / "diagnostics.csv", ["t", "residual", "psnr_db"], result.diagnostics)
+    summary = {steps_key: result.t_r}
+    summary["psnr_recon_db"], summary["ssim_recon"] = _score(reference, result.image)
+    summary["psnr_zerofill_db"], summary["ssim_zerofill"] = _score(reference, zero_fill)
     write_json(out / "summary.json", summary)
     print(
-        f"T_r={result.t_r}  PSNR recon {summary['psnr_recon_db']:.2f} dB "
+        f"{steps_key}={result.t_r}  PSNR recon {summary['psnr_recon_db']:.2f} dB "
         f"vs zero-fill {summary['psnr_zerofill_db']:.2f} dB"
     )
-    return names + ["summary.json"]
+    return ["reference.cimg", "recon.cimg", "zerofill.cimg", "diagnostics.csv", "summary.json"] + [
+        f"measurement/{name}" for name in measured
+    ]
+
+
+def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
+    proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
+    scfg = _sampler_config(cfg, proc)
+    if scfg.correction == "learned" and not args.schedule:
+        raise ConfigError("correction='learned' requires --schedule")
+    schedule = load_schedule(args.schedule) if args.schedule else None
+
+    def sample(y, system, operator, reference):
+        return reconstruct(y, system, operator, proc, schedule, scfg, reference=reference)
+
+    return _measure_reconstruct_score(cfg, args, out, proc.t_f, sample, "T_r")
 
 
 def cmd_ddpm_reconstruct(cfg, args, out: Path) -> list[str]:
-    reference = read_cimg(args.image) if args.image else _phantom(cfg, "eval-image", 0)
-    system, y = _simulate_measurement(cfg, args, reference)
-    operator = _make_operator(args, reference)
     schedule = ddpm_schedule(args.ddpm_steps)
-    result = ddpm_reconstruct(
-        y, system, operator, schedule, seed=child_seed(cfg["seed"], "ddpm-sampling"), reference=reference
-    )
-    zero_fill = adjoint(system, y)
-    names = _write_reconstruction(cfg, args, out, reference, system, y, result, zero_fill)
-    summary = {
-        "T": schedule.t_steps,
-        "psnr_recon_db": psnr(reference, result.image),
-        "psnr_zerofill_db": psnr(reference, zero_fill),
-    }
-    write_json(out / "summary.json", summary)
-    print(f"T={schedule.t_steps}  PSNR recon {summary['psnr_recon_db']:.2f} dB")
-    return names + ["summary.json"]
+    seed = child_seed(cfg["seed"], "ddpm-sampling")
+
+    def sample(y, system, operator, reference):
+        return ddpm_reconstruct(y, system, operator, schedule, seed=seed, reference=reference)
+
+    return _measure_reconstruct_score(cfg, args, out, schedule.t_steps, sample, "T")
 
 
 ABLATION_VARIANTS = (
@@ -434,89 +410,45 @@ ABLATION_VARIANTS = (
 
 
 def cmd_ablate(cfg, args, out: Path) -> list[str]:
-    train_images = _dataset(cfg, cfg["data"]["count"], "dataset")
-    eval_images = _dataset(cfg, args.eval_count, "eval")
-    mc = args.mc_samples
-    threads = args.threads
+    seed, data = cfg["seed"], cfg["data"]
+    dims, contrast = data["dims"], data["contrast"]
+    train_images = generate_dataset(data["count"], dims, dims, contrast, seed)
+    eval_images = generate_dataset(args.eval_count, dims, dims, contrast, seed, "eval")
+    acquisitions = []
+    for i, reference in enumerate(eval_images):
+        seeds = [child_seed(seed, tag, i) for tag in ("eval-mask", "coils", "eval-noise")]
+        acquisitions.append(_acquire(cfg, args, reference, *seeds))
 
-    base_proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
+    base_proc = _process_config(cfg, seed=child_seed(seed, "process"))
     variants_proc = {
         "fdb": base_proc,
-        "ct_uniform": _process_config(cfg, seed=child_seed(cfg["seed"], "process"), density="uniform"),
-        "n_log_schedule": _process_config(
-            cfg, seed=child_seed(cfg["seed"], "process"), step_count_schedule="log"
-        ),
-        "xt_averaging": _process_config(
-            cfg, seed=child_seed(cfg["seed"], "process"), process_kind="averaging_constraint"
-        ),
+        "ct_uniform": replace(base_proc, density="uniform"),
+        "n_log_schedule": replace(base_proc, step_count_schedule="log"),
+        "xt_averaging": replace(base_proc, process_kind="averaging_constraint"),
     }
-
-    models: dict[str, TinyRegressor] = {}
-    schedules: dict[str, object] = {}
+    models, schedules = {}, {}
     for name, proc in variants_proc.items():
-        tc = cfg["train"]
-        train_cfg = TrainConfig(
-            learning_rate=tc["learning_rate"],
-            epochs=tc["epochs"],
-            batch=tc["batch"],
-            loss_mode=tc["loss_mode"] if proc.process_kind == "frequency_removal" else "upper_bound",
-            seed=child_seed(cfg["seed"], "train", name),
-        )
-        model = TinyRegressor(t_f=proc.t_f, seed=child_seed(cfg["seed"], "model-init", name))
-        model, _ = train(model, train_images, proc, train_cfg)
-        models[name] = model
+        models[name], _ = _train_model(cfg, train_images, proc, name)
         if proc.process_kind == "frequency_removal":
-            schedules[name] = estimate_weights(
-                train_images, proc, mc, seed=child_seed(cfg["seed"], "mc", name)
-            )
-        else:
-            schedules[name] = None
+            mc_seed = child_seed(seed, "mc", name)
+            schedules[name] = estimate_weights(train_images, proc, args.mc_samples, seed=mc_seed)
     schedules["xt_averaging"] = schedules["fdb"]  # sampling is unchanged for this variant
 
-    samp = cfg["sampler"]
-    rate = samp["R"]
-    t_r = reconstruction_steps(base_proc.t_f, rate, base_proc.r_prime)
-
-    def run_variant(variant: str):
-        if variant in variants_proc:
-            model, proc, schedule = models[variant], variants_proc[variant], schedules[variant]
-        else:
-            model, proc, schedule = models["fdb"], base_proc, schedules["fdb"]
-        correction = {"no_correction": "none", "wt_linear": "linear"}.get(variant, "learned")
-        ct_mode = "fixed" if variant == "ct_fixed" else "independent"
-
-        def recon_one(item):
-            idx, reference = item
-            grid = KSpaceGrid(*reference.shape)
-            calib = args.calib if args.calib is not None else default_calib(*reference.shape)
-            mask = make_sampling_mask(
-                grid, rate, args.mask_density, calib, seed=child_seed(cfg["seed"], "eval-mask", idx)
-            )
-            system = ImagingSystem(
-                mask=mask,
-                coil_maps=synth_coil_maps(grid, args.coils, seed=child_seed(cfg["seed"], "coils", idx)),
-                grid=grid,
-            )
-            y = forward(system, reference, noise_sigma=args.noise_sigma,
-                        seed=child_seed(cfg["seed"], "eval-noise", idx), acceleration=rate)
-            scfg = SamplerConfig(
-                t_f=proc.t_f, r_prime=proc.r_prime, r=rate, correction=correction,
-                ct_mode=ct_mode, dc_every_step=samp["dc_every_step"],
-                seed=child_seed(cfg["seed"], "sampling", variant, idx),
-            )
-            if ct_mode == "fixed":
-                traj_source = sample_trajectory(grid, proc, t_total=t_r)
-            else:
-                traj_source = proc
-            result = reconstruct(y, system, model, traj_source, schedule, scfg, reference=reference)
-            return psnr(reference, result.image), ssim(reference, result.image)
-
-        pairs = _pmap(recon_one, list(enumerate(eval_images)), threads)
-        ps = np.array([p for p, _ in pairs])
-        ss = np.array([s for _, s in pairs])
-        return (variant, float(ps.mean()), float(ps.std()), float(ss.mean()), float(ss.std()))
-
-    rows = [run_variant(v) for v in ABLATION_VARIANTS]
+    rows = []
+    for variant in ABLATION_VARIANTS:
+        trained = variant if variant in variants_proc else "fdb"
+        model, proc, schedule = models[trained], variants_proc[trained], schedules[trained]
+        settings = {
+            "correction": {"no_correction": "none", "wt_linear": "linear"}.get(variant, "learned"),
+            "ct_mode": "fixed" if variant == "ct_fixed" else "independent",
+        }
+        scores = []
+        for i, (reference, (system, y)) in enumerate(zip(eval_images, acquisitions)):
+            scfg = _sampler_config(cfg, proc, variant, i, **settings)
+            result = reconstruct(y, system, model, proc, schedule, scfg, reference=reference)
+            scores.append(_score(reference, result.image))
+        ps, ss = np.array(scores).T
+        rows.append((variant, float(ps.mean()), float(ps.std()), float(ss.mean()), float(ss.std())))
     write_csv(out / "ablation.csv", ["variant", "psnr_mean", "psnr_std", "ssim_mean", "ssim_std"], rows)
     for row in rows:
         print(f"{row[0]:<16} PSNR {row[1]:6.2f} +/- {row[2]:.2f}  SSIM {row[3]:.4f}")
@@ -539,14 +471,9 @@ def _metric_pairs(ref_path: Path, test_path: Path) -> list[tuple[str, str, Path,
 
 
 def cmd_metrics(cfg, args, out: Path) -> list[str]:
-    pairs = _metric_pairs(Path(args.ref), Path(args.test))
-
-    def one(pair):
-        ref_id, test_id, rp, tp = pair
-        a, b = read_cimg(rp), read_cimg(tp)
-        return (ref_id, test_id, psnr(a, b), ssim(a, b))
-
-    rows = _pmap(one, pairs, args.threads)
+    rows = []
+    for ref_id, test_id, ref_path, test_path in _metric_pairs(Path(args.ref), Path(args.test)):
+        rows.append((ref_id, test_id, *_score(read_cimg(ref_path), read_cimg(test_path))))
     write_csv(out / "metrics.csv", ["ref", "test", "psnr_db", "ssim"], rows)
     return ["metrics.csv"]
 
@@ -584,12 +511,6 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="JSON run config (merged over defaults)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for per-item parallel stages (default: $FDB_THREADS or 1)",
-    )
 
 
 def _add_measurement_flags(p: _Parser) -> None:
@@ -639,17 +560,23 @@ def build_parser() -> _Parser:
     p.add_argument("--corruption", choices=("bridge", "ddpm"), default="bridge")
     p.add_argument("--ddpm-steps", type=int, default=200)
 
-    p = sub.add_parser("reconstruct", help="reconstruct an undersampled acquisition")
+    p = sub.add_parser(
+        "reconstruct", help="simulate an undersampled acquisition, reconstruct it by bridge sampling, score"
+    )
     _add_common(p)
     _add_measurement_flags(p)
     p.add_argument("--schedule", help="correction schedule CSV (required for correction='learned')")
 
-    p = sub.add_parser("ddpm-reconstruct", help="noise-diffusion baseline reconstruction")
+    p = sub.add_parser(
+        "ddpm-reconstruct", help="as reconstruct, but sampled by the noise-diffusion baseline"
+    )
     _add_common(p)
     _add_measurement_flags(p)
     p.add_argument("--ddpm-steps", type=int, default=200)
 
-    p = sub.add_parser("ablate", help="run the ablation grid and summarize metrics")
+    p = sub.add_parser(
+        "ablate", help="train each ablation variant, reconstruct simulated acquisitions, average their scores"
+    )
     _add_common(p)
     p.add_argument("--eval-count", type=int, default=5)
     p.add_argument("--mc-samples", type=int, default=1000)
@@ -682,7 +609,7 @@ _HANDLERS = {
     "metrics": cmd_metrics,
 }
 
-_COMMON_KEYS = {"command", "config", "seed", "out", "threads"}
+_COMMON_KEYS = {"command", "config", "seed", "out"}
 
 
 def _flag_dict(args: argparse.Namespace) -> dict:
@@ -705,8 +632,6 @@ def _run(argv, config_dict=None) -> int:
     if args.command == "replay":
         return cmd_replay(args)
 
-    if args.threads is None:
-        args.threads = int(os.environ.get("FDB_THREADS", "1"))
     if config_dict is not None:
         cfg = validate_config(config_dict)
         if args.seed is not None:
@@ -727,7 +652,6 @@ def _run(argv, config_dict=None) -> int:
             "flags": _flag_dict(args),
             "out": str(out.resolve()),
             "outputs": sorted(outputs),
-            "threads": args.threads,
             "wall_time_s": wall,
             "tool": {"name": "fdbridge", "version": __version__},
         },

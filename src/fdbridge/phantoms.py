@@ -5,6 +5,10 @@ shell plus internal structures) with magnitudes clamped to [0, 1] and a
 smooth low-order polynomial phase.  Contrast presets remap the same
 random intensity draws, so two presets under one seed share geometry and
 differ only in intensities.
+
+Every generated phantom is named by a tag path under a run seed: its
+seed is ``child_seed(seed, group, *index)`` (``seeded_phantom``), and a
+dataset is the phantoms ``(group, 0), (group, 1), ...``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import write_cimg, write_json
-from .rng import substream
+from .fileio import read_cimg, read_json, write_cimg, write_json
+from .rng import child_seed, substream
 
 CONTRASTS = ("t1_like", "t2_like", "pd_like")
 
@@ -98,16 +102,19 @@ def make_phantom(spec: PhantomSpec) -> np.ndarray:
     return (mag * np.exp(1j * phase)).astype(np.complex128)
 
 
-def generate_dataset(count: int, height: int, width: int, contrast: str, seed: int) -> list[np.ndarray]:
-    """A list of phantoms with per-item seeds derived from the dataset seed."""
+def seeded_phantom(height: int, width: int, contrast: str, seed: int, group: str, *index) -> np.ndarray:
+    """The phantom named ``(group, *index)`` under the run seed ``seed``."""
+    spec = PhantomSpec(height=height, width=width, contrast=contrast, seed=child_seed(seed, group, *index))
+    return make_phantom(spec)
+
+
+def generate_dataset(
+    count: int, height: int, width: int, contrast: str, seed: int, group: str = "dataset"
+) -> list[np.ndarray]:
+    """The phantoms ``(group, i)`` for i < count under the dataset seed."""
     if count < 1:
         raise ConfigError(f"dataset count must be >= 1, got {count}")
-    images = []
-    for i in range(count):
-        spec = PhantomSpec(height=height, width=width, contrast=contrast,
-                           seed=int(substream(seed, "dataset", i).integers(0, 1 << 63)))
-        images.append(make_phantom(spec))
-    return images
+    return [seeded_phantom(height, width, contrast, seed, group, i) for i in range(count)]
 
 
 def save_dataset(out_dir, images: list[np.ndarray], contrast: str, seed: int) -> dict:
@@ -125,8 +132,6 @@ def save_dataset(out_dir, images: list[np.ndarray], contrast: str, seed: int) ->
 
 
 def load_dataset(in_dir) -> list[np.ndarray]:
-    from .fileio import read_cimg, read_json
-
     in_dir = Path(in_dir)
     manifest = read_json(in_dir / "manifest.json")
     return [read_cimg(in_dir / "images" / name) for name in manifest["ids"]]

@@ -242,6 +242,17 @@ def _energy(r: np.ndarray) -> float:
 LOSS_MODES = ("weighted", "upper_bound")
 
 
+def _loss_residual(estimate: np.ndarray, x0: np.ndarray, keep: np.ndarray | None, mode: str):
+    """One sample's loss residual and its energy: C_t (G - x_0) for weighted, G - x_0 for upper_bound.
+
+    ``keep`` is C_t's keep-mask; the upper bound never reads it.
+    """
+    residual = estimate - x0
+    if mode == "weighted":
+        residual = idft2(apply_mask(dft2(residual), keep))
+    return residual, _energy(residual)
+
+
 def bridge_loss(operator, images, trajectories, steps, mode: str = "upper_bound") -> float:
     """Monte-Carlo recovery loss over (image, trajectory, step) draws.
 
@@ -257,10 +268,8 @@ def bridge_loss(operator, images, trajectories, steps, mode: str = "upper_bound"
     for x0, traj, t in zip(images, trajectories, steps):
         x0 = as_image(x0)
         x_t = corrupt(x0, traj, t)
-        residual = operator.recover(x_t, t) - x0
-        if mode == "weighted":
-            residual = idft2(apply_mask(dft2(residual), traj.keep_mask(t)))
-        total += _energy(residual)
+        _, energy = _loss_residual(operator.recover(x_t, t), x0, traj.keep_mask(t), mode)
+        total += energy
     return total / len(images)
 
 
@@ -301,14 +310,14 @@ class _Adam:
             params[n] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _draw_corrupted(x0, process, t_f, seed_tags):
+def _draw_corrupted(x0, process, seed_tags):
     """Draw (x_t, t, keep_mask_or_None) from the configured corruption source."""
     from .sampler import DdpmSchedule, ddpm_forward_sample  # local import: sampler depends on us
 
     rng_t = substream(seed_tags[0], "step-draw", *seed_tags[1:])
     if isinstance(process, ProcessConfig):
         grid = KSpaceGrid(*x0.shape)
-        t = int(rng_t.integers(1, t_f + 1))
+        t = int(rng_t.integers(1, process.t_f + 1))
         traj_cfg = replace(process, seed=child_seed(seed_tags[0], "train-traj", *seed_tags[1:]))
         if process.process_kind == "averaging_constraint":
             x_start = corrupt(x0, sample_trajectory(grid, traj_cfg, t_total=process.t_f), process.t_f)
@@ -316,7 +325,7 @@ def _draw_corrupted(x0, process, t_f, seed_tags):
         traj = sample_trajectory(grid, traj_cfg, t_total=t)
         return corrupt(x0, traj, t), t, traj.keep_mask(t)
     if isinstance(process, DdpmSchedule):
-        t = int(rng_t.integers(1, process.t_steps + 1))
+        t = int(rng_t.integers(1, process.t_f + 1))
         noise_seed = child_seed(seed_tags[0], "train-noise", *seed_tags[1:])
         return ddpm_forward_sample(x0, t, process, seed=noise_seed), t, None
     raise ConfigError(f"unsupported corruption source: {type(process).__name__}")
@@ -331,17 +340,15 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     the per-epoch mean loss trace.  Deterministic given (cfg.seed, data
     order).
     """
-    from .sampler import DdpmSchedule
-
     images = [as_image(x) for x in images]
     if len(images) < 2:
         raise ConfigError(f"dataset must hold >= 2 images, got {len(images)}")
-    if isinstance(process, DdpmSchedule) and cfg.loss_mode == "weighted":
-        raise ConfigError("weighted loss requires removal masks; use upper_bound with a DDPM source")
-    if isinstance(process, ProcessConfig) and process.process_kind == "averaging_constraint" and cfg.loss_mode == "weighted":
-        raise ConfigError("weighted loss requires removal masks; use upper_bound with the averaging ablation")
+    removes_frequencies = isinstance(process, ProcessConfig) and process.process_kind == "frequency_removal"
+    if cfg.loss_mode == "weighted" and not removes_frequencies:
+        raise ConfigError(
+            "weighted loss requires removal masks; use upper_bound with a DDPM source or the averaging ablation"
+        )
 
-    t_f = process.t_f if isinstance(process, ProcessConfig) else process.t_steps
     opt = _Adam(model.params, cfg.learning_rate, cfg.betas)
     trace: list[float] = []
 
@@ -353,12 +360,10 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             grads = {n: np.zeros_like(p) for n, p in model.params.items()}
             loss = 0.0
             for i, x0 in enumerate(batch):
-                x_t, t, keep = _draw_corrupted(x0, process, t_f, (cfg.seed, epoch, step_idx, i))
+                x_t, t, keep = _draw_corrupted(x0, process, (cfg.seed, epoch, step_idx, i))
                 out, cache = model.forward(_complex_to_channels(x_t), t)
-                residual = _channels_to_complex(out) - x0
-                if cfg.loss_mode == "weighted":
-                    residual = idft2(apply_mask(dft2(residual), keep))
-                loss += _energy(residual)
+                residual, energy = _loss_residual(_channels_to_complex(out), x0, keep, cfg.loss_mode)
+                loss += energy
                 dout = _complex_to_channels(residual) * (2.0 / len(batch))
                 for n, g in model.backward(cache, dout).items():
                     grads[n] += g

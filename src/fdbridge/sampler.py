@@ -127,9 +127,11 @@ def reconstruct(
     Initializes at the least-squares reconstruction (or ``x_start``),
     resamples the correction schedule to T_r steps, and per step estimates
     the clean image, applies the corrected reverse step, then (optionally)
-    the data-consistency projection.  ``traj_source`` is either a stored
-    trajectory (ct_mode "fixed"; must be pre-extended to T_r) or a process
-    config from which an independent trajectory is drawn.
+    the data-consistency projection.  ``traj_source`` is a stored
+    trajectory (must be pre-extended to T_r) or a process config.  From a
+    process config, ct_mode "fixed" draws the process's own trajectory of
+    T_r steps, so every call with that process walks the same one;
+    "independent" draws a fresh one from ``cfg.seed``.
     """
     t_r = reconstruction_steps(cfg.t_f, cfg.r, cfg.r_prime)
     if t_r < 1:
@@ -153,9 +155,10 @@ def reconstruct(
                 f"fixed trajectory has {traj.t_total} steps but T_r={t_r}; pre-extend it"
             )
     elif isinstance(traj_source, ProcessConfig):
-        if cfg.ct_mode != "independent":
-            raise ConfigError("ct_mode='fixed' requires a stored DegradationTrajectory")
-        traj_seed = child_seed(cfg.seed, "test-trajectory")
+        if cfg.ct_mode == "fixed":
+            traj_seed = traj_source.seed
+        else:
+            traj_seed = child_seed(cfg.seed, "test-trajectory")
         traj = sample_trajectory(KSpaceGrid(*x.shape), replace(traj_source, seed=traj_seed), t_total=t_r)
     else:
         raise ConfigError(f"unsupported trajectory source: {type(traj_source).__name__}")
@@ -166,20 +169,26 @@ def reconstruct(
     for t in range(t_r, 0, -1):
         x0_est = operator.recover(x, t)
         x = reverse_step(x, t, traj, x0_est, weight=float(weights[t - 1]), corrected=corrected)
-        if cfg.dc_every_step:
-            x, res = dc_projection(system, x, y)
-        elif y is not None and system is not None:
-            res = residual_norm(system, x, y)
-        else:
-            res = float("nan")
-        if not np.all(np.isfinite(x)):
-            raise SamplingError(f"non-finite iterate at step {t}")
-        quality = psnr(reference, x) if reference is not None else float("nan")
-        diagnostics.append((t, res, quality))
+        x = _finish_step(x, t, system, y, cfg.dc_every_step, reference, diagnostics)
 
     return ReconstructionResult(
         image=x, t_r=t_r, diagnostics=diagnostics, weights=weights, trajectory_seed=traj_seed
     )
+
+
+def _finish_step(x, t: int, system, y, dc: bool, reference, diagnostics: list) -> np.ndarray:
+    """Tail of reverse step t: data consistency (or only its residual), finiteness, diagnostics row."""
+    if dc:
+        x, res = dc_projection(system, x, y)
+    elif y is not None and system is not None:
+        res = residual_norm(system, x, y)
+    else:
+        res = float("nan")
+    if not np.all(np.isfinite(x)):
+        raise SamplingError(f"non-finite iterate at step {t}")
+    quality = psnr(reference, x) if reference is not None else float("nan")
+    diagnostics.append((t, res, quality))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +214,11 @@ class DdpmSchedule:
         self.gamma_bar = np.cumprod(self.gamma)
         if np.any(np.diff(self.gamma_bar) >= 0):
             raise ScheduleError("gamma_bar must be strictly decreasing")
+
+    @property
+    def t_f(self) -> int:
+        """The horizon, under the name a ProcessConfig gives it."""
+        return self.t_steps
 
     def gamma_bar_prev(self, t: int) -> float:
         return 1.0 if t == 1 else float(self.gamma_bar[t - 2])
@@ -267,11 +281,7 @@ def ddpm_reconstruct(
         noise_sd = math.sqrt((1.0 - gb_prev) / (1.0 - gb_t) * beta)
         z = _complex_noise(x.shape, substream(seed, "ddpm-reverse", t)) if t > 1 else 0.0
         x = coef_x * x + coef_est * x0_est + noise_sd * z
-        x, res = dc_projection(system, x, y)
-        if not np.all(np.isfinite(x)):
-            raise SamplingError(f"non-finite iterate at step {t}")
-        quality = psnr(reference, x) if reference is not None else float("nan")
-        diagnostics.append((t, res, quality))
+        x = _finish_step(x, t, system, y, True, reference, diagnostics)
     return ReconstructionResult(
         image=x, t_r=schedule.t_steps, diagnostics=diagnostics, weights=np.zeros(schedule.t_steps)
     )

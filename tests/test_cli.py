@@ -7,9 +7,9 @@ import pytest
 from fdbridge.cli import main, validate_config
 from fdbridge.correction import constant_weights, save_schedule
 from fdbridge.errors import ConfigError
-from fdbridge.fileio import read_cimg, read_csv, read_json, read_kmsk
+from fdbridge.fileio import read_cimg, read_csv, read_json, read_kmsk, write_cimg
 from fdbridge.metrics import psnr, ssim
-from fdbridge.recovery import load_checkpoint
+from fdbridge.recovery import TinyRegressor, load_checkpoint, save_checkpoint
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -164,9 +164,28 @@ class TestTrainReconstruct:
         recon = read_cimg(rec / "recon.cimg")
         assert summary["psnr_recon_db"] == pytest.approx(psnr(ref, recon), rel=1e-12)
 
-    def test_learned_correction_without_schedule_is_config_error(self, tmp_path, config_path):
-        out = tmp_path / "r"
-        assert run("reconstruct", "--config", config_path, "--out", str(out)) == 1
+    @pytest.mark.parametrize("case", [
+        "forward_image_shape",
+        "reconstruct_checkpoint_horizon",
+        "ddpm_checkpoint_horizon",
+        "learned_correction_without_schedule",
+    ])
+    def test_config_error_leaves_out_empty(self, tmp_path, config_path, case):
+        image = tmp_path / "image.cimg"
+        write_cimg(image, np.ones((48, 48), dtype=np.complex128))  # the config's dims are 32
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, TinyRegressor(t_f=4, seed=0))  # the config's T_f is 8
+        save_schedule(tmp_path, constant_weights(8, 0.5), r_prime=2.0, seed=0)
+        argv = {
+            "forward_image_shape": ["forward", "--image", str(image)],
+            "reconstruct_checkpoint_horizon": ["reconstruct", "--checkpoint", str(checkpoint),
+                                               "--schedule", str(tmp_path / "schedule.csv")],
+            "ddpm_checkpoint_horizon": ["ddpm-reconstruct", "--checkpoint", str(checkpoint),
+                                        "--ddpm-steps", "30"],
+            "learned_correction_without_schedule": ["reconstruct"],
+        }[case]
+        out = tmp_path / "out"
+        assert run(*argv, "--config", config_path, "--out", str(out)) == 1
         assert not [p for p in out.rglob("*") if p.is_file()]
 
     def test_short_schedule_writes_nothing(self, tmp_path, config_path):
@@ -246,20 +265,3 @@ class TestReplayDeterminism:
         assert run("replay", str(p1 / "run_manifest.json"), "--out", str(p2)) == 0
         for name in read_json(p1 / "manifest.json")["ids"]:
             assert (p1 / "images" / name).read_bytes() == (p2 / "images" / name).read_bytes()
-
-
-class TestThreads:
-    def test_env_fallback_and_output_stability(self, tmp_path, config_path, monkeypatch):
-        ds = tmp_path / "ds"
-        run("phantom", "--config", config_path, "--out", str(ds))
-        other = tmp_path / "ds2"
-        run("phantom", "--config", config_path, "--seed", "5", "--out", str(other))
-
-        serial = tmp_path / "m1"
-        assert run("metrics", "--out", str(serial), "--ref", str(ds), "--test", str(other),
-                   "--threads", "1") == 0
-        monkeypatch.setenv("FDB_THREADS", "4")
-        parallel = tmp_path / "m2"
-        assert run("metrics", "--out", str(parallel), "--ref", str(ds), "--test", str(other)) == 0
-        assert (serial / "metrics.csv").read_bytes() == (parallel / "metrics.csv").read_bytes()
-        assert read_json(parallel / "run_manifest.json")["threads"] == 4

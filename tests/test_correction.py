@@ -102,6 +102,15 @@ class TestEstimateWeights:
         assert np.max(np.abs(balance - diff)) <= 1e-8 * np.max(np.abs(balance))
         assert np.max(np.abs(np.clip(balance, 0, 1) - sched.weights)) <= 1e-6
 
+    def test_dc_offset_leaves_weights_unchanged(self):
+        # DC is never removed, so an offset only adds energy the weight ratio never reads; the
+        # energy-balance form would subtract two energies dominated by that offset
+        images = [make_phantom(PhantomSpec(32, 32, seed=80 + i)) for i in range(3)]
+        proc = ProcessConfig(r_prime=2.0, t_f=16, seed=14)
+        plain = estimate_weights(images, proc, mc_samples=20, seed=15)
+        offset = estimate_weights([x + 100.0 for x in images], proc, mc_samples=20, seed=15)
+        assert np.max(np.abs(offset.weights - plain.weights) / plain.weights) <= 1e-12
+
     def test_seed_stability(self):
         images = [make_phantom(PhantomSpec(32, 32, seed=60 + i)) for i in range(4)]
         proc = ProcessConfig(r_prime=2.0, t_f=8, seed=0)

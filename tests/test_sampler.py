@@ -185,6 +185,27 @@ class TestReconstruct:
         with pytest.raises(TrajectoryError, match="pre-extend"):
             reconstruct(y, sys_, ZeroFillRecovery(), traj, None, cfg)  # length T_f < T_r
 
+    def test_fixed_mode_draws_the_process_trajectory(self):
+        # from a process config, "fixed" walks the process's own T_r-step trajectory whatever cfg.seed is
+        grid, proc, _, x0 = _matched_setup(seed=31)
+        mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=32)
+        sys_ = unit_system(mask)
+        y = forward(sys_, x0)
+        stored = sample_trajectory(grid, proc, t_total=reconstruction_steps(proc.t_f, 4.0, 2.0))
+        runs = {}
+        for mode in ("fixed", "independent"):
+            for seed in (33, 34):
+                cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="linear", ct_mode=mode,
+                                    seed=seed)
+                runs[mode, seed] = reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg)
+        cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="linear", ct_mode="fixed", seed=0)
+        from_stored = reconstruct(y, sys_, ZeroFillRecovery(), stored, None, cfg)
+        for seed in (33, 34):
+            assert np.array_equal(runs["fixed", seed].image, from_stored.image)
+            assert runs["fixed", seed].trajectory_seed == proc.seed
+        assert runs["independent", 33].trajectory_seed != runs["independent", 34].trajectory_seed
+        assert not np.array_equal(runs["independent", 33].image, runs["independent", 34].image)
+
     def test_learned_correction_requires_schedule(self):
         grid, proc, _, x0 = _matched_setup(seed=24)
         mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=25)

@@ -9,6 +9,13 @@ at step t (components never removed or removed after t) defines an
 image-domain corruption operator: forward DFT, mask, inverse DFT.  The DC
 component is never removed, so total image energy cannot vanish.  Only
 this module reads the map; other modules use the trajectory's accessors.
+
+Sampling walks the components in descending-radius order, so a
+radius-scheduled step costs O(m log m) in the m candidates between the
+outermost remaining one and its threshold, not O(N) in the grid; uniform
+density scans the grid, O(N) per step.  Each step draws from its
+eligible set in ascending flat-index order, so the output does not
+depend on the candidate order.
 """
 
 from __future__ import annotations
@@ -175,6 +182,17 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
     for uniform density).  If the annulus is too small the threshold is
     lowered, for that step only, to the largest radius that keeps the step
     feasible; such steps are flagged in ``relaxed``.
+
+    Cost: the radius-scheduled density walks ``grid.radius_order`` (sorted
+    once per grid, O(N log N)) behind a head pointer that every removed
+    candidate lies before or within, so step t reads only the m candidates
+    from the head to the threshold (for a relaxed step, to the end of the
+    cutoff radius's ties) and costs O(m log m).  The current threshold
+    relaxes every step, so m is about the step's count.  Uniform density
+    has the whole grid eligible and scans it, O(N) per step.  Each step
+    hands its eligible set to ``substream(seed, "degradation", t)`` in
+    ascending flat-index order, so the output does not depend on the
+    order the candidates were found in.
     """
     if t_total is None:
         t_total = cfg.t_f
@@ -186,7 +204,6 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
             "the DC component must survive"
         )
 
-    radius = grid.radius.ravel()
     n_step = per_step_count(grid.n_components, cfg.r_prime, cfg.t_f)
     available = np.ones(grid.n_components, dtype=bool)
     available[grid.dc_index] = False  # DC is never eligible
@@ -195,25 +212,37 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
     thresholds = np.zeros(t_total)
     relaxed = np.zeros(t_total, dtype=bool)
 
+    radial = cfg.density == "radius_scheduled"
+    if radial:
+        order = grid.radius_order
+        neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
+    head = 0  # every candidate before head is removed
+    reach = 0  # every candidate from reach on is available
+
     for t in range(1, t_total + 1):
         need = int(counts[t - 1])
-        if cfg.density == "radius_scheduled":
+        if radial:
+            # Move head past the removed candidates; open_pos holds the
+            # positions of the available ones before reach.
+            open_pos = head + np.flatnonzero(available[order[head:reach]])
+            head = int(open_pos[0]) if open_pos.size else reach
             rbar = radius_threshold(t, cfg.t_f, cfg.r_prime, grid.r_max)
+            thresholds[t - 1] = rbar
+            stop = max(head, int(np.searchsorted(neg_radius, -rbar, side="left")))
+            window = order[head:stop]
+            eligible = window[available[window]]
+            if eligible.size < need:
+                # Lower the threshold minimally: admit every candidate at or
+                # above the radius of the need-th available one.
+                nth = open_pos[need - 1] if open_pos.size >= need else reach + need - 1 - open_pos.size
+                stop = int(np.searchsorted(neg_radius, neg_radius[nth], side="right"))
+                window = order[head:stop]
+                eligible = window[available[window]]
+                relaxed[t - 1] = True
+            eligible.sort()
+            reach = max(reach, stop)
         else:
-            rbar = 0.0
-        thresholds[t - 1] = rbar
-        eligible = np.flatnonzero(available & (radius > rbar))
-        if eligible.size < need:
-            remaining = np.flatnonzero(available)
-            if remaining.size < need:
-                raise TrajectoryError(
-                    f"step {t}: only {remaining.size} removable components left, need {need}"
-                )
-            # Lower the threshold minimally: admit everything at or above
-            # the need-th largest remaining radius.
-            cutoff = np.partition(radius[remaining], remaining.size - need)[remaining.size - need]
-            eligible = remaining[radius[remaining] >= cutoff]
-            relaxed[t - 1] = True
+            eligible = np.flatnonzero(available)  # DC is never available
         rng = substream(cfg.seed, "degradation", t)
         picked = np.sort(rng.choice(eligible, size=need, replace=False))
         available[picked] = False

@@ -69,6 +69,13 @@ class KSpaceGrid:
         return r
 
     @cached_property
+    def radius_order(self) -> np.ndarray:
+        """Flat indices of the non-DC components by descending radius, ties in ascending index order."""
+        order = np.argsort(-self.radius, axis=None, kind="stable")[:-1]  # DC, radius 0, sorts last
+        order.setflags(write=False)
+        return order
+
+    @cached_property
     def r_max(self) -> float:
         return float(self.radius.max())
 

@@ -310,13 +310,12 @@ class _Adam:
             params[n] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _draw_corrupted(x0, process, seed_tags):
-    """Draw (x_t, t, keep_mask_or_None) from the configured corruption source."""
+def _draw_corrupted(x0, grid, process, seed_tags):
+    """Draw (x_t, t, keep_mask_or_None) from the configured corruption source; ``grid`` is x0's."""
     from .sampler import DdpmSchedule, ddpm_forward_sample  # local import: sampler depends on us
 
     rng_t = substream(seed_tags[0], "step-draw", *seed_tags[1:])
     if isinstance(process, ProcessConfig):
-        grid = KSpaceGrid(*x0.shape)
         t = int(rng_t.integers(1, process.t_f + 1))
         traj_cfg = replace(process, seed=child_seed(seed_tags[0], "train-traj", *seed_tags[1:]))
         if process.process_kind == "averaging_constraint":
@@ -349,6 +348,7 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             "weighted loss requires removal masks; use upper_bound with a DDPM source or the averaging ablation"
         )
 
+    grids = {x.shape: KSpaceGrid(*x.shape) for x in images}  # one per shape, so the radius order is sorted once
     opt = _Adam(model.params, cfg.learning_rate, cfg.betas)
     trace: list[float] = []
 
@@ -360,7 +360,7 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             grads = {n: np.zeros_like(p) for n, p in model.params.items()}
             loss = 0.0
             for i, x0 in enumerate(batch):
-                x_t, t, keep = _draw_corrupted(x0, process, (cfg.seed, epoch, step_idx, i))
+                x_t, t, keep = _draw_corrupted(x0, grids[x0.shape], process, (cfg.seed, epoch, step_idx, i))
                 out, cache = model.forward(_complex_to_channels(x_t), t)
                 residual, energy = _loss_residual(_channels_to_complex(out), x0, keep, cfg.loss_mode)
                 loss += energy

@@ -235,6 +235,8 @@ def ddpm_schedule(t_steps: int, beta_min: float = 0.1, beta_max: float = 20.0) -
         raise ConfigError(f"T must be >= 1, got {t_steps}")
     if not 0 < beta_min < beta_max:
         raise ConfigError(f"need 0 < beta_min < beta_max, got ({beta_min}, {beta_max})")
+    if t_steps <= beta_max:
+        raise ConfigError(f"T must exceed beta_max={beta_max} so that every beta_t < 1, got {t_steps}")
     if t_steps == 1:
         beta = np.array([beta_min / t_steps])
     else:

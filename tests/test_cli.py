@@ -6,10 +6,13 @@ import pytest
 
 from fdbridge.cli import main, validate_config
 from fdbridge.correction import constant_weights, save_schedule
+from fdbridge.degradation import ProcessConfig, sample_trajectory
 from fdbridge.errors import ConfigError
 from fdbridge.fileio import read_cimg, read_csv, read_json, read_kmsk, write_cimg
+from fdbridge.grid import radius_map
 from fdbridge.metrics import psnr, ssim
 from fdbridge.recovery import TinyRegressor, load_checkpoint, save_checkpoint
+from fdbridge.rng import child_seed
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -123,6 +126,25 @@ class TestMaskAndForward:
         original = read_cimg(out / "original.cimg")
         assert np.linalg.norm(corrupted) <= np.linalg.norm(original) * (1 + 1e-12)
 
+    def test_forward_at_paper_scale(self, tmp_path):
+        # 256^2, T_f = 1000, R' = 2: the paper's forward-process settings
+        config = tmp_path / "paper.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "data": {**SMALL_CONFIG["data"], "dims": 256},
+                                      "process": {"R_prime": 2.0, "T_f": 1000}}))
+        out = tmp_path / "fwd"
+        assert run("forward", "--config", str(config), "--out", str(out), "--snapshots", "0,1000") == 0
+        meta = read_json(out / "trajectory.json")
+        kept = read_kmsk(out / meta["mask_files"]["1000"])
+        assert abs(int(kept.sum()) - 256 * 256 // 2) <= meta["n"]
+
+        grid = radius_map(256, 256)
+        proc = ProcessConfig(r_prime=2.0, t_f=1000, seed=child_seed(SMALL_CONFIG["seed"], "trajectory"))
+        traj = sample_trajectory(grid, proc)
+        assert np.array_equal(kept, traj.keep_mask(1000))
+        assert read_kmsk(out / meta["mask_files"]["0"]).all()
+        assert meta["step_counts"] == traj.counts.tolist()
+        assert meta["relaxed_steps"] == traj.relaxation_count
+
 
 class TestEstimateW:
     def test_first_row_weight_is_one(self, tmp_path, config_path):
@@ -169,6 +191,8 @@ class TestTrainReconstruct:
         "reconstruct_checkpoint_horizon",
         "ddpm_checkpoint_horizon",
         "learned_correction_without_schedule",
+        "ddpm_train_steps",
+        "ddpm_reconstruct_steps",
     ])
     def test_config_error_leaves_out_empty(self, tmp_path, config_path, case):
         image = tmp_path / "image.cimg"
@@ -183,6 +207,9 @@ class TestTrainReconstruct:
             "ddpm_checkpoint_horizon": ["ddpm-reconstruct", "--checkpoint", str(checkpoint),
                                         "--ddpm-steps", "30"],
             "learned_correction_without_schedule": ["reconstruct"],
+            # T <= beta_max = 20 would put beta_T at or above 1
+            "ddpm_train_steps": ["train", "--corruption", "ddpm", "--ddpm-steps", "10"],
+            "ddpm_reconstruct_steps": ["ddpm-reconstruct", "--ddpm-steps", "10"],
         }[case]
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdbridge import degradation
 from fdbridge.degradation import (
     ProcessConfig,
     averaging_corrupt,
@@ -18,6 +19,34 @@ from fdbridge.phantoms import PhantomSpec, make_phantom
 from fdbridge.rng import substream
 
 from conftest import rand_image
+
+
+def _full_grid_oracle(grid, cfg, t_total):
+    """Re-enact the point process by scanning the whole grid at every step.
+
+    Returns (removed_at, thresholds, relaxed, counts) as a trajectory holds them.
+    """
+    radius = grid.radius.ravel()
+    counts = step_counts(grid.n_components, cfg, t_total)
+    removed = np.zeros(grid.n_components, dtype=bool)
+    removed[grid.dc_index] = True
+    removed_at = np.zeros(grid.n_components, dtype=np.int32)
+    thresholds = np.zeros(t_total)
+    relaxed = np.zeros(t_total, dtype=bool)
+    for t in range(1, t_total + 1):
+        need = int(counts[t - 1])
+        if cfg.density == "radius_scheduled":
+            thresholds[t - 1] = degradation.radius_threshold(t, cfg.t_f, cfg.r_prime, grid.r_max)
+        eligible = np.flatnonzero(~removed & (radius > thresholds[t - 1]))
+        if eligible.size < need:
+            remaining = np.flatnonzero(~removed)
+            cutoff = np.partition(radius[remaining], remaining.size - need)[remaining.size - need]
+            eligible = remaining[radius[remaining] >= cutoff]
+            relaxed[t - 1] = True
+        pick = np.sort(substream(cfg.seed, "degradation", t).choice(eligible, size=need, replace=False))
+        removed[pick] = True
+        removed_at[pick] = t
+    return removed_at.reshape(grid.shape), thresholds, relaxed, counts
 
 
 class TestRadiusThreshold:
@@ -98,25 +127,55 @@ class TestSampleTrajectory:
         traj = sample_trajectory(grid, cfg, t_total=4)
         assert traj.n == 1
 
-        radius = grid.radius.ravel()
-        removed = np.zeros(64, dtype=bool)
-        removed[grid.dc_index] = True
-        expected_sets = []
-        for t in range(1, 5):
-            rbar = radius_threshold(t, 32, 2.0, grid.r_max)
-            eligible = np.flatnonzero(~removed & (radius > rbar))
-            if eligible.size < 1:
-                remaining = np.flatnonzero(~removed)
-                cutoff = np.partition(radius[remaining], remaining.size - 1)[remaining.size - 1]
-                eligible = remaining[radius[remaining] >= cutoff]
-            pick = np.sort(substream(5, "degradation", t).choice(eligible, size=1, replace=False))
-            removed[pick] = True
-            expected_sets.append(pick)
+        removed_at = _full_grid_oracle(grid, cfg, 4)[0]
+        expected_sets = [np.flatnonzero(removed_at == t) for t in range(1, 5)]
 
         assert all(np.array_equal(a, b) for a, b in zip(traj.removal_sets(), expected_sets))
         flat = np.concatenate(traj.removal_sets())
         assert len(flat) == len(set(flat.tolist()))  # disjoint singletons
         assert traj.keep_count(4) == 60
+
+    @pytest.mark.parametrize(
+        "shape,t_f,t_total,density,schedule,seed",
+        [
+            (shape, t_f, t_total, density, schedule, seed)
+            for shape, t_f, t_total in [((64, 64), 64, 64), ((64, 64), 64, 96), ((33, 31), 16, 24)]
+            for density in ("radius_scheduled", "uniform")
+            for schedule in ("constant", "log")
+            for seed in (1, 2)
+        ]
+        + [((256, 256), 1000, 1000, "radius_scheduled", "constant", 3)],
+    )
+    def test_matches_full_grid_oracle(self, shape, t_f, t_total, density, schedule, seed):
+        grid = radius_map(*shape)
+        cfg = ProcessConfig(r_prime=2.0, t_f=t_f, density=density, step_count_schedule=schedule, seed=seed)
+        traj = sample_trajectory(grid, cfg, t_total=t_total)
+        removed_at, thresholds, relaxed, counts = _full_grid_oracle(grid, cfg, t_total)
+        assert np.array_equal(traj.removed_at, removed_at)
+        assert traj.thresholds.tobytes() == thresholds.tobytes()
+        assert np.array_equal(traj.relaxed, relaxed)
+        assert np.array_equal(traj.counts, counts)
+
+    @pytest.mark.parametrize("slack", [1.0, 1.02, 1.5, 4.0])
+    def test_matches_full_grid_oracle_on_unrelaxed_steps(self, monkeypatch, slack):
+        # The scheduled threshold relaxes every step; a radial-quantile
+        # threshold holding `slack` times the cumulative budget outside it
+        # leaves steps unrelaxed, so the walk is checked on those too.
+        grid = radius_map(64, 48)
+        descending = np.sort(grid.radius.ravel())[::-1]
+        cfg = ProcessConfig(r_prime=2.0, t_f=32, seed=7)
+        n = per_step_count(grid.n_components, cfg.r_prime, cfg.t_f)
+
+        def quantile_threshold(t, t_f, r_prime, r_max):
+            return float(descending[min(descending.size - 1, int(slack * n * t))])
+
+        monkeypatch.setattr(degradation, "radius_threshold", quantile_threshold)
+        traj = sample_trajectory(grid, cfg, t_total=40)
+        removed_at, thresholds, relaxed, counts = _full_grid_oracle(grid, cfg, 40)
+        assert not relaxed.all()
+        assert np.array_equal(traj.removed_at, removed_at)
+        assert traj.thresholds.tobytes() == thresholds.tobytes()
+        assert np.array_equal(traj.relaxed, relaxed)
 
     def test_disjoint_and_monotone(self):
         grid = radius_map(32, 32)

@@ -232,9 +232,14 @@ class TestDdpmSchedule:
         assert np.all(np.diff(sched.gamma_bar) < 0)
 
     def test_beta_at_or_above_one_rejected(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigError, match="beta_max"):
             ddpm_schedule(20)  # beta_T = 20/20 = 1
-        ddpm_schedule(25)  # all beta < 1 for T >= 25
+        assert ddpm_schedule(21).beta[-1] < 1.0  # T > beta_max = 20 suffices
+        ddpm_schedule(25)
+
+    def test_direct_beta_of_one_rejected(self):
+        with pytest.raises(ScheduleError):
+            DdpmSchedule(t_steps=2, beta=[0.5, 1.0])
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):

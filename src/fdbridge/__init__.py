@@ -43,7 +43,6 @@ from .recovery import (
     TrainConfig,
     ZeroFillRecovery,
     bridge_loss,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
     train,

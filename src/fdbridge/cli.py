@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -623,6 +624,12 @@ def _flag_dict(args: argparse.Namespace) -> dict:
     return flags
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB (ru_maxrss is KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def _run(argv, config_dict=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -653,6 +660,7 @@ def _run(argv, config_dict=None) -> int:
             "out": str(out.resolve()),
             "outputs": sorted(outputs),
             "wall_time_s": wall,
+            "peak_rss_mb": _peak_rss_mb(),
             "tool": {"name": "fdbridge", "version": __version__},
         },
     )

@@ -5,6 +5,12 @@ Images are plain ``numpy`` arrays of shape ``(H, W)`` and dtype
 sits at index ``(H // 2, W // 2)`` so radius thresholds read directly off
 array indices.  Frequency masks are boolean ``(H, W)`` arrays
 (True = component retained).
+
+Inside a computation the spectra may stay in the FFT-native layout that
+``np.fft`` works in (DC at index ``(0, 0)``): ``to_native`` and
+``to_centered`` convert over the last two axes, and ``fft2_inplace`` and
+``ifft2_inplace`` transform there, so a ``(C, H, W)`` stack shifts and
+transforms in one call each.  None of these validate their input.
 """
 
 from __future__ import annotations
@@ -28,16 +34,35 @@ def as_image(data) -> np.ndarray:
     return img
 
 
+def to_native(a: np.ndarray) -> np.ndarray:
+    """Centered to FFT-native layout over the last two axes, as a new array."""
+    return np.fft.ifftshift(a, axes=(-2, -1))
+
+
+def to_centered(a: np.ndarray) -> np.ndarray:
+    """FFT-native to centered layout over the last two axes, as a new array; inverse of :func:`to_native`."""
+    return np.fft.fftshift(a, axes=(-2, -1))
+
+
+# fftn/ifftn rather than fft2/ifft2: numpy's ifft2 ignores its ``out`` argument.
+def fft2_inplace(a: np.ndarray) -> np.ndarray:
+    """Orthonormal 2D DFT over the last two axes of a complex128 array in FFT-native layout, in place."""
+    return np.fft.fftn(a, axes=(-2, -1), norm="ortho", out=a)
+
+
+def ifft2_inplace(a: np.ndarray) -> np.ndarray:
+    """Orthonormal inverse 2D DFT over the last two axes, in place; inverse of :func:`fft2_inplace`."""
+    return np.fft.ifftn(a, axes=(-2, -1), norm="ortho", out=a)
+
+
 def dft2(img: np.ndarray) -> np.ndarray:
     """Centered orthonormal forward 2D DFT (DC at (H//2, W//2))."""
-    img = as_image(img)
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(img), norm="ortho"))
+    return to_centered(fft2_inplace(to_native(as_image(img))))
 
 
 def idft2(spectrum: np.ndarray) -> np.ndarray:
     """Centered orthonormal inverse 2D DFT; exact inverse of :func:`dft2`."""
-    spectrum = as_image(spectrum)
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(spectrum), norm="ortho"))
+    return to_centered(ifft2_inplace(to_native(as_image(spectrum))))
 
 
 @dataclass(frozen=True)

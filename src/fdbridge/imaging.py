@@ -4,7 +4,8 @@ The forward operator maps an image to per-coil masked k-space:
 ``y_c = M * DFT(S_c * x) + noise``; the adjoint combines coils with
 conjugate sensitivities.  Coil maps are synthetic smooth Gaussian lobes
 with linear phase ramps, normalized to unit sum-of-squares per pixel, so
-the single-coil case reduces to a unit map.
+the single-coil case reduces to a unit map.  Each operator transforms
+the whole coil stack with one FFT call in FFT-native layout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fileio import read_cimg, read_json, read_kmsk, write_cimg, write_json, write_kmsk
-from .grid import KSpaceGrid, as_image, dft2, idft2
+from .grid import KSpaceGrid, as_image, fft2_inplace, ifft2_inplace, to_centered, to_native
 from .rng import substream
 
 MASK_DENSITIES = ("normal2d", "normal1d", "uniform")
@@ -196,15 +197,40 @@ def synth_coil_maps(grid: KSpaceGrid, n_coils: int, seed: int = 0) -> np.ndarray
     return maps / sos[None, :, :]
 
 
-def apply_forward(system: ImagingSystem, x: np.ndarray) -> np.ndarray:
-    """Noiseless forward operator as a raw (C, H, W) array."""
+def _native_system(system: ImagingSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh FFT-native copies of the coil maps and of the unsampled locations (~mask)."""
+    return to_native(system.coil_maps), ~to_native(system.mask)
+
+
+def _forward_native(maps: np.ndarray, unsampled: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M * DFT(S_c * x) for every coil in one FFT call; native maps, mask and result, centered x."""
+    spec = fft2_inplace(maps * to_native(x))
+    np.copyto(spec, 0.0, where=unsampled)
+    return spec
+
+
+def _adjoint_native(conj_maps: np.ndarray, unsampled: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """sum_c conj(S_c) * IDFT(M * y_c) in native layout, coils summed in index order; overwrites ``data``."""
+    np.copyto(data, 0.0, where=unsampled)
+    ifft2_inplace(data)
+    np.multiply(conj_maps, data, out=data)
+    out = np.zeros(data.shape[1:], dtype=np.complex128)
+    for image in data:
+        out += image
+    return out
+
+
+def _check_image(system: ImagingSystem, x) -> np.ndarray:
     x = as_image(x)
     if x.shape != system.grid.shape:
         raise ValueError(f"image shape {x.shape} does not match grid {system.grid.shape}")
-    data = np.empty((system.n_coils, *system.grid.shape), dtype=np.complex128)
-    for c in range(system.n_coils):
-        data[c] = np.where(system.mask, dft2(system.coil_maps[c] * x), 0.0)
-    return data
+    return x
+
+
+def apply_forward(system: ImagingSystem, x: np.ndarray) -> np.ndarray:
+    """Noiseless forward operator as a raw (C, H, W) array."""
+    x = _check_image(system, x)
+    return to_centered(_forward_native(*_native_system(system), x))
 
 
 def forward(
@@ -234,15 +260,17 @@ def _measurement_data(y) -> np.ndarray:
     return y.data if isinstance(y, Measurement) else np.asarray(y, dtype=np.complex128)
 
 
-def adjoint(system: ImagingSystem, y) -> np.ndarray:
-    """Adjoint operator: coil-combined inverse DFT of the masked measurements."""
-    data = _measurement_data(y)
+def _check_measurement(system: ImagingSystem, data: np.ndarray) -> np.ndarray:
     if data.shape != (system.n_coils, *system.grid.shape):
         raise ValueError(f"measurement shape {data.shape} does not match system")
-    out = np.zeros(system.grid.shape, dtype=np.complex128)
-    for c in range(system.n_coils):
-        out += np.conj(system.coil_maps[c]) * idft2(np.where(system.mask, data[c], 0.0))
-    return out
+    return data
+
+
+def adjoint(system: ImagingSystem, y) -> np.ndarray:
+    """Adjoint operator: coil-combined inverse DFT of the masked measurements."""
+    data = _check_measurement(system, _measurement_data(y))
+    maps, unsampled = _native_system(system)
+    return to_centered(_adjoint_native(np.conj(maps, out=maps), unsampled, to_native(data)))
 
 
 def dc_projection(system: ImagingSystem, x: np.ndarray, y) -> tuple[np.ndarray, float]:
@@ -251,10 +279,11 @@ def dc_projection(system: ImagingSystem, x: np.ndarray, y) -> tuple[np.ndarray, 
     Returns the updated image and ||y - A x||, the data residual of the
     input, which the update computes anyway.
     """
-    x = as_image(x)
-    data = _measurement_data(y)
-    residual = data - apply_forward(system, x)
-    return x + adjoint(system, residual), float(np.linalg.norm(residual))
+    x = _check_image(system, x)
+    maps, unsampled = _native_system(system)
+    residual = _check_measurement(system, _measurement_data(y) - to_centered(_forward_native(maps, unsampled, x)))
+    update = _adjoint_native(np.conj(maps, out=maps), unsampled, to_native(residual))
+    return x + to_centered(update), float(np.linalg.norm(residual))
 
 
 def residual_norm(system: ImagingSystem, x: np.ndarray, y) -> float:

@@ -9,13 +9,16 @@ embedding, linearly projected to a per-channel bias added after the first
 convolution.  Everything is double precision and deterministic.
 
 Each convolution is a sum of nine shifted matrix products over one
-zero-padded, flattened copy of its input (see ``_conv3x3``); the forward
-cache keeps those padded copies, and the weight gradients read the same
-nine shifted views of them.
+zero-padded, flattened copy of its input (see ``_conv_layer``), and
+writes its output straight into the next layer's padded copy.
+``recover`` reuses one set of these buffers per image shape; ``forward``
+runs the same layers in fresh buffers that its cache keeps, and the
+weight gradients read the same nine shifted views of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -63,16 +66,18 @@ def _channels_to_complex(chan: np.ndarray) -> np.ndarray:
     return (chan[0] + 1j * chan[1]).astype(np.complex128)
 
 
-def _pad_flat(x: np.ndarray) -> np.ndarray:
-    """Zero-pad (C, H, W) by one pixel and flatten each channel.
+def _padded(c: int, h: int, wd: int) -> np.ndarray:
+    """Zero buffer of C flattened, zero-padded (H+2, W+2) channels.
 
-    Returns (C, (H+2)(W+2) + 2): the padded rows back to back, then two
+    Shape (C, (H+2)(W+2) + 2): the padded rows back to back, then two
     zeros so that the last tap's view of H(W+2) values stays in bounds.
     """
-    c, h, wd = x.shape
-    xp = np.zeros((c, (h + 2) * (wd + 2) + 2))
-    xp[:, : (h + 2) * (wd + 2)].reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1] = x
-    return xp
+    return np.zeros((c, (h + 2) * (wd + 2) + 2))
+
+
+def _interior(xp: np.ndarray, h: int, wd: int) -> np.ndarray:
+    """(C, H, W) view of the unpadded pixels of a ``_padded`` buffer."""
+    return xp[:, : (h + 2) * (wd + 2)].reshape(xp.shape[0], h + 2, wd + 2)[:, 1:-1, 1:-1]
 
 
 def _tap_offsets(wd: int):
@@ -80,34 +85,45 @@ def _tap_offsets(wd: int):
     return [(dy, dx, dy * (wd + 2) + dx) for dy in range(3) for dx in range(3)]
 
 
-def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
-    """3x3 zero-padded cross-correlation; returns (out, padded input).
+def _conv_layer(xp: np.ndarray, w: np.ndarray, biases, dst: np.ndarray, tap: np.ndarray, wd: int, rectify: bool):
+    """One layer: 3x3 zero-padded cross-correlation, biases, optional leaky rectifier.
 
-    With xp the flattened padded input (``_pad_flat``) and rows of W+2
-    values, output pixel (i, j) sits at flat index i(W+2) + j and tap
-    (dy, dx) reads xp at that index plus o = dy(W+2) + dx.  So the
-    output is the sum over taps of w[:, :, dy, dx] @ xp[:, o : o + H(W+2)],
-    and each row's last two columns, where a tap wraps into the next
-    padded row, are cropped.
+    With xp a ``_padded`` input and rows of W+2 values, output pixel
+    (i, j) sits at flat index i(W+2) + j and tap (dy, dx) reads xp at that
+    index plus o = dy(W+2) + dx.  So the output is the sum over taps of
+    w[:, :, dy, dx] @ xp[:, o : o + H(W+2)], written into dst, a
+    (C_out, H(W+2)) array, with ``tap`` (same shape) holding each
+    product.  Each row's last two columns, where a tap wraps into the
+    next padded row, hold no output pixel.  When dst is the next layer's
+    ``_padded`` buffer from offset W+3, output pixel (i, j) lands on that
+    buffer's pixel (i+1, j+1) and the wrapped columns on its padding, so
+    a rectified layer re-zeroes them; otherwise the caller crops them.
     """
-    cin, h, wd = x.shape
-    xp = _pad_flat(x)
-    n = h * (wd + 2)
-    # products go into preallocated buffers: a fresh (C_out, n) temporary per tap costs more than the product
-    out = np.empty((w.shape[0], n))
-    tap = np.empty_like(out)
+    n = dst.shape[1]
     for k, (dy, dx, o) in enumerate(_tap_offsets(wd)):
-        np.matmul(w[:, :, dy, dx], xp[:, o : o + n], out=tap if k else out)
+        np.matmul(w[:, :, dy, dx], xp[:, o : o + n], out=tap if k else dst)
         if k:
-            out += tap
-    out = np.ascontiguousarray(out.reshape(w.shape[0], h, wd + 2)[:, :, :wd])
-    if b is not None:
-        out += b[:, None, None]
-    return out, xp
+            dst += tap
+    for b in biases:  # one add per bias vector, in order
+        dst += b[:, None]
+    if rectify:
+        np.multiply(dst, LEAKY_SLOPE, out=tap)
+        np.maximum(dst, tap, out=dst)  # same bits as np.where(dst > 0, dst, LEAKY_SLOPE * dst)
+        dst.reshape(dst.shape[0], -1, wd + 2)[:, :, wd:] = 0.0
+
+
+def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
+    """3x3 zero-padded cross-correlation of (C, H, W) ``x``; returns (out, padded input)."""
+    cin, h, wd = x.shape
+    xp = _padded(cin, h, wd)
+    _interior(xp, h, wd)[...] = x
+    out = np.empty((w.shape[0], h * (wd + 2)))
+    _conv_layer(xp, w, () if b is None else (b,), out, np.empty_like(out), wd, rectify=False)
+    return np.ascontiguousarray(out.reshape(w.shape[0], h, wd + 2)[:, :, :wd]), xp
 
 
 def _conv3x3_weight_grad(dout: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """dL/dw for ``_conv3x3`` given dL/d(out) and the padded input it returned."""
+    """dL/dw for a 3x3 layer given dL/d(out) and the ``_padded`` input it read."""
     cout, h, wd = dout.shape
     n = h * (wd + 2)
     # dL/d(out) in the layout of the uncropped output; the wrapped columns get no gradient
@@ -127,18 +143,37 @@ def _conv3x3_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _leaky(h: np.ndarray) -> np.ndarray:
-    return np.where(h > 0, h, LEAKY_SLOPE * h)
+def _leaky_grad(a: np.ndarray) -> np.ndarray:
+    """Rectifier derivative from the rectified activations, which are > 0 exactly where their inputs are."""
+    return np.where(a > 0, 1.0, LEAKY_SLOPE)
 
 
-def _leaky_grad(h: np.ndarray) -> np.ndarray:
-    return np.where(h > 0, 1.0, LEAKY_SLOPE)
+class _Workspace:
+    """The buffers of one forward pass at one image shape.
+
+    ``xp`` holds each layer's ``_padded`` input: the image's (real, imag)
+    planes, then the two hidden activations, each written in place by the
+    layer before.  ``tap`` holds one shifted product (and the rectifier's
+    scaled copy), ``out`` the last layer's uncropped output.
+    """
+
+    def __init__(self, h: int, wd: int):
+        self.shape = (h, wd)
+        self.xp = [_padded(2, h, wd), _padded(HIDDEN, h, wd), _padded(HIDDEN, h, wd)]
+        self.tap = np.empty((HIDDEN, h * (wd + 2)))
+        self.out = np.empty((2, h * (wd + 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _periods(t_f: int) -> np.ndarray:
+    periods = np.geomspace(1.0, 2.0 * t_f, EMB_DIM // 2)
+    periods.setflags(write=False)
+    return periods
 
 
 def time_features(t: float, t_f: int) -> np.ndarray:
     """Sinusoidal embedding of the step index: 4 geometric periods in [1, 2*T_f]."""
-    periods = np.geomspace(1.0, 2.0 * t_f, EMB_DIM // 2)
-    ang = 2.0 * np.pi * t / periods
+    ang = 2.0 * np.pi * t / _periods(t_f)
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
@@ -151,6 +186,7 @@ class TinyRegressor:
         self.t_f = int(t_f)
         self.seed = int(seed)
         self.params: dict[str, np.ndarray] = {}
+        self._workspaces: dict[tuple[int, int], _Workspace] = {}
         self._init_params()
 
     def _init_params(self) -> None:
@@ -195,44 +231,65 @@ class TinyRegressor:
         if offset != flat.size:
             raise ValueError(f"parameter block has {flat.size} values, expected {offset}")
 
-    def forward(self, chan_in: np.ndarray, t: int):
-        """Forward pass on a (2, H, W) channel stack; returns (out, cache)."""
+    def _layers(self, ws: _Workspace, feat: np.ndarray) -> np.ndarray:
+        """Run the three layers on the input planes in ``ws.xp[0]``; returns a (2, H, W) view of ``ws.out``."""
         p = self.params
+        h, wd = ws.shape
+        region = slice(wd + 3, wd + 3 + h * (wd + 2))  # pixel (0, 0) onwards of a padded buffer
+        time_bias = p["time_w"] @ feat
+        _conv_layer(ws.xp[0], p["conv1_w"], (p["conv1_b"], time_bias), ws.xp[1][:, region], ws.tap, wd, True)
+        _conv_layer(ws.xp[1], p["conv2_w"], (p["conv2_b"],), ws.xp[2][:, region], ws.tap, wd, True)
+        _conv_layer(ws.xp[2], p["conv3_w"], (p["conv3_b"],), ws.out, ws.tap[:2], wd, False)
+        return ws.out.reshape(2, h, wd + 2)[:, :, :wd]
+
+    def forward(self, chan_in: np.ndarray, t: int):
+        """Forward pass on a (2, H, W) channel stack; returns (out, cache).
+
+        The cache is (time features, padded input of each layer), from a
+        fresh workspace; the padded inputs of layers 2 and 3 hold the
+        rectified activations.
+        """
         feat = time_features(t, self.t_f)
-        h1, xp1 = _conv3x3(chan_in, p["conv1_w"], p["conv1_b"])
-        h1 += (p["time_w"] @ feat)[:, None, None]
-        a1 = _leaky(h1)
-        h2, xp2 = _conv3x3(a1, p["conv2_w"], p["conv2_b"])
-        a2 = _leaky(h2)
-        out, xp3 = _conv3x3(a2, p["conv3_w"], p["conv3_b"])
-        cache = (feat, xp1, h1, xp2, h2, xp3)
-        return out, cache
+        ws = _Workspace(*chan_in.shape[1:])
+        _interior(ws.xp[0], *ws.shape)[...] = chan_in
+        return np.ascontiguousarray(self._layers(ws, feat)), (feat, *ws.xp)
 
     def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for the cached forward pass given dL/d(out)."""
         p = self.params
-        feat, xp1, h1, xp2, h2, xp3 = cache
+        feat, xp1, xp2, xp3 = cache
+        h, wd = dout.shape[1:]
         grads: dict[str, np.ndarray] = {}
 
         grads["conv3_w"] = _conv3x3_weight_grad(dout, xp3)
         grads["conv3_b"] = dout.sum(axis=(1, 2))
         da2 = _conv3x3_input_grad(dout, p["conv3_w"])
 
-        dh2 = da2 * _leaky_grad(h2)
+        dh2 = da2 * _leaky_grad(_interior(xp3, h, wd))
         grads["conv2_w"] = _conv3x3_weight_grad(dh2, xp2)
         grads["conv2_b"] = dh2.sum(axis=(1, 2))
         da1 = _conv3x3_input_grad(dh2, p["conv2_w"])
 
-        dh1 = da1 * _leaky_grad(h1)
+        dh1 = da1 * _leaky_grad(_interior(xp2, h, wd))
         grads["time_w"] = np.outer(dh1.sum(axis=(1, 2)), feat)
         grads["conv1_w"] = _conv3x3_weight_grad(dh1, xp1)
         grads["conv1_b"] = dh1.sum(axis=(1, 2))
         return grads
 
     def recover(self, x_t: np.ndarray, t: int) -> np.ndarray:
+        """Clean-image estimate from x_t, computed in a workspace the model keeps per image shape.
+
+        The workspace makes this method non-reentrant: one model must not
+        recover on two threads at once.
+        """
         x_t = as_image(x_t)
-        out, _ = self.forward(_complex_to_channels(x_t), t)
-        return _channels_to_complex(out)
+        ws = self._workspaces.get(x_t.shape)
+        if ws is None:
+            ws = self._workspaces[x_t.shape] = _Workspace(*x_t.shape)
+        planes = _interior(ws.xp[0], *ws.shape)
+        planes[0] = x_t.real
+        planes[1] = x_t.imag
+        return _channels_to_complex(self._layers(ws, time_features(t, self.t_f)))
 
 
 def _energy(r: np.ndarray) -> float:
@@ -376,75 +433,6 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             opt.step(model.params, grads)
         trace.append(float(np.mean(epoch_losses)))
     return model, trace
-
-
-def grad_check(
-    model: TinyRegressor,
-    sample: np.ndarray,
-    t: int,
-    target: np.ndarray | None = None,
-    n_params: int = 50,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    Checks ``n_params`` randomly chosen parameters of the upper-bound loss
-    ||G(sample, t) - target||^2.  A parameter whose +/-step perturbation
-    flips a rectifier region is redrawn: with a fixed activation pattern
-    the loss is exactly quadratic along the path, so central differences
-    are exact there and meaningless across the kink.
-    """
-    sample = as_image(sample)
-    chan_in = _complex_to_channels(sample)
-    target_c = np.zeros_like(sample) if target is None else as_image(target)
-
-    def loss_and_state(params_flat=None):
-        if params_flat is not None:
-            model.set_flat_params(params_flat)
-        out, cache = model.forward(chan_in, t)
-        residual = _channels_to_complex(out) - target_c
-        return _energy(residual), cache, out
-
-    base_flat = model.flat_params()
-    loss0, cache, out = loss_and_state()
-    residual = _channels_to_complex(out) - target_c
-    grads = model.backward(cache, _complex_to_channels(residual) * 2.0)
-    grad_flat = np.concatenate([grads[n].ravel() for n in PARAM_ORDER])
-
-    rng = substream(seed, "grad-check")
-    total = base_flat.size
-    max_err = 0.0
-    checked = 0
-    attempts = 0
-    try:
-        while checked < n_params and attempts < 20 * n_params:
-            attempts += 1
-            idx = int(rng.integers(0, total))
-            for sign in (+1.0, -1.0):
-                flat = base_flat.copy()
-                flat[idx] += sign * step
-                loss_s, cache_s, _ = loss_and_state(flat)
-                pattern = (np.sign(cache_s[2]), np.sign(cache_s[4]))
-                if sign > 0:
-                    loss_plus, pattern_plus = loss_s, pattern
-                else:
-                    loss_minus, pattern_minus = loss_s, pattern
-            if not (
-                np.array_equal(pattern_plus[0], pattern_minus[0])
-                and np.array_equal(pattern_plus[1], pattern_minus[1])
-            ):
-                continue  # rectifier region flipped; redraw
-            fd = (loss_plus - loss_minus) / (2.0 * step)
-            analytic = grad_flat[idx]
-            err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-10)
-            max_err = max(max_err, err)
-            checked += 1
-    finally:
-        model.set_flat_params(base_flat)
-    if checked < n_params:
-        raise RuntimeError("gradient check could not find enough kink-free parameters")
-    return max_err
 
 
 CKPT_MAGIC = b"FDBN1\x00"

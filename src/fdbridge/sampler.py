@@ -20,7 +20,7 @@ import numpy as np
 from .correction import CorrectionSchedule, linear_weights, resample_weights
 from .degradation import DegradationTrajectory, ProcessConfig, sample_trajectory
 from .errors import ConfigError, SamplingError, ScheduleError, TrajectoryError
-from .grid import KSpaceGrid, as_image, dft2, idft2
+from .grid import KSpaceGrid, as_image, fft2_inplace, ifft2_inplace, to_centered, to_native
 from .imaging import ImagingSystem, Measurement, adjoint, dc_projection, residual_norm
 from .metrics import psnr
 from .rng import child_seed, substream
@@ -74,7 +74,9 @@ def reverse_step(
 
     standard: x_{t-1} = x_t + (C_{t-1} - C_t) x0_est;
     corrected adds weight * C_t (x0_est - x_t).  All operator applications
-    go through DFT, mask, inverse DFT.
+    go through DFT, mask, inverse DFT; the corrected step transforms
+    x0_est and x_t in one stacked call, and the update stays in FFT-native
+    layout until its inverse DFT.
     """
     if t < 1:
         raise ValueError(f"reverse step needs t >= 1, got {t}")
@@ -82,11 +84,13 @@ def reverse_step(
         raise TrajectoryError(f"step {t} exceeds trajectory length {traj.t_total}")
     x_t = as_image(x_t)
     x0_est = as_image(x0_est)
-    est_spec = dft2(x0_est)
-    update = np.where(traj.removed_mask(t), est_spec, 0.0)
-    if corrected and weight != 0.0:
-        update = update + weight * np.where(traj.keep_mask(t), est_spec - dft2(x_t), 0.0)
-    return x_t + idft2(update)
+    both = corrected and weight != 0.0
+    spec = fft2_inplace(to_native(np.stack([x0_est, x_t]) if both else x0_est))
+    est_spec = spec[0] if both else spec
+    update = np.where(to_native(traj.removed_mask(t)), est_spec, 0.0)
+    if both:
+        update = update + weight * np.where(to_native(traj.keep_mask(t)), est_spec - spec[1], 0.0)
+    return x_t + to_centered(ifft2_inplace(update))
 
 
 def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t_r: int) -> np.ndarray:

@@ -1,0 +1,79 @@
+"""Central-difference check of ``TinyRegressor.backward``, shared by the recovery and acceptance tests."""
+
+import numpy as np
+
+from fdbridge.grid import as_image
+from fdbridge.recovery import PARAM_ORDER, TinyRegressor, _channels_to_complex, _complex_to_channels, _energy
+from fdbridge.rng import substream
+
+
+def _rectifier_pattern(cache) -> list[np.ndarray]:
+    # cache[2] and cache[3] are the padded inputs of layers 2 and 3: the rectified
+    # activations, whose signs are those of the rectifiers' inputs (the padding stays 0)
+    return [np.sign(cache[2]), np.sign(cache[3])]
+
+
+def grad_check(
+    model: TinyRegressor,
+    sample: np.ndarray,
+    t: int,
+    target: np.ndarray | None = None,
+    n_params: int = 50,
+    step: float = 1e-5,
+    seed: int = 0,
+) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    Checks ``n_params`` randomly chosen parameters of the upper-bound loss
+    ||G(sample, t) - target||^2.  A parameter whose +/-step perturbation
+    flips a rectifier region is redrawn: with a fixed activation pattern
+    the loss is exactly quadratic along the path, so central differences
+    are exact there and meaningless across the kink.
+    """
+    sample = as_image(sample)
+    chan_in = _complex_to_channels(sample)
+    target_c = np.zeros_like(sample) if target is None else as_image(target)
+
+    def loss_and_state(params_flat=None):
+        if params_flat is not None:
+            model.set_flat_params(params_flat)
+        out, cache = model.forward(chan_in, t)
+        residual = _channels_to_complex(out) - target_c
+        return _energy(residual), cache, out
+
+    base_flat = model.flat_params()
+    loss0, cache, out = loss_and_state()
+    residual = _channels_to_complex(out) - target_c
+    grads = model.backward(cache, _complex_to_channels(residual) * 2.0)
+    grad_flat = np.concatenate([grads[n].ravel() for n in PARAM_ORDER])
+
+    rng = substream(seed, "grad-check")
+    total = base_flat.size
+    max_err = 0.0
+    checked = 0
+    attempts = 0
+    try:
+        while checked < n_params and attempts < 20 * n_params:
+            attempts += 1
+            idx = int(rng.integers(0, total))
+            for sign in (+1.0, -1.0):
+                flat = base_flat.copy()
+                flat[idx] += sign * step
+                loss_s, cache_s, _ = loss_and_state(flat)
+                pattern = _rectifier_pattern(cache_s)
+                if sign > 0:
+                    loss_plus, pattern_plus = loss_s, pattern
+                else:
+                    loss_minus, pattern_minus = loss_s, pattern
+            if not all(np.array_equal(a, b) for a, b in zip(pattern_plus, pattern_minus)):
+                continue  # rectifier region flipped; redraw
+            fd = (loss_plus - loss_minus) / (2.0 * step)
+            analytic = grad_flat[idx]
+            err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-10)
+            max_err = max(max_err, err)
+            checked += 1
+    finally:
+        model.set_flat_params(base_flat)
+    if checked < n_params:
+        raise RuntimeError("gradient check could not find enough kink-free parameters")
+    return max_err

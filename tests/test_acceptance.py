@@ -16,10 +16,10 @@ from fdbridge.cli import main as cli_main
 from fdbridge.fileio import read_csv, read_json
 from fdbridge.grid import dft2, radius_map
 from fdbridge.imaging import apply_forward, dc_projection, make_sampling_mask
-from fdbridge.recovery import grad_check
 from fdbridge.rng import child_seed
 
 from conftest import rand_image, unit_system
+from gradcheck import grad_check
 
 
 def _report(number: int, name: str, elapsed: float) -> None:

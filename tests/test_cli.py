@@ -292,3 +292,14 @@ class TestReplayDeterminism:
         assert run("replay", str(p1 / "run_manifest.json"), "--out", str(p2)) == 0
         for name in read_json(p1 / "manifest.json")["ids"]:
             assert (p1 / "images" / name).read_bytes() == (p2 / "images" / name).read_bytes()
+
+
+class TestRunManifest:
+    @pytest.mark.parametrize("command", ["phantom", "mask"])
+    def test_records_peak_memory(self, tmp_path, config_path, command):
+        out = tmp_path / command
+        assert run(command, "--config", config_path, "--out", str(out)) == 0
+        manifest = read_json(out / "run_manifest.json")
+        assert isinstance(manifest["peak_rss_mb"], float)
+        assert manifest["peak_rss_mb"] > 0.0
+        assert manifest["wall_time_s"] >= 0.0

@@ -177,6 +177,21 @@ class TestSampleTrajectory:
         assert traj.thresholds.tobytes() == thresholds.tobytes()
         assert np.array_equal(traj.relaxed, relaxed)
 
+    def test_matches_full_grid_oracle_on_relaxed_steps_after_a_wide_window(self, monkeypatch):
+        # Step 1 draws from the wide window above radius 3 and leaves gaps at
+        # every radius; steps 2-8 find nothing above radius 100 and relax, so
+        # each takes its cutoff from the need-th available candidate, whose
+        # radius differs from the (need-1)-th one's.
+        grid = radius_map(16, 16)
+        cfg = ProcessConfig(r_prime=2.0, t_f=8, seed=5)
+        monkeypatch.setattr(degradation, "radius_threshold", lambda t, t_f, r_prime, r_max: 3.0 if t == 1 else 100.0)
+        traj = sample_trajectory(grid, cfg)
+        removed_at, thresholds, relaxed, counts = _full_grid_oracle(grid, cfg, 8)
+        assert relaxed.tolist() == [False] + [True] * 7
+        assert np.array_equal(traj.removed_at, removed_at)
+        assert traj.thresholds.tobytes() == thresholds.tobytes()
+        assert np.array_equal(traj.relaxed, relaxed)
+
     def test_disjoint_and_monotone(self):
         grid = radius_map(32, 32)
         cfg = ProcessConfig(r_prime=4.0, t_f=12, seed=3)

@@ -14,8 +14,8 @@ from fdbridge.recovery import (
     _conv3x3,
     _conv3x3_input_grad,
     _conv3x3_weight_grad,
+    _leaky_grad,
     bridge_loss,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
     save_loss_trace,
@@ -24,6 +24,7 @@ from fdbridge.recovery import (
 )
 
 from conftest import rand_image
+from gradcheck import grad_check
 
 
 class ZeroMapRecovery:
@@ -117,7 +118,7 @@ class TestTinyRegressor:
         assert np.array_equal(a, b)
 
     def test_forward_cache_is_small(self):
-        # the cache holds one padded copy of each conv input plus h1, h2: about 2.2 MB at 64^2
+        # the cache holds the padded input of each layer (the rectified activations included): about 1.2 MB at 64^2
         model = TinyRegressor(t_f=64, seed=4)
         _, cache = model.forward(np.stack([rand_image(64, 64, seed=5).real] * 2), 3)
         held = sum(a.nbytes for a in cache if isinstance(a, np.ndarray))
@@ -195,6 +196,94 @@ class TestConv3x3:
                 dx_ref, dw_ref = _conv_grads_reference(x, w, dout)
                 self._close(_conv3x3_input_grad(dout, w), dx_ref)
                 self._close(_conv3x3_weight_grad(dout, xp), dw_ref)
+
+
+def _forward_oracle(model, chan, t):
+    """Forward pass as separate layers: fresh-buffer convs, np.where rectifiers, crop and re-pad between.
+
+    Returns (out, cache) with the cache (feat, xp1, h1, xp2, h2, xp3)
+    holding the pre-activations h1 and h2.
+    """
+    p = model.params
+    feat = time_features(t, model.t_f)
+    h1, xp1 = _conv3x3(chan, p["conv1_w"], p["conv1_b"])
+    h1 += (p["time_w"] @ feat)[:, None, None]
+    h2, xp2 = _conv3x3(np.where(h1 > 0, h1, 0.1 * h1), p["conv2_w"], p["conv2_b"])
+    out, xp3 = _conv3x3(np.where(h2 > 0, h2, 0.1 * h2), p["conv3_w"], p["conv3_b"])
+    return out, (feat, xp1, h1, xp2, h2, xp3)
+
+
+def _backward_oracle(model, cache, dout):
+    """Parameter gradients with the rectifier derivative taken from the pre-activations."""
+    p = model.params
+    feat, xp1, h1, xp2, h2, xp3 = cache
+    dh2 = _conv3x3_input_grad(dout, p["conv3_w"]) * np.where(h2 > 0, 1.0, 0.1)
+    dh1 = _conv3x3_input_grad(dh2, p["conv2_w"]) * np.where(h1 > 0, 1.0, 0.1)
+    return {
+        "conv3_w": _conv3x3_weight_grad(dout, xp3),
+        "conv3_b": dout.sum(axis=(1, 2)),
+        "conv2_w": _conv3x3_weight_grad(dh2, xp2),
+        "conv2_b": dh2.sum(axis=(1, 2)),
+        "time_w": np.outer(dh1.sum(axis=(1, 2)), feat),
+        "conv1_w": _conv3x3_weight_grad(dh1, xp1),
+        "conv1_b": dh1.sum(axis=(1, 2)),
+    }
+
+
+class TestLayerWorkspace:
+    """forward, backward and recover equal the layer-by-layer oracle bit for bit.
+
+    The shapes include non-square and odd ones, where a wrapped column
+    left unzeroed in a padded buffer would leak into the next row.
+    """
+
+    SHAPES = [(64, 64), (24, 40), (33, 31), (5, 7)]
+
+    @staticmethod
+    def _model():
+        model = TinyRegressor(t_f=32, seed=3)
+        rng = np.random.default_rng(4)
+        for name in ("conv1_b", "conv2_b", "conv3_b"):  # nonzero biases, so their adds are checked too
+            model.params[name] = 0.1 * rng.standard_normal(model.params[name].shape)
+        return model
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_and_backward_match_oracle(self, shape):
+        model = self._model()
+        x = rand_image(*shape, seed=6)
+        chan = np.stack([x.real, x.imag])
+        out, cache = model.forward(chan, 7)
+        ref_out, ref_cache = _forward_oracle(model, chan, 7)
+        assert out.tobytes() == ref_out.tobytes()
+        dout = np.stack([rand_image(*shape, seed=8).real, rand_image(*shape, seed=9).imag])
+        grads = model.backward(cache, dout)
+        for name, ref in _backward_oracle(model, ref_cache, dout).items():
+            assert grads[name].tobytes() == ref.tobytes(), name
+
+    def test_leaky_grad_from_activations_matches_pre_activations(self):
+        h = np.array([-2.0, -1e-320, -0.0, 0.0, 1e-320, 3.0, np.inf, -np.inf])
+        a = np.maximum(h, 0.1 * h)
+        assert _leaky_grad(a).tobytes() == np.where(h > 0, 1.0, 0.1).tobytes()
+        assert a.tobytes() == np.where(h > 0, h, 0.1 * h).tobytes()
+
+    def test_recover_matches_forward_across_alternating_shapes(self):
+        model = self._model()
+        results = {}
+        for rep in range(2):
+            for i, shape in enumerate(self.SHAPES):
+                x = rand_image(*shape, seed=10 + i)
+                got = model.recover(x, 2 + i)
+                out, _ = model.forward(np.stack([x.real, x.imag]), 2 + i)
+                assert got.tobytes() == (out[0] + 1j * out[1]).tobytes()
+                results.setdefault(shape, []).append(got)
+        # each call returns a fresh array: later calls on the same workspace leave earlier results alone
+        for first, second in results.values():
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == second.tobytes()
+
+    def test_recover_validates_its_input(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            self._model().recover(np.full((8, 8), np.nan, dtype=complex), 1)
 
 
 class TestGradCheck:

@@ -4,7 +4,7 @@ import pytest
 from fdbridge.correction import constant_weights, power_law_weights
 from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, ScheduleError, TrajectoryError
-from fdbridge.grid import dft2, radius_map
+from fdbridge.grid import dft2, idft2, radius_map
 from fdbridge.imaging import adjoint, forward, make_sampling_mask, residual_norm
 from fdbridge.metrics import psnr
 from fdbridge.phantoms import PhantomSpec, make_phantom
@@ -51,6 +51,15 @@ def _matched_setup(dims=32, t_f=8, seed=0):
     return grid, proc, traj, x0
 
 
+def _three_transform_reverse_step(x_t, t, traj, x0_est, weight, corrected):
+    """Oracle: the reverse step with one centered DFT per image and centered masks."""
+    est_spec = dft2(x0_est)
+    update = np.where(traj.removed_mask(t), est_spec, 0.0)
+    if corrected and weight != 0.0:
+        update = update + weight * np.where(traj.keep_mask(t), est_spec - dft2(x_t), 0.0)
+    return x_t + idft2(update)
+
+
 class TestReverseStep:
     def test_oracle_telescoping(self):
         _, _, traj, x0 = _matched_setup()
@@ -85,6 +94,18 @@ class TestReverseStep:
         delta_spec = dft2(out) - dft2(x_t)
         step_set = traj.keep_mask(t - 1) & ~traj.keep_mask(t)
         assert np.max(np.abs(delta_spec[~step_set])) <= 1e-12 * np.linalg.norm(est)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)])
+    @pytest.mark.parametrize("weight,corrected", [(0.37, True), (0.0, True), (0.37, False)])
+    def test_matches_three_transform_form(self, shape, weight, corrected):
+        grid = radius_map(*shape)
+        traj = sample_trajectory(grid, ProcessConfig(r_prime=2.0, t_f=16, seed=9), t_total=24)
+        x_t = rand_image(*shape, seed=10)
+        est = rand_image(*shape, seed=11)
+        for t in (1, 9, 24):
+            got = reverse_step(x_t, t, traj, est, weight=weight, corrected=corrected)
+            ref = _three_transform_reverse_step(x_t, t, traj, est, weight, corrected)
+            assert got.tobytes() == ref.tobytes()
 
     def test_t_zero_rejected(self):
         _, _, traj, x0 = _matched_setup(seed=8)

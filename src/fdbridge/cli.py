@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import resource
 import sys
 import time
 from dataclasses import replace
@@ -624,8 +623,15 @@ def _flag_dict(args: argparse.Namespace) -> dict:
     return flags
 
 
-def _peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MiB (ru_maxrss is KiB on Linux, bytes on macOS)."""
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process so far, in MiB, or None where ``resource`` is missing (Windows).
+
+    ru_maxrss is KiB on Linux and bytes on macOS.
+    """
+    try:
+        import resource
+    except ImportError:
+        return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 

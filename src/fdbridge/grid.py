@@ -8,9 +8,10 @@ array indices.  Frequency masks are boolean ``(H, W)`` arrays
 
 Inside a computation the spectra may stay in the FFT-native layout that
 ``np.fft`` works in (DC at index ``(0, 0)``): ``to_native`` and
-``to_centered`` convert over the last two axes, and ``fft2_inplace`` and
-``ifft2_inplace`` transform there, so a ``(C, H, W)`` stack shifts and
-transforms in one call each.  None of these validate their input.
+``to_centered`` convert over the last two axes, and ``dft2`` and
+``idft2`` with ``native=True`` transform there, so a ``(C, H, W)`` stack
+shifts and transforms in one call each.  None of these validate their
+input.
 """
 
 from __future__ import annotations
@@ -44,25 +45,23 @@ def to_centered(a: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(a, axes=(-2, -1))
 
 
-# fftn/ifftn rather than fft2/ifft2: numpy's ifft2 ignores its ``out`` argument.
-def fft2_inplace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal 2D DFT over the last two axes of a complex128 array in FFT-native layout, in place."""
-    return np.fft.fftn(a, axes=(-2, -1), norm="ortho", out=a)
+def dft2(a: np.ndarray, *, native: bool = False) -> np.ndarray:
+    """Orthonormal forward 2D DFT.
+
+    By default ``a`` is a 2D image, validated, and the spectrum is centered
+    (DC at (H//2, W//2)).  With ``native=True`` ``a`` is a ``(..., H, W)``
+    stack in FFT-native layout, transformed over its last two axes as is.
+    """
+    if native:
+        return np.fft.fft2(a, norm="ortho")
+    return to_centered(np.fft.fft2(to_native(as_image(a)), norm="ortho"))
 
 
-def ifft2_inplace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal inverse 2D DFT over the last two axes, in place; inverse of :func:`fft2_inplace`."""
-    return np.fft.ifftn(a, axes=(-2, -1), norm="ortho", out=a)
-
-
-def dft2(img: np.ndarray) -> np.ndarray:
-    """Centered orthonormal forward 2D DFT (DC at (H//2, W//2))."""
-    return to_centered(fft2_inplace(to_native(as_image(img))))
-
-
-def idft2(spectrum: np.ndarray) -> np.ndarray:
-    """Centered orthonormal inverse 2D DFT; exact inverse of :func:`dft2`."""
-    return to_centered(ifft2_inplace(to_native(as_image(spectrum))))
+def idft2(spectrum: np.ndarray, *, native: bool = False) -> np.ndarray:
+    """Orthonormal inverse 2D DFT; exact inverse of :func:`dft2` in the same layout."""
+    if native:
+        return np.fft.ifft2(spectrum, norm="ortho")
+    return to_centered(np.fft.ifft2(to_native(as_image(spectrum)), norm="ortho"))
 
 
 @dataclass(frozen=True)

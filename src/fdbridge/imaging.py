@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fileio import read_cimg, read_json, read_kmsk, write_cimg, write_json, write_kmsk
-from .grid import KSpaceGrid, as_image, fft2_inplace, ifft2_inplace, to_centered, to_native
+from .grid import KSpaceGrid, as_image, dft2, idft2, to_centered, to_native
 from .rng import substream
 
 MASK_DENSITIES = ("normal2d", "normal1d", "uniform")
@@ -204,15 +204,15 @@ def _native_system(system: ImagingSystem) -> tuple[np.ndarray, np.ndarray]:
 
 def _forward_native(maps: np.ndarray, unsampled: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M * DFT(S_c * x) for every coil in one FFT call; native maps, mask and result, centered x."""
-    spec = fft2_inplace(maps * to_native(x))
+    spec = dft2(maps * to_native(x), native=True)
     np.copyto(spec, 0.0, where=unsampled)
     return spec
 
 
 def _adjoint_native(conj_maps: np.ndarray, unsampled: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """sum_c conj(S_c) * IDFT(M * y_c) in native layout, coils summed in index order; overwrites ``data``."""
+    """sum_c conj(S_c) * IDFT(M * y_c) in native layout, coils summed in index order; zeroes ``data`` off the mask."""
     np.copyto(data, 0.0, where=unsampled)
-    ifft2_inplace(data)
+    data = idft2(data, native=True)
     np.multiply(conj_maps, data, out=data)
     out = np.zeros(data.shape[1:], dtype=np.complex128)
     for image in data:

@@ -11,9 +11,10 @@ convolution.  Everything is double precision and deterministic.
 Each convolution is a sum of nine shifted matrix products over one
 zero-padded, flattened copy of its input (see ``_conv_layer``), and
 writes its output straight into the next layer's padded copy.
-``recover`` reuses one set of these buffers per image shape; ``forward``
-runs the same layers in fresh buffers that its cache keeps, and the
-weight gradients read the same nine shifted views of them.
+``recover`` reuses one set of these buffers while the image shape
+stays the same; ``forward`` runs the same layers in fresh buffers that
+its cache keeps, and the weight gradients read the same nine shifted
+views of them.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ class TinyRegressor:
         self.t_f = int(t_f)
         self.seed = int(seed)
         self.params: dict[str, np.ndarray] = {}
-        self._workspaces: dict[tuple[int, int], _Workspace] = {}
+        self._workspace: _Workspace | None = None
         self._init_params()
 
     def _init_params(self) -> None:
@@ -277,15 +278,15 @@ class TinyRegressor:
         return grads
 
     def recover(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        """Clean-image estimate from x_t, computed in a workspace the model keeps per image shape.
+        """Clean-image estimate from x_t, computed in a workspace the model keeps for the last image shape.
 
         The workspace makes this method non-reentrant: one model must not
         recover on two threads at once.
         """
         x_t = as_image(x_t)
-        ws = self._workspaces.get(x_t.shape)
-        if ws is None:
-            ws = self._workspaces[x_t.shape] = _Workspace(*x_t.shape)
+        ws = self._workspace
+        if ws is None or ws.shape != x_t.shape:
+            ws = self._workspace = _Workspace(*x_t.shape)
         planes = _interior(ws.xp[0], *ws.shape)
         planes[0] = x_t.real
         planes[1] = x_t.imag

@@ -20,7 +20,7 @@ import numpy as np
 from .correction import CorrectionSchedule, linear_weights, resample_weights
 from .degradation import DegradationTrajectory, ProcessConfig, sample_trajectory
 from .errors import ConfigError, SamplingError, ScheduleError, TrajectoryError
-from .grid import KSpaceGrid, as_image, fft2_inplace, ifft2_inplace, to_centered, to_native
+from .grid import KSpaceGrid, as_image, dft2, idft2, to_centered, to_native
 from .imaging import ImagingSystem, Measurement, adjoint, dc_projection, residual_norm
 from .metrics import psnr
 from .rng import child_seed, substream
@@ -85,12 +85,12 @@ def reverse_step(
     x_t = as_image(x_t)
     x0_est = as_image(x0_est)
     both = corrected and weight != 0.0
-    spec = fft2_inplace(to_native(np.stack([x0_est, x_t]) if both else x0_est))
+    spec = dft2(to_native(np.stack([x0_est, x_t]) if both else x0_est), native=True)
     est_spec = spec[0] if both else spec
     update = np.where(to_native(traj.removed_mask(t)), est_spec, 0.0)
     if both:
         update = update + weight * np.where(to_native(traj.keep_mask(t)), est_spec - spec[1], 0.0)
-    return x_t + to_centered(ifft2_inplace(update))
+    return x_t + to_centered(idft2(update, native=True))
 
 
 def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t_r: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -303,3 +304,10 @@ class TestRunManifest:
         assert isinstance(manifest["peak_rss_mb"], float)
         assert manifest["peak_rss_mb"] > 0.0
         assert manifest["wall_time_s"] >= 0.0
+
+    def test_peak_memory_is_null_without_resource_module(self, tmp_path, config_path, monkeypatch):
+        # a None entry in sys.modules makes ``import resource`` raise ImportError, as on Windows
+        monkeypatch.setitem(sys.modules, "resource", None)
+        out = tmp_path / "mask"
+        assert run("mask", "--config", config_path, "--out", str(out)) == 0
+        assert read_json(out / "run_manifest.json")["peak_rss_mb"] is None

@@ -42,7 +42,6 @@ from .recovery import (
     TinyRegressor,
     TrainConfig,
     ZeroFillRecovery,
-    bridge_loss,
     load_checkpoint,
     save_checkpoint,
     train,

@@ -8,13 +8,14 @@ The step index conditions the network through an 8-dimensional sinusoidal
 embedding, linearly projected to a per-channel bias added after the first
 convolution.  Everything is double precision and deterministic.
 
-Each convolution is a sum of nine shifted matrix products over one
-zero-padded, flattened copy of its input (see ``_conv_layer``), and
-writes its output straight into the next layer's padded copy.
-``recover`` reuses one set of these buffers while the image shape
-stays the same; ``forward`` runs the same layers in fresh buffers that
-its cache keeps, and the weight gradients read the same nine shifted
-views of them.
+Each convolution is a sum of three matrix products, one per kernel row,
+over a zero-padded, flattened copy of its input held three times, each
+shifted by one more column (see ``_conv_layer``), and writes its output
+straight into the next layer's padded copy.  The weight gradients read
+the same three row views, and the input gradients run the same layer on
+the stacked output gradient.  ``recover``, ``forward`` and ``backward``
+share one set of these buffers, kept while the image shape stays the
+same; ``forward`` copies each layer's padded input out for its cache.
 """
 
 from __future__ import annotations
@@ -67,102 +68,126 @@ def _channels_to_complex(chan: np.ndarray) -> np.ndarray:
     return (chan[0] + 1j * chan[1]).astype(np.complex128)
 
 
-def _padded(c: int, h: int, wd: int) -> np.ndarray:
-    """Zero buffer of C flattened, zero-padded (H+2, W+2) channels.
+def _stacked(c: int, h: int, wd: int) -> np.ndarray:
+    """Zero buffer of C flattened, zero-padded (H+2, W+2) channels, held three times.
 
-    Shape (C, (H+2)(W+2) + 2): the padded rows back to back, then two
-    zeros so that the last tap's view of H(W+2) values stays in bounds.
+    Shape (3C, (H+2)(W+2) + 2).  Block 0 (rows :C) holds the padded rows
+    back to back, then two zeros that only the wrapped columns of the last
+    row read; block dx (rows dx*C : (dx+1)*C) holds block 0 shifted left
+    by dx, filled from block 0 (``_fill_shifts``) by each function that
+    reads the buffer.  Writers write block 0 only, so blocks 1 and 2 are
+    free scratch until the next read.
     """
-    return np.zeros((c, (h + 2) * (wd + 2) + 2))
+    return np.zeros((3 * c, (h + 2) * (wd + 2) + 2))
 
 
-def _interior(xp: np.ndarray, h: int, wd: int) -> np.ndarray:
-    """(C, H, W) view of the unpadded pixels of a ``_padded`` buffer."""
-    return xp[:, : (h + 2) * (wd + 2)].reshape(xp.shape[0], h + 2, wd + 2)[:, 1:-1, 1:-1]
+def _interior(x: np.ndarray, h: int, wd: int) -> np.ndarray:
+    """(C, H, W) view of the unpadded pixels of a ``_stacked`` buffer's block 0."""
+    c = x.shape[0] // 3
+    return x[:c, : (h + 2) * (wd + 2)].reshape(c, h + 2, wd + 2)[:, 1:-1, 1:-1]
 
 
-def _tap_offsets(wd: int):
-    """(dy, dx, flat offset) of the nine kernel taps in a row of W+2 values."""
-    return [(dy, dx, dy * (wd + 2) + dx) for dy in range(3) for dx in range(3)]
+def _fill_shifts(x: np.ndarray) -> None:
+    """Copy block 0 of a ``_stacked`` buffer into block dx shifted left by dx, for dx = 1, 2."""
+    c = x.shape[0] // 3
+    x[c : 2 * c, :-1] = x[:c, 1:]
+    x[2 * c :, :-2] = x[:c, 2:]
 
 
-def _conv_layer(xp: np.ndarray, w: np.ndarray, biases, dst: np.ndarray, tap: np.ndarray, wd: int, rectify: bool):
+def _zero_wrapped(d: np.ndarray, wd: int) -> None:
+    """Zero the last two columns of each row of W+2 values in an uncropped (C, H(W+2)) layer output."""
+    d.reshape(d.shape[0], -1, wd + 2)[:, :, wd:] = 0.0
+
+
+def _rows(w: np.ndarray) -> np.ndarray:
+    """(3, C_out, 3 C_in) kernel rows, [dy][o, dx C_in + c] = w[o, c, dy, dx], in a ``_stacked`` buffer's row order."""
+    return np.ascontiguousarray(w.transpose(2, 0, 3, 1)).reshape(3, w.shape[0], 3 * w.shape[1])
+
+
+def _flipped(w: np.ndarray) -> np.ndarray:
+    """The kernel whose layer maps dL/d(out) to dL/d(input): flipped in space, input and output channels swapped."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
+def _conv_layer(x: np.ndarray, rows: np.ndarray, biases, dst: np.ndarray, scratch: np.ndarray, wd: int, rectify: bool):
     """One layer: 3x3 zero-padded cross-correlation, biases, optional leaky rectifier.
 
-    With xp a ``_padded`` input and rows of W+2 values, output pixel
-    (i, j) sits at flat index i(W+2) + j and tap (dy, dx) reads xp at that
-    index plus o = dy(W+2) + dx.  So the output is the sum over taps of
-    w[:, :, dy, dx] @ xp[:, o : o + H(W+2)], written into dst, a
-    (C_out, H(W+2)) array, with ``tap`` (same shape) holding each
+    ``x`` is a ``_stacked`` buffer whose block 0 holds the input and
+    ``rows`` the kernel as ``_rows`` lays it out.  With rows of W+2
+    values, output pixel (i, j) sits at flat index i(W+2) + j, and tap
+    (dy, dx) reads block 0 at that index plus dy(W+2) + dx, which is block
+    dx at that index plus dy(W+2).  So the output is the sum over dy of
+    rows[dy] @ x[:, dy(W+2) : dy(W+2) + H(W+2)], written into dst, a
+    (C_out, H(W+2)) array, with ``scratch`` (same shape) holding each
     product.  Each row's last two columns, where a tap wraps into the
     next padded row, hold no output pixel.  When dst is the next layer's
-    ``_padded`` buffer from offset W+3, output pixel (i, j) lands on that
-    buffer's pixel (i+1, j+1) and the wrapped columns on its padding, so
-    a rectified layer re-zeroes them; otherwise the caller crops them.
+    block 0 from offset W+3, output pixel (i, j) lands on that buffer's
+    pixel (i+1, j+1) and the wrapped columns on its padding, so a
+    rectified layer re-zeroes them; otherwise the caller crops or zeroes
+    them.
     """
+    _fill_shifts(x)
     n = dst.shape[1]
-    for k, (dy, dx, o) in enumerate(_tap_offsets(wd)):
-        np.matmul(w[:, :, dy, dx], xp[:, o : o + n], out=tap if k else dst)
-        if k:
-            dst += tap
+    for dy in range(3):
+        o = dy * (wd + 2)
+        np.matmul(rows[dy], x[:, o : o + n], out=scratch if dy else dst)
+        if dy:
+            dst += scratch
     for b in biases:  # one add per bias vector, in order
         dst += b[:, None]
     if rectify:
-        np.multiply(dst, LEAKY_SLOPE, out=tap)
-        np.maximum(dst, tap, out=dst)  # same bits as np.where(dst > 0, dst, LEAKY_SLOPE * dst)
-        dst.reshape(dst.shape[0], -1, wd + 2)[:, :, wd:] = 0.0
+        np.multiply(dst, LEAKY_SLOPE, out=scratch)
+        np.maximum(dst, scratch, out=dst)  # same bits as np.where(dst > 0, dst, LEAKY_SLOPE * dst)
+        _zero_wrapped(dst, wd)
 
 
-def _conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
-    """3x3 zero-padded cross-correlation of (C, H, W) ``x``; returns (out, padded input)."""
-    cin, h, wd = x.shape
-    xp = _padded(cin, h, wd)
-    _interior(xp, h, wd)[...] = x
-    out = np.empty((w.shape[0], h * (wd + 2)))
-    _conv_layer(xp, w, () if b is None else (b,), out, np.empty_like(out), wd, rectify=False)
-    return np.ascontiguousarray(out.reshape(w.shape[0], h, wd + 2)[:, :, :wd]), xp
+def _weight_grad(d: np.ndarray, x: np.ndarray, wd: int) -> np.ndarray:
+    """dL/dw of a layer from dL/d(out) and the ``_stacked`` input ``x`` the layer read.
+
+    ``d`` is in the uncropped (C_out, H(W+2)) layout with the wrapped
+    columns zero.  Kernel row dy's gradient is the one product
+    d @ x[:, dy(W+2) : dy(W+2) + H(W+2)].T, whose column dx C_in + c is
+    tap (dy, dx) of input channel c.
+    """
+    _fill_shifts(x)
+    cout, n = d.shape
+    g = np.empty((3, cout, x.shape[0]))
+    for dy in range(3):
+        o = dy * (wd + 2)
+        np.matmul(d, x[:, o : o + n].T, out=g[dy])
+    return np.ascontiguousarray(g.reshape(3, cout, 3, -1).transpose(1, 3, 0, 2))
 
 
-def _conv3x3_weight_grad(dout: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """dL/dw for a 3x3 layer given dL/d(out) and the ``_padded`` input it read."""
-    cout, h, wd = dout.shape
-    n = h * (wd + 2)
-    # dL/d(out) in the layout of the uncropped output; the wrapped columns get no gradient
-    d = np.zeros((cout, h, wd + 2))
-    d[:, :, :wd] = dout
-    d = d.reshape(cout, n)
-    grad = np.empty((cout, xp.shape[0], 3, 3))
-    for dy, dx, o in _tap_offsets(wd):
-        grad[:, :, dy, dx] = d @ xp[:, o : o + n].T
-    return grad
+def _leaky_backward(d: np.ndarray, a: np.ndarray, scratch: np.ndarray) -> None:
+    """Multiply dL/d(activations) in place by the rectifier's derivative, read from the activations ``a``.
 
-
-def _conv3x3_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # gradient wrt the conv input: correlate with the flipped, channel-swapped kernel
-    w_t = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    dx, _ = _conv3x3(dout, w_t, None)
-    return dx
-
-
-def _leaky_grad(a: np.ndarray) -> np.ndarray:
-    """Rectifier derivative from the rectified activations, which are > 0 exactly where their inputs are."""
-    return np.where(a > 0, 1.0, LEAKY_SLOPE)
+    a > 0 exactly where the rectifier's input is > 0, -0.0, denormals and
+    infinities included; a NaN input (whose activation is NaN) gets the
+    slope, as np.where(h > 0, 1.0, LEAKY_SLOPE) gives it.  The derivative
+    is built without branches in ``scratch`` (d's shape), each entry
+    exactly 1.0 or LEAKY_SLOPE: a masked multiply or np.where runs
+    several times slower on mixed signs.
+    """
+    np.multiply(a > 0, 1.0 - LEAKY_SLOPE, out=scratch)
+    scratch += LEAKY_SLOPE
+    d *= scratch
 
 
 class _Workspace:
-    """The buffers of one forward pass at one image shape.
+    """The buffers of one pass through the layers at one image shape.
 
-    ``xp`` holds each layer's ``_padded`` input: the image's (real, imag)
-    planes, then the two hidden activations, each written in place by the
-    layer before.  ``tap`` holds one shifted product (and the rectifier's
-    scaled copy), ``out`` the last layer's uncropped output.
+    ``x`` holds each layer's ``_stacked`` input: the image's (real, imag)
+    planes, then the two hidden activations, each written into block 0
+    by the layer before, from flat offset ``region.start``.  Blocks 1
+    and 2 of a buffer are free until a reader fills them, so a layer
+    keeps its products in those of the buffer it writes, and the last
+    layer its products and output in those of the first buffer.
     """
 
     def __init__(self, h: int, wd: int):
         self.shape = (h, wd)
-        self.xp = [_padded(2, h, wd), _padded(HIDDEN, h, wd), _padded(HIDDEN, h, wd)]
-        self.tap = np.empty((HIDDEN, h * (wd + 2)))
-        self.out = np.empty((2, h * (wd + 2)))
+        self.region = slice(wd + 3, wd + 3 + h * (wd + 2))  # padded pixel (1, 1) onwards, H rows of W+2
+        self.x = [_stacked(2, h, wd), _stacked(HIDDEN, h, wd), _stacked(HIDDEN, h, wd)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,62 +257,94 @@ class TinyRegressor:
         if offset != flat.size:
             raise ValueError(f"parameter block has {flat.size} values, expected {offset}")
 
+    def _workspace_for(self, shape: tuple[int, int]) -> _Workspace:
+        ws = self._workspace
+        if ws is None or ws.shape != shape:
+            ws = self._workspace = _Workspace(*shape)
+        return ws
+
     def _layers(self, ws: _Workspace, feat: np.ndarray) -> np.ndarray:
-        """Run the three layers on the input planes in ``ws.xp[0]``; returns a (2, H, W) view of ``ws.out``."""
+        """Run the three layers on the input planes in ``ws.x[0]``; returns a (2, H, W) view of the output."""
         p = self.params
-        h, wd = ws.shape
-        region = slice(wd + 3, wd + 3 + h * (wd + 2))  # pixel (0, 0) onwards of a padded buffer
-        time_bias = p["time_w"] @ feat
-        _conv_layer(ws.xp[0], p["conv1_w"], (p["conv1_b"], time_bias), ws.xp[1][:, region], ws.tap, wd, True)
-        _conv_layer(ws.xp[1], p["conv2_w"], (p["conv2_b"],), ws.xp[2][:, region], ws.tap, wd, True)
-        _conv_layer(ws.xp[2], p["conv3_w"], (p["conv3_b"],), ws.out, ws.tap[:2], wd, False)
-        return ws.out.reshape(2, h, wd + 2)[:, :, :wd]
+        (h, wd), r = ws.shape, ws.region
+        x1, x2, x3 = ws.x
+        biases = (p["conv1_b"], p["time_w"] @ feat)
+        _conv_layer(x1, _rows(p["conv1_w"]), biases, x2[:HIDDEN, r], x2[HIDDEN : 2 * HIDDEN, r], wd, True)
+        _conv_layer(x2, _rows(p["conv2_w"]), (p["conv2_b"],), x3[:HIDDEN, r], x3[HIDDEN : 2 * HIDDEN, r], wd, True)
+        out = x1[4:, r]
+        _conv_layer(x3, _rows(p["conv3_w"]), (p["conv3_b"],), out, x1[2:4, r], wd, False)
+        return out.reshape(2, h, wd + 2)[:, :, :wd]
 
     def forward(self, chan_in: np.ndarray, t: int):
         """Forward pass on a (2, H, W) channel stack; returns (out, cache).
 
-        The cache is (time features, padded input of each layer), from a
-        fresh workspace; the padded inputs of layers 2 and 3 hold the
-        rectified activations.
+        Runs in the model's workspace.  The cache is (time features,
+        padded input of each layer), copied out of the workspace as
+        block 0 of each ``_stacked`` buffer, so later calls leave it
+        alone; the padded inputs of layers 2 and 3 hold the rectified
+        activations.
         """
         feat = time_features(t, self.t_f)
-        ws = _Workspace(*chan_in.shape[1:])
-        _interior(ws.xp[0], *ws.shape)[...] = chan_in
-        return np.ascontiguousarray(self._layers(ws, feat)), (feat, *ws.xp)
+        ws = self._workspace_for(chan_in.shape[1:])
+        _interior(ws.x[0], *ws.shape)[...] = chan_in
+        out = np.ascontiguousarray(self._layers(ws, feat))
+        return out, (feat, *(x[: x.shape[0] // 3].copy() for x in ws.x))
 
     def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for the cached forward pass given dL/d(out)."""
+        """Parameter gradients for the cached forward pass given dL/d(out).
+
+        Runs in the model's workspace for dout's shape, over whatever it
+        held, with h1 and h2 the outputs of layers 1 and 2 before their
+        rectifiers: ``x[0]`` takes the stacked dL/d(out), then layer 1's
+        input; ``x[1]`` dL/dh2; ``x[2]`` the inputs of layers 3 and 2,
+        then dL/dh1.  A layer's input gradient is the layer run on its
+        stacked dL/d(out) with the ``_flipped`` kernel, written into
+        block 0 of the buffer the next gradient reads.
+        """
         p = self.params
         feat, xp1, xp2, xp3 = cache
         h, wd = dout.shape[1:]
+        ws = self._workspace_for((h, wd))
+        r = ws.region
+        x1, x2, x3 = ws.x
         grads: dict[str, np.ndarray] = {}
 
-        grads["conv3_w"] = _conv3x3_weight_grad(dout, xp3)
+        _interior(x1, h, wd)[...] = dout
+        x3[:HIDDEN] = xp3
+        grads["conv3_w"] = _weight_grad(x1[:2, r], x3, wd)
         grads["conv3_b"] = dout.sum(axis=(1, 2))
-        da2 = _conv3x3_input_grad(dout, p["conv3_w"])
+        dh2 = x2[:HIDDEN, r]
+        scratch = x2[HIDDEN : 2 * HIDDEN, r]
+        _conv_layer(x1, _rows(_flipped(p["conv3_w"])), (), dh2, scratch, wd, False)
+        _leaky_backward(dh2, xp3[:, r], scratch)
+        _zero_wrapped(dh2, wd)
 
-        dh2 = da2 * _leaky_grad(_interior(xp3, h, wd))
-        grads["conv2_w"] = _conv3x3_weight_grad(dh2, xp2)
-        grads["conv2_b"] = dh2.sum(axis=(1, 2))
-        da1 = _conv3x3_input_grad(dh2, p["conv2_w"])
+        x3[:HIDDEN] = xp2
+        grads["conv2_w"] = _weight_grad(dh2, x3, wd)
+        # bias gradients sum a contiguous copy: a strided (C, H, W) sum adds in another order once H*W > 8192
+        grads["conv2_b"] = np.ascontiguousarray(_interior(x2, h, wd)).sum(axis=(1, 2))
+        dh1 = x3[:HIDDEN, r]
+        scratch = x3[HIDDEN : 2 * HIDDEN, r]
+        _conv_layer(x2, _rows(_flipped(p["conv2_w"])), (), dh1, scratch, wd, False)
+        _leaky_backward(dh1, xp2[:, r], scratch)
+        _zero_wrapped(dh1, wd)
 
-        dh1 = da1 * _leaky_grad(_interior(xp2, h, wd))
-        grads["time_w"] = np.outer(dh1.sum(axis=(1, 2)), feat)
-        grads["conv1_w"] = _conv3x3_weight_grad(dh1, xp1)
-        grads["conv1_b"] = dh1.sum(axis=(1, 2))
+        db1 = np.ascontiguousarray(_interior(x3, h, wd)).sum(axis=(1, 2))
+        grads["time_w"] = np.outer(db1, feat)
+        x1[:2] = xp1
+        grads["conv1_w"] = _weight_grad(dh1, x1, wd)
+        grads["conv1_b"] = db1
         return grads
 
     def recover(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        """Clean-image estimate from x_t, computed in a workspace the model keeps for the last image shape.
+        """Clean-image estimate from x_t, computed in the model's workspace.
 
-        The workspace makes this method non-reentrant: one model must not
-        recover on two threads at once.
+        The workspace makes this method, ``forward`` and ``backward``
+        non-reentrant: one model must not run them on two threads at once.
         """
         x_t = as_image(x_t)
-        ws = self._workspace
-        if ws is None or ws.shape != x_t.shape:
-            ws = self._workspace = _Workspace(*x_t.shape)
-        planes = _interior(ws.xp[0], *ws.shape)
+        ws = self._workspace_for(x_t.shape)
+        planes = _interior(ws.x[0], *ws.shape)
         planes[0] = x_t.real
         planes[1] = x_t.imag
         return _channels_to_complex(self._layers(ws, time_features(t, self.t_f)))
@@ -309,26 +366,6 @@ def _loss_residual(estimate: np.ndarray, x0: np.ndarray, keep: np.ndarray | None
     if mode == "weighted":
         residual = idft2(apply_mask(dft2(residual), keep))
     return residual, _energy(residual)
-
-
-def bridge_loss(operator, images, trajectories, steps, mode: str = "upper_bound") -> float:
-    """Monte-Carlo recovery loss over (image, trajectory, step) draws.
-
-    weighted: mean of ||C_t (G(x_t, t) - x_0)||^2; upper_bound drops the
-    corruption operator and upper-bounds the weighted form pathwise.
-    """
-    if mode not in LOSS_MODES:
-        raise ConfigError(f"loss mode must be one of {LOSS_MODES}, got {mode!r}")
-    images = list(images)
-    if not images:
-        raise ValueError("empty batch")
-    total = 0.0
-    for x0, traj, t in zip(images, trajectories, steps):
-        x0 = as_image(x0)
-        x_t = corrupt(x0, traj, t)
-        _, energy = _loss_residual(operator.recover(x_t, t), x0, traj.keep_mask(t), mode)
-        total += energy
-    return total / len(images)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
-from fdbridge.degradation import ProcessConfig, sample_trajectory
+from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, TrainingError
 from fdbridge.fileio import read_csv
-from fdbridge.grid import radius_map
+from fdbridge.grid import as_image, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
 from fdbridge.recovery import (
+    LOSS_MODES,
     OracleRecovery,
     TinyRegressor,
     TrainConfig,
     ZeroFillRecovery,
-    _conv3x3,
-    _conv3x3_input_grad,
-    _conv3x3_weight_grad,
-    _leaky_grad,
-    bridge_loss,
+    _conv_layer,
+    _flipped,
+    _interior,
+    _leaky_backward,
+    _loss_residual,
+    _rows,
+    _stacked,
+    _weight_grad,
     load_checkpoint,
     save_checkpoint,
     save_loss_trace,
@@ -25,6 +29,26 @@ from fdbridge.recovery import (
 
 from conftest import rand_image
 from gradcheck import grad_check
+
+
+def bridge_loss(operator, images, trajectories, steps, mode: str = "upper_bound") -> float:
+    """Monte-Carlo recovery loss over (image, trajectory, step) draws, through training's residual.
+
+    weighted: mean of ||C_t (G(x_t, t) - x_0)||^2; upper_bound drops the
+    corruption operator and upper-bounds the weighted form pathwise.
+    """
+    if mode not in LOSS_MODES:
+        raise ConfigError(f"loss mode must be one of {LOSS_MODES}, got {mode!r}")
+    images = list(images)
+    if not images:
+        raise ValueError("empty batch")
+    total = 0.0
+    for x0, traj, t in zip(images, trajectories, steps):
+        x0 = as_image(x0)
+        x_t = corrupt(x0, traj, t)
+        _, energy = _loss_residual(operator.recover(x_t, t), x0, traj.keep_mask(t), mode)
+        total += energy
+    return total / len(images)
 
 
 class ZeroMapRecovery:
@@ -158,21 +182,46 @@ def _border_impulses(c, h, wd):
         yield x
 
 
+def _conv3x3(x, w, b):
+    """3x3 zero-padded cross-correlation of (C, H, W) ``x`` through ``_conv_layer``; returns (out, stacked input)."""
+    cin, h, wd = x.shape
+    xs = _stacked(cin, h, wd)
+    _interior(xs, h, wd)[...] = x
+    out = np.empty((w.shape[0], h * (wd + 2)))
+    _conv_layer(xs, _rows(w), () if b is None else (b,), out, np.empty_like(out), wd, rectify=False)
+    return np.ascontiguousarray(out.reshape(w.shape[0], h, wd + 2)[:, :, :wd]), xs
+
+
+def _conv3x3_weight_grad(dout, xs):
+    """dL/dw given dL/d(out) as (C_out, H, W) and the stacked input ``_conv3x3`` returned."""
+    cout, h, wd = dout.shape
+    d = np.zeros((cout, h, wd + 2))  # the uncropped layout; the wrapped columns get no gradient
+    d[:, :, :wd] = dout
+    return _weight_grad(d.reshape(cout, -1), xs, wd)
+
+
+def _conv3x3_input_grad(dout, w):
+    return _conv3x3(dout, _flipped(w), None)[0]
+
+
 class TestConv3x3:
-    """The flat shifted-product conv against a direct loop, on a non-square 5x7 grid.
+    """The stacked three-row conv against a direct loop.
 
     Impulses on the border catch a tap that wraps from the end of one row
-    into the start of the next in the flattened layout.
+    into the start of the next in the flattened layout.  The 1x1, 1x6, 6x1
+    and 2x2 grids are so small that the shifted blocks' tails and the
+    last kernel row's view reach the end of the buffer.
     """
 
-    H, W = 5, 7
+    SHAPES = [(5, 7), (1, 1), (1, 6), (6, 1), (2, 2)]
     TOL = 1e-12
 
-    def _cases(self, cin, cout):
+    @staticmethod
+    def _cases(cin, cout, h, wd):
         rng = np.random.default_rng(cin * 100 + cout)
         w = rng.standard_normal((cout, cin, 3, 3))
-        inputs = list(_border_impulses(cin, self.H, self.W)) + [rng.standard_normal((cin, self.H, self.W))]
-        grads = list(_border_impulses(cout, self.H, self.W)) + [rng.standard_normal((cout, self.H, self.W))]
+        inputs = list(_border_impulses(cin, h, wd)) + [rng.standard_normal((cin, h, wd))]
+        grads = list(_border_impulses(cout, h, wd)) + [rng.standard_normal((cout, h, wd))]
         return w, inputs, grads
 
     def _close(self, got, ref):
@@ -181,21 +230,23 @@ class TestConv3x3:
 
     @pytest.mark.parametrize("cin,cout", [(2, 16), (16, 16), (16, 2)])
     def test_forward_matches_direct_loop(self, cin, cout):
-        w, inputs, _ = self._cases(cin, cout)
         b = np.arange(cout, dtype=float)
-        for x in inputs:
-            out, _ = _conv3x3(x, w, b)
-            self._close(out, _conv_reference(x, w) + b[:, None, None])
+        for shape in self.SHAPES:
+            w, inputs, _ = self._cases(cin, cout, *shape)
+            for x in inputs:
+                out, _ = _conv3x3(x, w, b)
+                self._close(out, _conv_reference(x, w) + b[:, None, None])
 
     @pytest.mark.parametrize("cin,cout", [(2, 16), (16, 16), (16, 2)])
     def test_gradients_match_direct_loop(self, cin, cout):
-        w, inputs, grads = self._cases(cin, cout)
-        for x in inputs[:: len(inputs) - 1]:  # a corner impulse and the dense input
-            _, xp = _conv3x3(x, w, None)
-            for dout in grads:
-                dx_ref, dw_ref = _conv_grads_reference(x, w, dout)
-                self._close(_conv3x3_input_grad(dout, w), dx_ref)
-                self._close(_conv3x3_weight_grad(dout, xp), dw_ref)
+        for shape in self.SHAPES:
+            w, inputs, grads = self._cases(cin, cout, *shape)
+            for x in inputs[:: len(inputs) - 1]:  # a corner impulse and the dense input
+                _, xp = _conv3x3(x, w, None)
+                for dout in grads:
+                    dx_ref, dw_ref = _conv_grads_reference(x, w, dout)
+                    self._close(_conv3x3_input_grad(dout, w), dx_ref)
+                    self._close(_conv3x3_weight_grad(dout, xp), dw_ref)
 
 
 def _forward_oracle(model, chan, t):
@@ -234,10 +285,14 @@ class TestLayerWorkspace:
     """forward, backward and recover equal the layer-by-layer oracle bit for bit.
 
     The shapes include non-square and odd ones, where a wrapped column
-    left unzeroed in a padded buffer would leak into the next row.
+    left unzeroed in a padded buffer would leak into the next row, grids
+    of one or two rows or columns, where the last kernel row's view ends
+    at the end of the buffer, and 100x90, where a bias gradient summed
+    over a strided view of more than 8192 pixels would add in another
+    order.
     """
 
-    SHAPES = [(64, 64), (24, 40), (33, 31), (5, 7)]
+    SHAPES = [(64, 64), (24, 40), (33, 31), (5, 7), (1, 1), (1, 6), (6, 1), (2, 2), (100, 90)]
 
     @staticmethod
     def _model():
@@ -261,9 +316,12 @@ class TestLayerWorkspace:
             assert grads[name].tobytes() == ref.tobytes(), name
 
     def test_leaky_grad_from_activations_matches_pre_activations(self):
-        h = np.array([-2.0, -1e-320, -0.0, 0.0, 1e-320, 3.0, np.inf, -np.inf])
+        h = np.array([-2.0, -1e-320, -0.0, 0.0, 1e-320, 3.0, np.inf, -np.inf, np.nan])
         a = np.maximum(h, 0.1 * h)
-        assert _leaky_grad(a).tobytes() == np.where(h > 0, 1.0, 0.1).tobytes()
+        d = np.random.default_rng(5).standard_normal(h.shape)
+        got = d.copy()
+        _leaky_backward(got, a, np.empty_like(d))
+        assert got.tobytes() == (d * np.where(h > 0, 1.0, 0.1)).tobytes()
         assert a.tobytes() == np.where(h > 0, h, 0.1 * h).tobytes()
 
     def test_recover_matches_forward_across_alternating_shapes(self):
@@ -280,6 +338,27 @@ class TestLayerWorkspace:
         for first, second in results.values():
             assert not np.shares_memory(first, second)
             assert first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("later", [(24, 40), (33, 31)])
+    def test_forward_cache_survives_later_calls(self, later):
+        """forward and backward share the model's workspace with recover: a cache holds copies, not views."""
+        model = self._model()
+        x = rand_image(24, 40, seed=14)
+        chan = np.stack([x.real, x.imag])
+        dout = np.stack([rand_image(24, 40, seed=15).real, rand_image(24, 40, seed=16).imag])
+        _, cache = model.forward(chan, 5)
+        for a in cache:
+            for buf in model._workspace.x:
+                assert not np.shares_memory(a, buf)
+        _, fresh = model.forward(chan, 5)
+        expected = model.backward(fresh, dout)  # right after its forward, which reran the first one
+        y = rand_image(*later, seed=17)
+        model.forward(np.stack([y.imag, y.real]), 9)
+        model.recover(y, 11)
+        model.forward(np.stack([y.real, y.imag]), 12)
+        grads = model.backward(cache, dout)
+        for name, ref in expected.items():
+            assert grads[name].tobytes() == ref.tobytes(), name
 
     def test_recover_validates_its_input(self):
         with pytest.raises(ValueError, match="non-finite"):

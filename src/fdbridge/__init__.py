@@ -2,10 +2,8 @@
 
 from .correction import (
     CorrectionSchedule,
-    constant_weights,
     estimate_weights,
     linear_weights,
-    power_law_weights,
     resample_weights,
 )
 from .degradation import (

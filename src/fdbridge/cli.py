@@ -33,6 +33,7 @@ from .errors import ConfigError
 from .fileio import read_cimg, read_json, write_cimg, write_csv, write_json, write_kmsk
 from .grid import KSpaceGrid
 from .imaging import (
+    MASK_DENSITIES,
     ImagingSystem,
     adjoint,
     default_calib,
@@ -513,12 +514,17 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
-def _add_measurement_flags(p: _Parser) -> None:
-    p.add_argument("--image", help="reference CIMG1 image (default: a generated held-out phantom)")
+def _add_acquisition_flags(p: _Parser) -> None:
+    """The simulated acquisition's flags, read by ``_acquire``."""
     p.add_argument("--coils", type=int, default=1)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--mask-density", choices=("normal2d", "normal1d", "uniform"), default="normal2d")
+    p.add_argument("--mask-density", choices=MASK_DENSITIES, default="normal2d")
     p.add_argument("--calib", type=int, default=None, help="side of the fully kept central block")
+
+
+def _add_measurement_flags(p: _Parser) -> None:
+    p.add_argument("--image", help="reference CIMG1 image (default: a generated held-out phantom)")
+    _add_acquisition_flags(p)
     p.add_argument("--checkpoint", help="trained recovery checkpoint")
     p.add_argument(
         "--recovery",
@@ -538,7 +544,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mask", help="generate sampling masks")
     _add_common(p)
-    p.add_argument("--density", choices=("normal2d", "normal1d", "uniform"), default="normal2d")
+    p.add_argument("--density", choices=MASK_DENSITIES, default="normal2d")
     p.add_argument("--calib", type=int, default=None)
     p.add_argument("--count", type=int, default=1)
 
@@ -580,10 +586,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--eval-count", type=int, default=5)
     p.add_argument("--mc-samples", type=int, default=1000)
-    p.add_argument("--coils", type=int, default=1)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--mask-density", choices=("normal2d", "normal1d", "uniform"), default="normal2d")
-    p.add_argument("--calib", type=int, default=None)
+    _add_acquisition_flags(p)
 
     p = sub.add_parser("metrics", help="PSNR/SSIM between reference and test images")
     _add_common(p)

@@ -7,8 +7,7 @@ sets are disjoint, the same ratio equals
 E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2.  The weights come from this
 difference form, a ratio of sums of non-negative terms; the
 energy-balance form subtracts nearly equal energies and serves only as a
-cross-check.  Closed forms for inverse-power-law spectra and a linear
-ablation schedule are also provided.
+cross-check.  A linear ablation schedule is also provided.
 """
 
 from __future__ import annotations
@@ -21,16 +20,16 @@ import numpy as np
 
 from .degradation import ProcessConfig, sample_trajectory
 from .errors import ConfigError, ScheduleError
-from .fileio import write_csv, write_json
+from .fileio import read_csv, read_json, write_csv, write_json
 from .grid import KSpaceGrid, as_image, dft2
 from .rng import child_seed
 
-PROVENANCES = ("monte_carlo", "power_law", "linear", "constant")
+PROVENANCES = ("monte_carlo", "linear", "constant")
 
 
 @dataclass
 class CorrectionSchedule:
-    """Weights w_t for t = 1..t_f, all in [0, 1], with w_1 = 1 for learned/closed forms."""
+    """Weights w_t for t = 1..t_f, all in [0, 1], with w_1 = 1 for learned and linear schedules."""
 
     t_f: int
     weights: np.ndarray
@@ -46,12 +45,12 @@ class CorrectionSchedule:
             raise ValueError(f"schedule must hold {self.t_f} weights, got {self.weights.shape}")
         if np.any(self.weights < 0) or np.any(self.weights > 1):
             raise ValueError("weights must lie in [0, 1]")
-        if self.provenance in ("monte_carlo", "power_law"):
+        if self.provenance == "monte_carlo":
             rises = np.diff(self.weights)
             worst = float(rises.max(initial=0.0))
             if worst > 1e-3:
                 warnings.warn(
-                    f"{self.provenance} schedule is non-monotone by {worst:.3g} "
+                    f"monte_carlo schedule is non-monotone by {worst:.3g} "
                     "(beyond sampling-noise tolerance)",
                     stacklevel=2,
                 )
@@ -133,23 +132,6 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     )
 
 
-def power_law_weights(t_f: int, k: float) -> CorrectionSchedule:
-    """Closed form for spectra whose energy decays as 1/r^k.
-
-    w_t = (T - t + 1)^-k / sum_{i = T-t+1}^{T} i^-k; k = 0 reduces to 1/t.
-    """
-    if t_f < 1:
-        raise ConfigError(f"T must be >= 1, got {t_f}")
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
-    inv = np.arange(1, t_f + 1, dtype=np.float64) ** (-float(k))
-    weights = np.empty(t_f)
-    for t in range(1, t_f + 1):
-        lead = t_f - t + 1
-        weights[t - 1] = inv[lead - 1] / inv[lead - 1 : t_f].sum()
-    return CorrectionSchedule(t_f=t_f, weights=weights, provenance="power_law")
-
-
 def linear_weights(t_f: int) -> CorrectionSchedule:
     """Ablation schedule: 1 at t=1 falling linearly to 0 at t=T."""
     if t_f < 1:
@@ -160,12 +142,6 @@ def linear_weights(t_f: int) -> CorrectionSchedule:
         t = np.arange(1, t_f + 1, dtype=np.float64)
         weights = 1.0 - (t - 1.0) / (t_f - 1.0)
     return CorrectionSchedule(t_f=t_f, weights=weights, provenance="linear")
-
-
-def constant_weights(t_f: int, value: float = 0.0) -> CorrectionSchedule:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"constant weight must be in [0, 1], got {value}")
-    return CorrectionSchedule(t_f=t_f, weights=np.full(t_f, value), provenance="constant")
 
 
 def resample_weights(schedule: CorrectionSchedule | np.ndarray, t_r: int) -> np.ndarray:
@@ -209,11 +185,12 @@ def save_schedule(out_dir, schedule: CorrectionSchedule, r_prime: float, seed: i
 
 
 def load_schedule(csv_path, meta_path=None) -> CorrectionSchedule:
-    from .fileio import read_csv, read_json
-
     header, rows = read_csv(csv_path)
     if header[:2] != ["t", "w"]:
         raise ValueError(f"{csv_path}: expected header t,w")
+    for i, row in enumerate(rows, start=1):
+        if row[0] != str(i):
+            raise ValueError(f"{csv_path}: row {i} has t={row[0]}, expected t={i}")
     weights = np.array([float(r[1]) for r in rows])
     provenance = "constant"
     mc_samples = 0

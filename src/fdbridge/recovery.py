@@ -241,10 +241,6 @@ class TinyRegressor:
                 rng = substream(self.seed, "init", name)
                 self.params[name] = rng.uniform(-limit, limit, size=shape)
 
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def flat_params(self) -> np.ndarray:
         return np.concatenate([self.params[n].ravel() for n in PARAM_ORDER])
 

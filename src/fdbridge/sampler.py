@@ -3,9 +3,11 @@
 The standard reverse step imputes the frequency components removed at
 forward step t from the operator's clean-image estimate; the corrected
 step additionally blends previously recovered components between the
-estimate and the current iterate with weight w_t (soft dealiasing).  The
-driver starts from the least-squares reconstruction, runs T_r corrected
-steps interleaved with data-consistency projections, and records per-step
+estimate and the current iterate with weight w_t (soft dealiasing); a
+zero weight is the standard step.  The driver starts from the
+least-squares reconstruction of a measurement, draws a T_r-step
+trajectory from the bridge's process, runs T_r corrected steps
+interleaved with data-consistency projections, and records per-step
 diagnostics.  A DDPM baseline with the same driver structure is included
 for comparison runs.
 """
@@ -68,11 +70,10 @@ def reverse_step(
     traj: DegradationTrajectory,
     x0_est: np.ndarray,
     weight: float = 0.0,
-    corrected: bool = False,
 ) -> np.ndarray:
     """One reverse step from t to t-1.
 
-    standard: x_{t-1} = x_t + (C_{t-1} - C_t) x0_est;
+    standard (weight 0): x_{t-1} = x_t + (C_{t-1} - C_t) x0_est;
     corrected adds weight * C_t (x0_est - x_t).  All operator applications
     go through DFT, mask, inverse DFT; the corrected step transforms
     x0_est and x_t in one stacked call, and the update stays in FFT-native
@@ -84,7 +85,7 @@ def reverse_step(
         raise TrajectoryError(f"step {t} exceeds trajectory length {traj.t_total}")
     x_t = as_image(x_t)
     x0_est = as_image(x0_est)
-    both = corrected and weight != 0.0
+    both = weight != 0.0
     spec = dft2(to_native(np.stack([x0_est, x_t]) if both else x0_est), native=True)
     est_spec = spec[0] if both else spec
     update = np.where(to_native(traj.removed_mask(t)), est_spec, 0.0)
@@ -117,62 +118,41 @@ class ReconstructionResult:
 
 
 def reconstruct(
-    y: Measurement | np.ndarray | None,
-    system: ImagingSystem | None,
+    y: Measurement | np.ndarray,
+    system: ImagingSystem,
     operator,
-    traj_source: DegradationTrajectory | ProcessConfig,
+    process: ProcessConfig,
     schedule: CorrectionSchedule | None,
     cfg: SamplerConfig,
-    x_start: np.ndarray | None = None,
     reference: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Full reverse-sampling driver.
 
-    Initializes at the least-squares reconstruction (or ``x_start``),
-    resamples the correction schedule to T_r steps, and per step estimates
-    the clean image, applies the corrected reverse step, then (optionally)
-    the data-consistency projection.  ``traj_source`` is a stored
-    trajectory (must be pre-extended to T_r) or a process config.  From a
-    process config, ct_mode "fixed" draws the process's own trajectory of
-    T_r steps, so every call with that process walks the same one;
-    "independent" draws a fresh one from ``cfg.seed``.
+    Initializes at the least-squares reconstruction of ``y``, resamples
+    the correction schedule to T_r steps, and per step estimates the
+    clean image, applies the corrected reverse step, then (optionally)
+    the data-consistency projection.  The trajectory of T_r steps is
+    drawn from ``process``, whose T_f and R' must be the sampler's: ct_mode
+    "fixed" draws the process's own trajectory, so every call with that
+    process walks the same one; "independent" draws a fresh one from
+    ``cfg.seed``.
     """
+    for name, ours, theirs in (("T_f", cfg.t_f, process.t_f), ("R_prime", cfg.r_prime, process.r_prime)):
+        if ours != theirs:
+            raise ConfigError(f"sampler {name}={ours} differs from its process's {name}={theirs}")
     t_r = reconstruction_steps(cfg.t_f, cfg.r, cfg.r_prime)
     if t_r < 1:
         raise ConfigError(f"T_r={t_r}; R={cfg.r} leaves nothing to reconstruct")
     weights = _resolve_schedule(cfg, schedule, t_r)
 
-    if x_start is not None:
-        x = as_image(x_start).copy()
-    else:
-        if y is None or system is None:
-            raise ConfigError("reconstruction needs measurements or an explicit x_start")
-        x = adjoint(system, y)
-    if cfg.dc_every_step and (y is None or system is None):
-        raise ConfigError("dc_every_step requires measurements and an imaging system")
+    x = adjoint(system, y)
+    traj_seed = process.seed if cfg.ct_mode == "fixed" else child_seed(cfg.seed, "test-trajectory")
+    traj = sample_trajectory(KSpaceGrid(*x.shape), replace(process, seed=traj_seed), t_total=t_r)
 
-    traj_seed = None
-    if isinstance(traj_source, DegradationTrajectory):
-        traj = traj_source
-        if traj.t_total < t_r:
-            raise TrajectoryError(
-                f"fixed trajectory has {traj.t_total} steps but T_r={t_r}; pre-extend it"
-            )
-    elif isinstance(traj_source, ProcessConfig):
-        if cfg.ct_mode == "fixed":
-            traj_seed = traj_source.seed
-        else:
-            traj_seed = child_seed(cfg.seed, "test-trajectory")
-        traj = sample_trajectory(KSpaceGrid(*x.shape), replace(traj_source, seed=traj_seed), t_total=t_r)
-    else:
-        raise ConfigError(f"unsupported trajectory source: {type(traj_source).__name__}")
-
-    corrected = cfg.correction != "none"
     diagnostics: list[tuple] = []
-
     for t in range(t_r, 0, -1):
         x0_est = operator.recover(x, t)
-        x = reverse_step(x, t, traj, x0_est, weight=float(weights[t - 1]), corrected=corrected)
+        x = reverse_step(x, t, traj, x0_est, weight=float(weights[t - 1]))
         x = _finish_step(x, t, system, y, cfg.dc_every_step, reference, diagnostics)
 
     return ReconstructionResult(
@@ -184,10 +164,8 @@ def _finish_step(x, t: int, system, y, dc: bool, reference, diagnostics: list) -
     """Tail of reverse step t: data consistency (or only its residual), finiteness, diagnostics row."""
     if dc:
         x, res = dc_projection(system, x, y)
-    elif y is not None and system is not None:
-        res = residual_norm(system, x, y)
     else:
-        res = float("nan")
+        res = residual_norm(system, x, y)
     if not np.all(np.isfinite(x)):
         raise SamplingError(f"non-finite iterate at step {t}")
     quality = psnr(reference, x) if reference is not None else float("nan")

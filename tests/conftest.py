@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdbridge.correction import CorrectionSchedule
 from fdbridge.grid import KSpaceGrid
 from fdbridge.imaging import ImagingSystem
 
@@ -16,6 +17,11 @@ def unit_system(mask):
     return ImagingSystem(
         mask=mask, coil_maps=np.ones((1, h, w), dtype=complex), grid=KSpaceGrid(h, w)
     )
+
+
+def constant_schedule(t_f, value):
+    """A fixed schedule of ``t_f`` equal weights, as ``load_schedule`` reads a CSV without metadata."""
+    return CorrectionSchedule(t_f=t_f, weights=np.full(t_f, value), provenance="constant")
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from fdbridge.grid import dft2, radius_map
 from fdbridge.imaging import apply_forward, dc_projection, make_sampling_mask
 from fdbridge.rng import child_seed
 
-from conftest import rand_image, unit_system
+from conftest import constant_schedule, rand_image, unit_system
 from gradcheck import grad_check
 
 
@@ -29,19 +29,22 @@ def _report(number: int, name: str, elapsed: float) -> None:
 def test_criterion_1_oracle_round_trip():
     started = time.monotonic()
     grid = radius_map(64, 64)
-    sched = fb.constant_weights(64, 0.5)
+    sched = constant_schedule(64, 0.5)
     for i in range(20):
         x0 = fb.make_phantom(fb.PhantomSpec(64, 64, seed=1000 + i))
         proc = fb.ProcessConfig(r_prime=2.0, t_f=64, seed=i)
         traj = fb.sample_trajectory(grid, proc)
-        x_start = fb.corrupt(x0, traj, 64)
+        # measured on the components the process keeps, so the driver starts at C_64 x0
+        system = unit_system(traj.keep_mask(64))
+        y = fb.forward(system, x0)
+        assert np.array_equal(fb.adjoint(system, y), fb.corrupt(x0, traj, 64))
         oracle = fb.OracleRecovery(x0)
         for correction in ("none", "learned"):
             cfg = fb.SamplerConfig(
                 t_f=64, r_prime=2.0, r=2.0, correction=correction,
                 ct_mode="fixed", dc_every_step=False, seed=i,
             )
-            res = fb.reconstruct(None, None, oracle, traj, sched, cfg, x_start=x_start)
+            res = fb.reconstruct(y, system, oracle, proc, sched, cfg)
             rel = np.linalg.norm(res.image - x0) / np.linalg.norm(x0)
             assert rel <= 1e-10, f"phantom {i}, correction={correction}: rel err {rel:.3e}"
     elapsed = time.monotonic() - started
@@ -81,17 +84,12 @@ def test_criterion_3_correction_schedule():
     sched = fb.estimate_weights(images, proc, mc_samples=10_000, seed=42)
     assert abs(sched.weights[0] - 1.0) <= 1e-6, "w_1 must be 1"
 
-    # flat spectra: convergence to the k = 0 closed form 1/t
+    # flat spectra: convergence to 1/t
     flat = np.zeros((32, 32), dtype=complex)
     flat[0, 0] = 1.0
     flat_sched = fb.estimate_weights([flat], proc, mc_samples=10_000, seed=43)
     dev = np.max(np.abs(flat_sched.weights - 1.0 / np.arange(1, 17)))
     assert dev < 0.05, f"flat-spectrum deviation from 1/t: {dev:.3f}"
-
-    # power-law closed forms, exact
-    k0 = fb.power_law_weights(16, 0.0).weights
-    assert np.max(np.abs(k0 - 1.0 / np.arange(1, 17))) <= 1e-12
-    assert abs(fb.power_law_weights(4, 1.0).weights[1] - 4.0 / 7.0) <= 1e-12
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"criterion 3 took {elapsed:.1f}s (budget 60s)"

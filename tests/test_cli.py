@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdbridge.cli import main, validate_config
-from fdbridge.correction import constant_weights, save_schedule
+from fdbridge.correction import save_schedule
 from fdbridge.degradation import ProcessConfig, sample_trajectory
 from fdbridge.errors import ConfigError
 from fdbridge.fileio import read_cimg, read_csv, read_json, read_kmsk, write_cimg
@@ -14,6 +14,8 @@ from fdbridge.grid import radius_map
 from fdbridge.metrics import psnr, ssim
 from fdbridge.recovery import TinyRegressor, load_checkpoint, save_checkpoint
 from fdbridge.rng import child_seed
+
+from conftest import constant_schedule
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -194,13 +196,18 @@ class TestTrainReconstruct:
         "learned_correction_without_schedule",
         "ddpm_train_steps",
         "ddpm_reconstruct_steps",
+        "power_law_schedule",
     ])
     def test_config_error_leaves_out_empty(self, tmp_path, config_path, case):
         image = tmp_path / "image.cimg"
         write_cimg(image, np.ones((48, 48), dtype=np.complex128))  # the config's dims are 32
         checkpoint = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint, TinyRegressor(t_f=4, seed=0))  # the config's T_f is 8
-        save_schedule(tmp_path, constant_weights(8, 0.5), r_prime=2.0, seed=0)
+        save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
+        power_law = tmp_path / "power_law"  # not a schedule provenance
+        save_schedule(power_law, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
+        meta = read_json(power_law / "schedule.json")
+        (power_law / "schedule.json").write_text(json.dumps({**meta, "provenance": "power_law"}))
         argv = {
             "forward_image_shape": ["forward", "--image", str(image)],
             "reconstruct_checkpoint_horizon": ["reconstruct", "--checkpoint", str(checkpoint),
@@ -211,23 +218,34 @@ class TestTrainReconstruct:
             # T <= beta_max = 20 would put beta_T at or above 1
             "ddpm_train_steps": ["train", "--corruption", "ddpm", "--ddpm-steps", "10"],
             "ddpm_reconstruct_steps": ["ddpm-reconstruct", "--ddpm-steps", "10"],
+            "power_law_schedule": ["reconstruct", "--schedule", str(power_law / "schedule.csv")],
         }[case]
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
         assert not [p for p in out.rglob("*") if p.is_file()]
 
     def test_short_schedule_writes_nothing(self, tmp_path, config_path):
-        save_schedule(tmp_path, constant_weights(4, 0.5), r_prime=2.0, seed=0)  # T_f is 8
+        save_schedule(tmp_path, constant_schedule(4, 0.5), r_prime=2.0, seed=0)  # T_f is 8
         out = tmp_path / "r"
         assert run("reconstruct", "--config", config_path, "--out", str(out),
                    "--schedule", str(tmp_path / "schedule.csv")) == 2
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
+    def test_misnumbered_schedule_writes_nothing(self, tmp_path, config_path):
+        save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
+        csv = tmp_path / "schedule.csv"
+        lines = csv.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]  # t = 2, 1, 3, ...
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r"
+        assert run("reconstruct", "--config", config_path, "--out", str(out), "--schedule", str(csv)) == 2
         assert not [p for p in out.rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("command", ["reconstruct", "ddpm-reconstruct"])
     def test_manifest_lists_every_output(self, tmp_path, config_path, command):
         out = tmp_path / "rec"
         if command == "reconstruct":
-            save_schedule(tmp_path, constant_weights(8, 0.5), r_prime=2.0, seed=0)
+            save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
             extra = ["--schedule", str(tmp_path / "schedule.csv")]
         else:
             extra = ["--ddpm-steps", "30"]
@@ -236,7 +254,13 @@ class TestTrainReconstruct:
         on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
         on_disk.remove("run_manifest.json")
         assert "measurement/sens_01.cimg" in on_disk
-        assert read_json(out / "run_manifest.json")["outputs"] == on_disk
+        manifest = read_json(out / "run_manifest.json")
+        assert manifest["outputs"] == on_disk
+        # replay reads these keys back as flags
+        assert sorted(manifest["flags"]) == sorted([
+            "image", "coils", "noise_sigma", "mask_density", "calib", "checkpoint", "recovery",
+            "schedule" if command == "reconstruct" else "ddpm_steps",
+        ])
 
     def test_ddpm_reconstruct_smoke(self, tmp_path, config_path):
         out = tmp_path / "drec"
@@ -260,6 +284,10 @@ class TestAblate:
         ]
         for row in rows:
             assert np.isfinite(float(row[1])) and np.isfinite(float(row[3]))
+        flags = read_json(out / "run_manifest.json")["flags"]
+        assert sorted(flags) == sorted(
+            ["eval_count", "mc_samples", "coils", "noise_sigma", "mask_density", "calib"]
+        )
 
 
 class TestMetrics:

@@ -1,15 +1,14 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from fdbridge.correction import (
     CorrectionSchedule,
-    constant_weights,
     estimate_weights,
     linear_weights,
     load_schedule,
-    power_law_weights,
     resample_weights,
     save_schedule,
 )
@@ -17,6 +16,8 @@ from fdbridge.degradation import ProcessConfig, sample_trajectory
 from fdbridge.errors import ScheduleError
 from fdbridge.grid import dft2, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
+
+from conftest import constant_schedule
 
 
 def flat_spectrum_image(dims: int) -> np.ndarray:
@@ -135,39 +136,15 @@ class TestEstimateWeights:
         assert np.all(np.diff(gamma) <= 1e-12)
 
 
-class TestPowerLawWeights:
-    def test_k_zero_is_reciprocal_t(self):
-        sched = power_law_weights(16, 0.0)
-        assert np.allclose(sched.weights, 1.0 / np.arange(1, 17), rtol=0, atol=1e-12)
-
-    def test_quoted_example_exact(self):
-        sched = power_law_weights(4, 1.0)
-        assert abs(sched.weights[1] - 4.0 / 7.0) <= 1e-12
-
-    def test_first_weight_always_one(self):
-        for k in (0.0, 0.5, 1.0, 2.0, 3.5):
-            assert power_law_weights(6, k).weights[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_k_zero_monotone(self):
-        w = power_law_weights(32, 0.0).weights
-        assert np.all(np.diff(w) < 0)
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_positive_k_uses_paper_closed_form(self):
-        # the closed form is not monotone for k > 0 (tail-sum domination near
-        # t = T); values are pinned directly against the formula instead
-        t_f, k = 8, 2.0
-        w = power_law_weights(t_f, k).weights
-        for t in range(1, t_f + 1):
-            lead = t_f - t + 1
-            expected = lead ** (-k) / sum(i ** (-k) for i in range(lead, t_f + 1))
-            assert w[t - 1] == pytest.approx(expected, rel=1e-12)
-
-
 def test_non_monotone_schedule_is_reported():
-    # the type invariant's reporting mechanism: rises beyond 1e-3 warn
-    with pytest.warns(UserWarning, match="non-monotone"):
-        power_law_weights(8, 2.0)
+    # the type invariant's reporting mechanism: an estimated schedule that rises beyond 1e-3 warns
+    rising = [1.0, 0.5, 0.502, 0.2]
+    with pytest.warns(UserWarning, match="monte_carlo schedule is non-monotone by 0.002"):
+        CorrectionSchedule(4, rising, "monte_carlo")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        CorrectionSchedule(4, [1.0, 0.5, 0.5009, 0.2], "monte_carlo")  # within the tolerance
+        CorrectionSchedule(4, rising, "constant")  # a given schedule is not an estimate
 
 
 class TestLinearWeights:
@@ -203,7 +180,7 @@ class TestResampleWeights:
 
 
 def test_schedule_csv_round_trip(tmp_path):
-    sched = constant_weights(6, 0.75)
+    sched = constant_schedule(6, 0.75)
     save_schedule(tmp_path, sched, r_prime=2.0, seed=5)
     loaded = load_schedule(tmp_path / "schedule.csv")
     assert np.array_equal(loaded.weights, sched.weights)
@@ -212,3 +189,11 @@ def test_schedule_csv_round_trip(tmp_path):
     text = (tmp_path / "schedule.csv").read_text().splitlines()
     assert text[0] == "t,w"
     assert text[1].startswith("1,")
+
+
+@pytest.mark.parametrize("ts,bad_row", [((2, 1, 4), 1), ((1, 2, 4), 3), ((1, 1, 2), 2)])
+def test_schedule_csv_steps_must_count_from_one(tmp_path, ts, bad_row):
+    path = tmp_path / "schedule.csv"
+    path.write_text("t,w\n" + "".join(f"{t},0.5\n" for t in ts))
+    with pytest.raises(ValueError, match=f"row {bad_row} has t={ts[bad_row - 1]}, expected t={bad_row}"):
+        load_schedule(path)

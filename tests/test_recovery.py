@@ -125,7 +125,7 @@ class TestTinyRegressor:
         model = TinyRegressor(t_f=64, seed=0)
         # conv stacks 2->16->16->2 with 3x3 kernels, biases, and the 16x8 time projection
         expected = (16 * 2 * 9 + 16) + 16 * 8 + (16 * 16 * 9 + 16) + (2 * 16 * 9 + 2)
-        assert model.n_params == expected
+        assert model.flat_params().size == expected
 
     def test_shape_preserving_and_deterministic(self):
         model = TinyRegressor(t_f=32, seed=1)
@@ -430,7 +430,7 @@ class TestTrain:
     def test_non_finite_loss_aborts_with_diagnostic(self):
         images, cfg, _, _ = _toy_setup()
         model = TinyRegressor(t_f=8, seed=8)
-        model.set_flat_params(np.full(model.n_params, 1e200))
+        model.set_flat_params(np.full(model.flat_params().size, 1e200))
         with pytest.raises(TrainingError, match="learning rate"):
             train(model, images, cfg, TrainConfig(learning_rate=0.01, epochs=1, batch=2, seed=0))
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fdbridge.correction import constant_weights, power_law_weights
+from fdbridge.correction import linear_weights, resample_weights
 from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
-from fdbridge.errors import ConfigError, ScheduleError, TrajectoryError
+from fdbridge.errors import ConfigError, ScheduleError
 from fdbridge.grid import dft2, idft2, radius_map
-from fdbridge.imaging import adjoint, forward, make_sampling_mask, residual_norm
+from fdbridge.imaging import adjoint, dc_projection, forward, make_sampling_mask, residual_norm
 from fdbridge.metrics import psnr
 from fdbridge.phantoms import PhantomSpec, make_phantom
 from fdbridge.recovery import OracleRecovery, ZeroFillRecovery
@@ -20,7 +20,7 @@ from fdbridge.sampler import (
     reverse_step,
 )
 
-from conftest import rand_image, unit_system
+from conftest import constant_schedule, rand_image, unit_system
 
 
 class TestReconstructionSteps:
@@ -52,10 +52,14 @@ def _matched_setup(dims=32, t_f=8, seed=0):
 
 
 def _three_transform_reverse_step(x_t, t, traj, x0_est, weight, corrected):
-    """Oracle: the reverse step with one centered DFT per image and centered masks."""
+    """Oracle: the reverse step with one centered DFT per image and centered masks.
+
+    ``corrected=False`` is the standard step; ``True`` adds the correction
+    term, even at weight 0.
+    """
     est_spec = dft2(x0_est)
     update = np.where(traj.removed_mask(t), est_spec, 0.0)
-    if corrected and weight != 0.0:
+    if corrected:
         update = update + weight * np.where(traj.keep_mask(t), est_spec - dft2(x_t), 0.0)
     return x_t + idft2(update)
 
@@ -65,7 +69,7 @@ class TestReverseStep:
         _, _, traj, x0 = _matched_setup()
         for t in (1, 4, 8):
             x_t = corrupt(x0, traj, t)
-            out = reverse_step(x_t, t, traj, x0, corrected=False)
+            out = reverse_step(x_t, t, traj, x0)
             expected = corrupt(x0, traj, t - 1)
             assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(x0)
 
@@ -73,37 +77,30 @@ class TestReverseStep:
         _, _, traj, x0 = _matched_setup(seed=1)
         for t in (2, 6):
             x_t = corrupt(x0, traj, t)
-            plain = reverse_step(x_t, t, traj, x0, corrected=False)
-            corr = reverse_step(x_t, t, traj, x0, weight=0.8, corrected=True)
+            plain = reverse_step(x_t, t, traj, x0)
+            corr = reverse_step(x_t, t, traj, x0, weight=0.8)
             assert np.linalg.norm(corr - plain) <= 1e-12 * np.linalg.norm(x0)
-
-    def test_zero_weight_bitwise_equal(self):
-        _, _, traj, x0 = _matched_setup(seed=2)
-        x_t = rand_image(32, 32, seed=3)
-        est = rand_image(32, 32, seed=4)
-        a = reverse_step(x_t, 5, traj, est, weight=0.0, corrected=True)
-        b = reverse_step(x_t, 5, traj, est, weight=0.0, corrected=False)
-        assert np.array_equal(a, b)
 
     def test_uncorrected_update_only_touches_step_set(self):
         _, _, traj, x0 = _matched_setup(seed=5)
         x_t = rand_image(32, 32, seed=6)
         est = rand_image(32, 32, seed=7)
         t = 4
-        out = reverse_step(x_t, t, traj, est, corrected=False)
+        out = reverse_step(x_t, t, traj, est)
         delta_spec = dft2(out) - dft2(x_t)
         step_set = traj.keep_mask(t - 1) & ~traj.keep_mask(t)
         assert np.max(np.abs(delta_spec[~step_set])) <= 1e-12 * np.linalg.norm(est)
 
     @pytest.mark.parametrize("shape", [(64, 64), (33, 31)])
-    @pytest.mark.parametrize("weight,corrected", [(0.37, True), (0.0, True), (0.37, False)])
+    # weight 0 is the standard step, and has the bits of the corrected form at weight 0
+    @pytest.mark.parametrize("weight,corrected", [(0.37, True), (0.0, True), (0.0, False)])
     def test_matches_three_transform_form(self, shape, weight, corrected):
         grid = radius_map(*shape)
         traj = sample_trajectory(grid, ProcessConfig(r_prime=2.0, t_f=16, seed=9), t_total=24)
         x_t = rand_image(*shape, seed=10)
         est = rand_image(*shape, seed=11)
         for t in (1, 9, 24):
-            got = reverse_step(x_t, t, traj, est, weight=weight, corrected=corrected)
+            got = reverse_step(x_t, t, traj, est, weight=weight)
             ref = _three_transform_reverse_step(x_t, t, traj, est, weight, corrected)
             assert got.tobytes() == ref.tobytes()
 
@@ -113,21 +110,30 @@ class TestReverseStep:
             reverse_step(x0, 0, traj, x0)
 
 
+class _NeverCalled:
+    def recover(self, x, t):
+        raise AssertionError("reconstruct sampled before rejecting its config")
+
+
 class TestReconstruct:
     def test_oracle_round_trip_both_modes(self):
+        # measured on the components the process keeps, the driver starts at C_{T_f} x0
         _, proc, traj, x0 = _matched_setup(seed=9)
-        x_start = corrupt(x0, traj, proc.t_f)
+        sys_ = unit_system(traj.keep_mask(proc.t_f))
+        y = forward(sys_, x0)
+        assert np.array_equal(adjoint(sys_, y), corrupt(x0, traj, proc.t_f))
         oracle = OracleRecovery(x0)
-        sched = constant_weights(proc.t_f, 0.5)
+        sched = constant_schedule(proc.t_f, 0.5)
         for correction in ("none", "learned"):
-            cfg = SamplerConfig(
-                t_f=proc.t_f, r_prime=2.0, r=2.0, correction=correction,
-                ct_mode="fixed", dc_every_step=False, seed=0,
-            )
-            res = reconstruct(None, None, oracle, traj, sched, cfg, x_start=x_start)
-            rel = np.linalg.norm(res.image - x0) / np.linalg.norm(x0)
-            assert rel <= 1e-10
-            assert res.t_r == proc.t_f
+            for dc in (False, True):
+                cfg = SamplerConfig(
+                    t_f=proc.t_f, r_prime=2.0, r=2.0, correction=correction,
+                    ct_mode="fixed", dc_every_step=dc, seed=0,
+                )
+                res = reconstruct(y, sys_, oracle, proc, sched, cfg)
+                rel = np.linalg.norm(res.image - x0) / np.linalg.norm(x0)
+                assert rel <= 1e-10
+                assert res.t_r == proc.t_f
 
     def test_zero_fill_passthrough_pins_sampled_frequencies(self):
         grid, proc, _, x0 = _matched_setup(seed=10)
@@ -135,7 +141,7 @@ class TestReconstruct:
         sys_ = unit_system(mask)
         y = forward(sys_, x0)
         cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="learned", seed=12)
-        res = reconstruct(y, sys_, ZeroFillRecovery(), proc, constant_weights(proc.t_f, 0.9), cfg)
+        res = reconstruct(y, sys_, ZeroFillRecovery(), proc, constant_schedule(proc.t_f, 0.9), cfg)
         spec = dft2(res.image)
         assert np.max(np.abs(spec[mask] - y.data[0][mask])) <= 1e-12 * np.linalg.norm(y.data)
 
@@ -145,13 +151,11 @@ class TestReconstruct:
         mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=14)
         sys_ = unit_system(mask)
         y = forward(sys_, x0)
-        from fdbridge.imaging import dc_projection
-
         traj = sample_trajectory(grid, proc, t_total=reconstruction_steps(proc.t_f, 4.0, 2.0))
         x = adjoint(sys_, y)
         op = ZeroFillRecovery()
         for t in range(traj.t_total, 0, -1):
-            x = reverse_step(x, t, traj, op.recover(x, t), weight=0.3, corrected=True)
+            x = reverse_step(x, t, traj, op.recover(x, t), weight=0.3)
             x, _ = dc_projection(sys_, x, y)
             spec = dft2(x)
             assert np.max(np.abs(spec[mask] - y.data[0][mask])) <= 1e-12 * np.linalg.norm(y.data)
@@ -188,7 +192,7 @@ class TestReconstruct:
         t_r = reconstruction_steps(proc.t_f, 4.0, 2.0)
         traj = sample_trajectory(grid, proc, t_total=t_r)
         cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="none", ct_mode="fixed", seed=29)
-        res = reconstruct(y, sys_, ZeroFillRecovery(), traj, None, cfg)
+        res = reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg)
         x_start = adjoint(sys_, y)
         first_update = reverse_step(x_start, t_r, traj, ZeroFillRecovery().recover(x_start, t_r))
         assert res.diagnostics[0][1] == pytest.approx(residual_norm(sys_, first_update, y), rel=1e-12)
@@ -196,33 +200,39 @@ class TestReconstruct:
         ddpm = ddpm_reconstruct(y, sys_, ZeroFillRecovery(), ddpm_schedule(30), seed=30)
         assert max(row[1] for row in ddpm.diagnostics) > 1e-12
 
-    def test_fixed_trajectory_must_cover_t_r(self):
-        grid, proc, traj, x0 = _matched_setup(seed=21)
+    @pytest.mark.parametrize("field,t_f,r_prime", [("T_f", 16, 2.0), ("R_prime", 8, 4.0)])
+    def test_sampler_must_match_its_process(self, field, t_f, r_prime):
+        # the process has T_f = 8 and R' = 2; a mismatch stops before the first reverse step
+        grid, proc, _, x0 = _matched_setup(seed=21)
         mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=22)
         sys_ = unit_system(mask)
         y = forward(sys_, x0)
-        cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="none",
-                            ct_mode="fixed", seed=23)
-        with pytest.raises(TrajectoryError, match="pre-extend"):
-            reconstruct(y, sys_, ZeroFillRecovery(), traj, None, cfg)  # length T_f < T_r
+        cfg = SamplerConfig(t_f=t_f, r_prime=r_prime, r=4.0, correction="none", seed=23)
+        with pytest.raises(ConfigError, match=f"sampler {field}="):
+            reconstruct(y, sys_, _NeverCalled(), proc, None, cfg)
 
     def test_fixed_mode_draws_the_process_trajectory(self):
-        # from a process config, "fixed" walks the process's own T_r-step trajectory whatever cfg.seed is
+        # "fixed" walks the process's own T_r-step trajectory whatever cfg.seed is
         grid, proc, _, x0 = _matched_setup(seed=31)
         mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=32)
         sys_ = unit_system(mask)
         y = forward(sys_, x0)
-        stored = sample_trajectory(grid, proc, t_total=reconstruction_steps(proc.t_f, 4.0, 2.0))
         runs = {}
         for mode in ("fixed", "independent"):
             for seed in (33, 34):
                 cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="linear", ct_mode=mode,
                                     seed=seed)
                 runs[mode, seed] = reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg)
-        cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="linear", ct_mode="fixed", seed=0)
-        from_stored = reconstruct(y, sys_, ZeroFillRecovery(), stored, None, cfg)
+        # the driver's loop written out over the stored trajectory
+        t_r = reconstruction_steps(proc.t_f, 4.0, 2.0)
+        stored = sample_trajectory(grid, proc, t_total=t_r)
+        weights = resample_weights(linear_weights(proc.t_f), t_r)
+        x = adjoint(sys_, y)
+        for t in range(t_r, 0, -1):
+            x = reverse_step(x, t, stored, ZeroFillRecovery().recover(x, t), weight=float(weights[t - 1]))
+            x, _ = dc_projection(sys_, x, y)
         for seed in (33, 34):
-            assert np.array_equal(runs["fixed", seed].image, from_stored.image)
+            assert np.array_equal(runs["fixed", seed].image, x)
             assert runs["fixed", seed].trajectory_seed == proc.seed
         assert runs["independent", 33].trajectory_seed != runs["independent", 34].trajectory_seed
         assert not np.array_equal(runs["independent", 33].image, runs["independent", 34].image)

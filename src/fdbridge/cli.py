@@ -216,7 +216,7 @@ def cmd_forward(cfg, args, out: Path) -> list[str]:
     t_total = args.t_total if args.t_total is not None else proc.t_f
     traj = sample_trajectory(grid, proc, t_total=t_total)
     steps = _parse_snapshots(args.snapshots, t_total)
-    manifest = export_trajectory(traj, proc, out, steps)
+    manifest = export_trajectory(traj, out, steps)
     names = ["trajectory.json"] + list(manifest["mask_files"].values())
     if not args.image:
         write_cimg(out / "original.cimg", x0)
@@ -381,7 +381,7 @@ def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
     scfg = _sampler_config(cfg, proc)
     if scfg.correction == "learned" and not args.schedule:
         raise ConfigError("correction='learned' requires --schedule")
-    schedule = load_schedule(args.schedule) if args.schedule else None
+    schedule = load_schedule(args.schedule, proc) if args.schedule else None
 
     def sample(y, system, operator, reference):
         return reconstruct(y, system, operator, proc, schedule, scfg, reference=reference)
@@ -396,7 +396,7 @@ def cmd_ddpm_reconstruct(cfg, args, out: Path) -> list[str]:
     def sample(y, system, operator, reference):
         return ddpm_reconstruct(y, system, operator, schedule, seed=seed, reference=reference)
 
-    return _measure_reconstruct_score(cfg, args, out, schedule.t_steps, sample, "T")
+    return _measure_reconstruct_score(cfg, args, out, schedule.t_f, sample, "T")
 
 
 ABLATION_VARIANTS = (
@@ -571,7 +571,11 @@ def build_parser() -> _Parser:
     )
     _add_common(p)
     _add_measurement_flags(p)
-    p.add_argument("--schedule", help="correction schedule CSV (required for correction='learned')")
+    p.add_argument(
+        "--schedule",
+        help="correction schedule CSV (required for correction='learned'); its sibling .json, as estimate-w "
+        "writes schedule.json, is read if present and must match the process's R_prime and T_f",
+    )
 
     p = sub.add_parser(
         "ddpm-reconstruct", help="as reconstruct, but sampled by the noise-diffusion baseline"

@@ -31,7 +31,6 @@ PROVENANCES = ("monte_carlo", "linear", "constant")
 class CorrectionSchedule:
     """Weights w_t for t = 1..t_f, all in [0, 1], with w_1 = 1 for learned and linear schedules."""
 
-    t_f: int
     weights: np.ndarray
     provenance: str
     mc_samples: int = 0
@@ -41,19 +40,25 @@ class CorrectionSchedule:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.provenance not in PROVENANCES:
             raise ConfigError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
-        if self.weights.shape != (self.t_f,):
-            raise ValueError(f"schedule must hold {self.t_f} weights, got {self.weights.shape}")
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ScheduleError(f"schedule needs a non-empty 1-D array of weights, got shape {self.weights.shape}")
         if np.any(self.weights < 0) or np.any(self.weights > 1):
             raise ValueError("weights must lie in [0, 1]")
         if self.provenance == "monte_carlo":
             rises = np.diff(self.weights)
             worst = float(rises.max(initial=0.0))
             if worst > 1e-3:
+                # level 3 is the caller of the __init__ that dataclass generates
                 warnings.warn(
                     f"monte_carlo schedule is non-monotone by {worst:.3g} "
                     "(beyond sampling-noise tolerance)",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
+
+    @property
+    def t_f(self) -> int:
+        """The horizon: one weight per step."""
+        return self.weights.size
 
 
 def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int = 0) -> CorrectionSchedule:
@@ -124,7 +129,6 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
 
     gamma = mean_et / mean_et[0]
     return CorrectionSchedule(
-        t_f=t_f,
         weights=weights,
         provenance="monte_carlo",
         mc_samples=mc_samples,
@@ -141,22 +145,19 @@ def linear_weights(t_f: int) -> CorrectionSchedule:
     else:
         t = np.arange(1, t_f + 1, dtype=np.float64)
         weights = 1.0 - (t - 1.0) / (t_f - 1.0)
-    return CorrectionSchedule(t_f=t_f, weights=weights, provenance="linear")
+    return CorrectionSchedule(weights=weights, provenance="linear")
 
 
-def resample_weights(schedule: CorrectionSchedule | np.ndarray, t_r: int) -> np.ndarray:
+def resample_weights(schedule: CorrectionSchedule, t_r: int) -> np.ndarray:
     """Resample a length-T_f schedule onto t_r steps.
 
     Linear interpolation under the affine index map [1, t_r] -> [1, T_f]:
     identity when t_r == T_f, endpoints preserved exactly, and exactly
     linear outputs for linear inputs.
     """
-    w = schedule.weights if isinstance(schedule, CorrectionSchedule) else np.asarray(schedule, dtype=np.float64)
-    if w.size == 0:
-        raise ScheduleError("cannot resample an empty schedule")
     if t_r < 1:
         raise ConfigError(f"T_r must be >= 1, got {t_r}")
-    t_f = w.size
+    w, t_f = schedule.weights, schedule.t_f
     if t_r == t_f:
         return w.copy()
     if t_f == 1 or t_r == 1:
@@ -166,14 +167,14 @@ def resample_weights(schedule: CorrectionSchedule | np.ndarray, t_r: int) -> np.
     return np.interp(positions, np.arange(1, t_f + 1, dtype=np.float64), w)
 
 
-def save_schedule(out_dir, schedule: CorrectionSchedule, r_prime: float, seed: int, prefix: str = "schedule") -> None:
-    """CSV (t, w) plus JSON metadata."""
+def save_schedule(out_dir, schedule: CorrectionSchedule, r_prime: float, seed: int) -> None:
+    """schedule.csv (t, w) plus schedule.json metadata, which ``load_schedule`` reads back."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [(t + 1, float(w)) for t, w in enumerate(schedule.weights)]
-    write_csv(out_dir / f"{prefix}.csv", ["t", "w"], rows)
+    write_csv(out_dir / "schedule.csv", ["t", "w"], rows)
     write_json(
-        out_dir / f"{prefix}.json",
+        out_dir / "schedule.json",
         {
             "provenance": schedule.provenance,
             "mc_samples": schedule.mc_samples,
@@ -184,7 +185,14 @@ def save_schedule(out_dir, schedule: CorrectionSchedule, r_prime: float, seed: i
     )
 
 
-def load_schedule(csv_path, meta_path=None) -> CorrectionSchedule:
+def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
+    """Read a schedule CSV (header t,w; t counting 1, 2, ...) and its sibling ``.json`` metadata.
+
+    Without metadata the schedule is a given one (provenance "constant").
+    With it, the metadata must describe ``process``: its R_prime and T_f
+    must be the process's, and its T_f the CSV's row count; otherwise a
+    ConfigError names the values.
+    """
     header, rows = read_csv(csv_path)
     if header[:2] != ["t", "w"]:
         raise ValueError(f"{csv_path}: expected header t,w")
@@ -192,15 +200,18 @@ def load_schedule(csv_path, meta_path=None) -> CorrectionSchedule:
         if row[0] != str(i):
             raise ValueError(f"{csv_path}: row {i} has t={row[0]}, expected t={i}")
     weights = np.array([float(r[1]) for r in rows])
-    provenance = "constant"
-    mc_samples = 0
-    if meta_path is None:
-        candidate = Path(csv_path).with_suffix(".json")
-        meta_path = candidate if candidate.exists() else None
-    if meta_path is not None:
-        meta = read_json(meta_path)
-        provenance = meta.get("provenance", "constant")
-        mc_samples = int(meta.get("mc_samples", 0))
+    meta_path = Path(csv_path).with_suffix(".json")
+    if not meta_path.exists():
+        return CorrectionSchedule(weights=weights, provenance="constant")
+    meta = read_json(meta_path)
+    estimated_for = (meta.get("R_prime"), meta.get("T_f"))
+    if estimated_for != (process.r_prime, process.t_f):
+        raise ConfigError(
+            f"{meta_path} describes R_prime={estimated_for[0]}, T_f={estimated_for[1]}, "
+            f"but the process has R_prime={process.r_prime}, T_f={process.t_f}"
+        )
+    if meta["T_f"] != weights.size:
+        raise ConfigError(f"{meta_path} says T_f={meta['T_f']}, but {csv_path} holds {weights.size} rows")
     return CorrectionSchedule(
-        t_f=weights.size, weights=weights, provenance=provenance, mc_samples=mc_samples
+        weights=weights, provenance=meta.get("provenance", "constant"), mc_samples=int(meta.get("mc_samples", 0))
     )

@@ -132,25 +132,32 @@ def step_counts(n_components: int, cfg: ProcessConfig, t_total: int) -> np.ndarr
 
 @dataclass
 class DegradationTrajectory:
-    """One realization of the removal process over steps 1..t_total.
+    """One realization of ``process`` over steps 1..t_total.
 
-    ``removed_at`` is an (H, W) map holding, per component, the step in
-    1..t_total at which it was removed, or 0 if it is never removed (DC
-    always).  Keep-masks and removal sets are derived from it on demand,
-    so a trajectory holds O(N + t_total) bytes whatever its length.
-    ``counts``, ``thresholds`` and ``relaxed`` hold one entry per step.
+    ``process`` is the ProcessConfig this trajectory was drawn from, with
+    the seed of this draw.  ``removed_at`` is an (H, W) map holding, per
+    component, the step in 1..t_total at which it was removed, or 0 if it
+    is never removed (DC always).  Keep-masks and removal sets are derived
+    from it on demand, so a trajectory holds O(N + t_total) bytes whatever
+    its length.  ``counts``, ``thresholds`` and ``relaxed`` hold one entry
+    per step.
     """
 
     grid: KSpaceGrid
-    t_f: int
-    t_total: int
-    n: int
-    seed: int
+    process: ProcessConfig
     counts: np.ndarray
     removed_at: np.ndarray
     thresholds: np.ndarray
     relaxed: np.ndarray
-    density: str = "radius_scheduled"
+
+    @property
+    def t_total(self) -> int:
+        return self.counts.size
+
+    @property
+    def n(self) -> int:
+        """The process's per-step removal count on this grid."""
+        return per_step_count(self.grid.n_components, self.process.r_prime, self.process.t_f)
 
     @property
     def relaxation_count(self) -> int:
@@ -204,7 +211,6 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
             "the DC component must survive"
         )
 
-    n_step = per_step_count(grid.n_components, cfg.r_prime, cfg.t_f)
     available = np.ones(grid.n_components, dtype=bool)
     available[grid.dc_index] = False  # DC is never eligible
     removed_at = np.zeros(grid.shape, dtype=np.int32)
@@ -249,16 +255,7 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
         removed_flat[picked] = t
 
     return DegradationTrajectory(
-        grid=grid,
-        t_f=cfg.t_f,
-        t_total=t_total,
-        n=n_step,
-        seed=cfg.seed,
-        counts=counts,
-        removed_at=removed_at,
-        thresholds=thresholds,
-        relaxed=relaxed,
-        density=cfg.density,
+        grid=grid, process=cfg, counts=counts, removed_at=removed_at, thresholds=thresholds, relaxed=relaxed
     )
 
 
@@ -284,8 +281,8 @@ def averaging_corrupt(x0: np.ndarray, x_start: np.ndarray, t: int, t_f: int) -> 
     return (1.0 - lam) * x0 + lam * x_start
 
 
-def export_trajectory(traj: DegradationTrajectory, cfg: ProcessConfig, out_dir, steps) -> dict:
-    """Write KMSK1 keep-masks for the requested steps plus a JSON manifest."""
+def export_trajectory(traj: DegradationTrajectory, out_dir, steps) -> dict:
+    """Write KMSK1 keep-masks for the requested steps plus a JSON manifest of the trajectory and its process."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -295,13 +292,14 @@ def export_trajectory(traj: DegradationTrajectory, cfg: ProcessConfig, out_dir, 
         name = f"mask_t{t:04d}.kmsk"
         write_kmsk(out_dir / name, traj.keep_mask(t))
         files[str(t)] = name
+    process = traj.process
     manifest = {
-        "seed": traj.seed,
-        "R_prime": cfg.r_prime,
-        "T_f": traj.t_f,
+        "seed": process.seed,
+        "R_prime": process.r_prime,
+        "T_f": process.t_f,
         "T_total": traj.t_total,
         "n": traj.n,
-        "density": traj.density,
+        "density": process.density,
         "step_counts": [int(c) for c in traj.counts],
         "relaxed_steps": int(traj.relaxation_count),
         "mask_files": files,

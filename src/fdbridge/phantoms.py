@@ -23,22 +23,20 @@ from .fileio import read_cimg, read_json, write_cimg, write_json
 from .rng import child_seed, substream
 
 CONTRASTS = ("t1_like", "t2_like", "pd_like")
+MIN_ELLIPSES = 4  # the enclosing shell plus at least three structures
+MAX_ELLIPSES = 9
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
     height: int
     width: int
-    min_ellipses: int = 4
-    max_ellipses: int = 9
     contrast: str = "t1_like"
     seed: int = 0
 
     def __post_init__(self):
         if min(self.height, self.width) < 32:
             raise ConfigError(f"phantom dims must be >= 32, got {self.height}x{self.width}")
-        if not 1 <= self.min_ellipses <= self.max_ellipses:
-            raise ConfigError("ellipse count range must satisfy 1 <= min <= max")
         if self.contrast not in CONTRASTS:
             raise ConfigError(f"contrast must be one of {CONTRASTS}, got {self.contrast!r}")
 
@@ -53,7 +51,7 @@ def _preset_intensity(contrast: str, kind: str, u: float) -> float:
 
 
 def make_phantom(spec: PhantomSpec) -> np.ndarray:
-    """Generate one phantom; bit-reproducible per (seed, dims, ellipse range)."""
+    """Generate one phantom of MIN_ELLIPSES to MAX_ELLIPSES ellipses; bit-reproducible per spec."""
     rng = substream(spec.seed, "phantom")
     h, w = spec.height, spec.width
     yy, xx = np.mgrid[0:h, 0:w]
@@ -61,7 +59,7 @@ def make_phantom(spec: PhantomSpec) -> np.ndarray:
     ny = (yy - (h - 1) / 2.0) / (h / 2.0)
     nx = (xx - (w - 1) / 2.0) / (w / 2.0)
 
-    count = int(rng.integers(spec.min_ellipses, spec.max_ellipses + 1))
+    count = int(rng.integers(MIN_ELLIPSES, MAX_ELLIPSES + 1))
     mag = np.zeros((h, w), dtype=np.float64)
     edge = 2.5 / min(h, w)  # anti-aliasing band in normalized units
 

@@ -33,6 +33,7 @@ from .errors import ConfigError, TrainingError
 from .fileio import atomic_write_bytes, write_csv
 from .grid import KSpaceGrid, apply_mask, as_image, dft2, idft2
 from .rng import child_seed, substream
+from .sampler import DdpmSchedule, ddpm_forward_sample
 
 LEAKY_SLOPE = 0.1
 EMB_DIM = 8
@@ -369,7 +370,6 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     batch: int
-    betas: tuple[float, float] = (0.5, 0.9)
     loss_mode: str = "upper_bound"
     seed: int = 0
 
@@ -383,10 +383,11 @@ class TrainConfig:
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float, betas: tuple[float, float]):
+    b1, b2 = 0.5, 0.9  # moment decay rates
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = 1e-8
         self.k = 0
         self.m = {n: np.zeros_like(p) for n, p in params.items()}
         self.v = {n: np.zeros_like(p) for n, p in params.items()}
@@ -403,8 +404,6 @@ class _Adam:
 
 def _draw_corrupted(x0, grid, process, seed_tags):
     """Draw (x_t, t, keep_mask_or_None) from the configured corruption source; ``grid`` is x0's."""
-    from .sampler import DdpmSchedule, ddpm_forward_sample  # local import: sampler depends on us
-
     rng_t = substream(seed_tags[0], "step-draw", *seed_tags[1:])
     if isinstance(process, ProcessConfig):
         t = int(rng_t.integers(1, process.t_f + 1))
@@ -440,7 +439,7 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
         )
 
     grids = {x.shape: KSpaceGrid(*x.shape) for x in images}  # one per shape, so the radius order is sorted once
-    opt = _Adam(model.params, cfg.learning_rate, cfg.betas)
+    opt = _Adam(model.params, cfg.learning_rate)
     trace: list[float] = []
 
     for epoch in range(cfg.epochs):

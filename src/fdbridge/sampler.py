@@ -22,7 +22,7 @@ import numpy as np
 from .correction import CorrectionSchedule, linear_weights, resample_weights
 from .degradation import DegradationTrajectory, ProcessConfig, sample_trajectory
 from .errors import ConfigError, SamplingError, ScheduleError, TrajectoryError
-from .grid import KSpaceGrid, as_image, dft2, idft2, to_centered, to_native
+from .grid import as_image, dft2, idft2, to_centered, to_native
 from .imaging import ImagingSystem, Measurement, adjoint, dc_projection, residual_norm
 from .metrics import psnr
 from .rng import child_seed, substream
@@ -147,7 +147,7 @@ def reconstruct(
 
     x = adjoint(system, y)
     traj_seed = process.seed if cfg.ct_mode == "fixed" else child_seed(cfg.seed, "test-trajectory")
-    traj = sample_trajectory(KSpaceGrid(*x.shape), replace(process, seed=traj_seed), t_total=t_r)
+    traj = sample_trajectory(system.grid, replace(process, seed=traj_seed), t_total=t_r)
 
     diagnostics: list[tuple] = []
     for t in range(t_r, 0, -1):
@@ -181,15 +181,14 @@ def _finish_step(x, t: int, system, y, dc: bool, reference, diagnostics: list) -
 class DdpmSchedule:
     """Noise schedule: beta_t in (0, 1), gamma = 1 - beta, gamma_bar running products."""
 
-    t_steps: int
     beta: np.ndarray
     gamma: np.ndarray = field(init=False)
     gamma_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=np.float64)
-        if self.beta.shape != (self.t_steps,):
-            raise ValueError(f"beta must hold {self.t_steps} entries")
+        if self.beta.ndim != 1 or self.beta.size == 0:
+            raise ValueError(f"beta must be a non-empty 1-D array, got shape {self.beta.shape}")
         if np.any(self.beta <= 0) or np.any(self.beta >= 1):
             raise ScheduleError("all beta_t must lie in (0, 1)")
         self.gamma = 1.0 - self.beta
@@ -199,32 +198,28 @@ class DdpmSchedule:
 
     @property
     def t_f(self) -> int:
-        """The horizon, under the name a ProcessConfig gives it."""
-        return self.t_steps
+        """The horizon, under the name a ProcessConfig gives it: one beta per step."""
+        return self.beta.size
 
     def gamma_bar_prev(self, t: int) -> float:
         return 1.0 if t == 1 else float(self.gamma_bar[t - 2])
 
 
-def ddpm_schedule(t_steps: int, beta_min: float = 0.1, beta_max: float = 20.0) -> DdpmSchedule:
+BETA_MIN = 0.1  # continuous noise rate at t = 0
+BETA_MAX = 20.0  # continuous noise rate at t = T
+
+
+def ddpm_schedule(t_steps: int) -> DdpmSchedule:
     """Geometric interpolation of the continuous noise rate, discretized by 1/T.
 
-    beta_t = (beta_min / T) * (beta_max / beta_min)^((t-1)/(T-1)); the
-    endpoints are beta_min/T and beta_max/T.  All beta_t < 1 requires
-    T > beta_max.
+    beta_t = (BETA_MIN / T) * (BETA_MAX / BETA_MIN)^((t-1)/(T-1)); the
+    endpoints are BETA_MIN/T and BETA_MAX/T.  All beta_t < 1 requires
+    T > BETA_MAX.
     """
-    if t_steps < 1:
-        raise ConfigError(f"T must be >= 1, got {t_steps}")
-    if not 0 < beta_min < beta_max:
-        raise ConfigError(f"need 0 < beta_min < beta_max, got ({beta_min}, {beta_max})")
-    if t_steps <= beta_max:
-        raise ConfigError(f"T must exceed beta_max={beta_max} so that every beta_t < 1, got {t_steps}")
-    if t_steps == 1:
-        beta = np.array([beta_min / t_steps])
-    else:
-        expo = (np.arange(1, t_steps + 1, dtype=np.float64) - 1.0) / (t_steps - 1.0)
-        beta = (beta_min / t_steps) * (beta_max / beta_min) ** expo
-    return DdpmSchedule(t_steps=t_steps, beta=beta)
+    if t_steps <= BETA_MAX:
+        raise ConfigError(f"T must exceed beta_max={BETA_MAX} so that every beta_t < 1, got {t_steps}")
+    expo = (np.arange(1, t_steps + 1, dtype=np.float64) - 1.0) / (t_steps - 1.0)
+    return DdpmSchedule(beta=(BETA_MIN / t_steps) * (BETA_MAX / BETA_MIN) ** expo)
 
 
 def _complex_noise(shape, rng) -> np.ndarray:
@@ -235,8 +230,8 @@ def _complex_noise(shape, rng) -> np.ndarray:
 def ddpm_forward_sample(x0: np.ndarray, t: int, schedule: DdpmSchedule, seed: int = 0) -> np.ndarray:
     """Closed-form forward draw: sqrt(gamma_bar_t) x0 + sqrt(1 - gamma_bar_t) z."""
     x0 = as_image(x0)
-    if not 1 <= t <= schedule.t_steps:
-        raise ValueError(f"t must be in [1, {schedule.t_steps}], got {t}")
+    if not 1 <= t <= schedule.t_f:
+        raise ValueError(f"t must be in [1, {schedule.t_f}], got {t}")
     gb = float(schedule.gamma_bar[t - 1])
     z = _complex_noise(x0.shape, substream(seed, "ddpm-forward", t))
     return math.sqrt(gb) * x0 + math.sqrt(1.0 - gb) * z
@@ -254,7 +249,7 @@ def ddpm_reconstruct(
     rng_init = substream(seed, "ddpm-init")
     x = _complex_noise(system.grid.shape, rng_init)
     diagnostics: list[tuple] = []
-    for t in range(schedule.t_steps, 0, -1):
+    for t in range(schedule.t_f, 0, -1):
         x0_est = operator.recover(x, t)
         beta = float(schedule.beta[t - 1])
         gamma = float(schedule.gamma[t - 1])
@@ -267,5 +262,5 @@ def ddpm_reconstruct(
         x = coef_x * x + coef_est * x0_est + noise_sd * z
         x = _finish_step(x, t, system, y, True, reference, diagnostics)
     return ReconstructionResult(
-        image=x, t_r=schedule.t_steps, diagnostics=diagnostics, weights=np.zeros(schedule.t_steps)
+        image=x, t_r=schedule.t_f, diagnostics=diagnostics, weights=np.zeros(schedule.t_f)
     )

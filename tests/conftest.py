@@ -21,7 +21,7 @@ def unit_system(mask):
 
 def constant_schedule(t_f, value):
     """A fixed schedule of ``t_f`` equal weights, as ``load_schedule`` reads a CSV without metadata."""
-    return CorrectionSchedule(t_f=t_f, weights=np.full(t_f, value), provenance="constant")
+    return CorrectionSchedule(weights=np.full(t_f, value), provenance="constant")
 
 
 @pytest.fixture

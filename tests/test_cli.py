@@ -226,10 +226,38 @@ class TestTrainReconstruct:
 
     def test_short_schedule_writes_nothing(self, tmp_path, config_path):
         save_schedule(tmp_path, constant_schedule(4, 0.5), r_prime=2.0, seed=0)  # T_f is 8
+        (tmp_path / "schedule.json").unlink()  # its T_f=4 would be rejected as a config error first
         out = tmp_path / "r"
         assert run("reconstruct", "--config", config_path, "--out", str(out),
                    "--schedule", str(tmp_path / "schedule.csv")) == 2
         assert not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("case,code", [
+        ("other_process", 1), ("rows_differ", 1), ("unedited", 0), ("csv_only", 0),
+    ])
+    def test_schedule_metadata_must_match_process(self, tmp_path, config_path, capsys, case, code):
+        # the config's process is R_prime=2, T_f=8
+        save_schedule(tmp_path, constant_schedule(12 if case == "rows_differ" else 8, 0.5), r_prime=2.0, seed=0)
+        meta_path = tmp_path / "schedule.json"
+        meta = read_json(meta_path)
+        if case == "other_process":
+            meta_path.write_text(json.dumps({**meta, "R_prime": 4.0, "T_f": 64}))
+        elif case == "rows_differ":
+            meta_path.write_text(json.dumps({**meta, "T_f": 8}))
+        elif case == "csv_only":
+            meta_path.unlink()
+        out = tmp_path / "r"
+        assert run("reconstruct", "--config", config_path, "--out", str(out),
+                   "--schedule", str(tmp_path / "schedule.csv")) == code
+        err = capsys.readouterr().err
+        if case == "other_process":
+            assert "R_prime=4.0, T_f=64" in err and "R_prime=2.0, T_f=8" in err
+        elif case == "rows_differ":
+            assert "T_f=8" in err and "holds 12 rows" in err
+        if code:
+            assert not [p for p in out.rglob("*") if p.is_file()]
+        else:
+            assert (out / "recon.cimg").exists()
 
     def test_misnumbered_schedule_writes_nothing(self, tmp_path, config_path):
         save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)

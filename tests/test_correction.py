@@ -140,11 +140,17 @@ def test_non_monotone_schedule_is_reported():
     # the type invariant's reporting mechanism: an estimated schedule that rises beyond 1e-3 warns
     rising = [1.0, 0.5, 0.502, 0.2]
     with pytest.warns(UserWarning, match="monte_carlo schedule is non-monotone by 0.002"):
-        CorrectionSchedule(4, rising, "monte_carlo")
+        CorrectionSchedule(rising, "monte_carlo")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        CorrectionSchedule(4, [1.0, 0.5, 0.5009, 0.2], "monte_carlo")  # within the tolerance
-        CorrectionSchedule(4, rising, "constant")  # a given schedule is not an estimate
+        CorrectionSchedule([1.0, 0.5, 0.5009, 0.2], "monte_carlo")  # within the tolerance
+        CorrectionSchedule(rising, "constant")  # a given schedule is not an estimate
+
+
+def test_non_monotone_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="non-monotone") as record:
+        CorrectionSchedule([1.0, 0.5, 0.502, 0.2], "monte_carlo")
+    assert [w.filename for w in record] == [__file__]
 
 
 class TestLinearWeights:
@@ -171,18 +177,19 @@ class TestResampleWeights:
 
     def test_double_length_endpoints(self):
         w = np.linspace(1.0, 0.25, 12)
-        out = resample_weights(CorrectionSchedule(12, w, "constant"), 24)
+        out = resample_weights(CorrectionSchedule(w, "constant"), 24)
         assert out[0] == w[0] and out[-1] == w[-1]
 
     def test_empty_schedule_rejected(self):
-        with pytest.raises(ScheduleError):
-            resample_weights(np.array([]), 4)
+        # an empty schedule cannot be built, so there is none to resample
+        with pytest.raises(ScheduleError, match="non-empty"):
+            CorrectionSchedule(np.array([]), "constant")
 
 
 def test_schedule_csv_round_trip(tmp_path):
     sched = constant_schedule(6, 0.75)
     save_schedule(tmp_path, sched, r_prime=2.0, seed=5)
-    loaded = load_schedule(tmp_path / "schedule.csv")
+    loaded = load_schedule(tmp_path / "schedule.csv", ProcessConfig(r_prime=2.0, t_f=6))
     assert np.array_equal(loaded.weights, sched.weights)
     assert loaded.provenance == "constant"
 
@@ -196,4 +203,4 @@ def test_schedule_csv_steps_must_count_from_one(tmp_path, ts, bad_row):
     path = tmp_path / "schedule.csv"
     path.write_text("t,w\n" + "".join(f"{t},0.5\n" for t in ts))
     with pytest.raises(ValueError, match=f"row {bad_row} has t={ts[bad_row - 1]}, expected t={bad_row}"):
-        load_schedule(path)
+        load_schedule(path, ProcessConfig(r_prime=2.0, t_f=3))

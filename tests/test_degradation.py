@@ -302,9 +302,10 @@ def test_export_trajectory(tmp_path):
     grid = radius_map(16, 16)
     cfg = ProcessConfig(r_prime=2.0, t_f=4, seed=10)
     traj = sample_trajectory(grid, cfg)
-    manifest = export_trajectory(traj, cfg, tmp_path, steps=[0, 2, 4])
+    manifest = export_trajectory(traj, tmp_path, steps=[0, 2, 4])
     stored = read_json(tmp_path / "trajectory.json")
-    assert stored["R_prime"] == 2.0
+    assert traj.process == cfg
+    assert stored["seed"] == 10 and stored["R_prime"] == 2.0 and stored["density"] == "radius_scheduled"
     assert stored["T_f"] == 4 and stored["T_total"] == 4
     assert stored["n"] == traj.n
     assert stored["step_counts"] == [int(c) for c in traj.counts]

@@ -60,14 +60,6 @@ from .sampler import SamplerConfig, ddpm_reconstruct, ddpm_schedule, reconstruct
 # ---------------------------------------------------------------------------
 # Run configuration
 
-_CONFIG_SCHEMA = {
-    "seed": int,
-    "data": {"dims": int, "count": int, "contrast": str},
-    "process": {"R_prime": float, "T_f": int, "density": str, "step_count_schedule": str},
-    "sampler": {"R": float, "correction": str, "ct_mode": str, "dc_every_step": bool},
-    "train": {"learning_rate": float, "epochs": int, "batch": int, "loss_mode": str},
-}
-
 DEFAULT_CONFIG = {
     "seed": 0,
     "data": {"dims": 64, "count": 20, "contrast": "t1_like"},
@@ -103,30 +95,22 @@ def _coerce(value, want, where: str):
 
 
 def validate_config(raw: dict) -> dict:
-    """Merge a user config over the defaults, rejecting unknown keys."""
+    """Merge a user config over the defaults, rejecting unknown keys; each setting has its default's type."""
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in raw.items():
-        if key not in _CONFIG_SCHEMA:
+        if key not in cfg:
             raise ConfigError(f"unknown config key: {key!r}")
-        if key == "seed":
-            cfg["seed"] = _coerce(value, int, "seed")
+        if not isinstance(cfg[key], dict):
+            cfg[key] = _coerce(value, type(cfg[key]), key)
             continue
         if not isinstance(value, dict):
             raise ConfigError(f"config section {key!r} must be an object")
         for sub, subval in value.items():
-            if sub not in _CONFIG_SCHEMA[key]:
+            if sub not in cfg[key]:
                 raise ConfigError(f"unknown config key: {key}.{sub}")
-            cfg[key][sub] = _coerce(subval, _CONFIG_SCHEMA[key][sub], f"{key}.{sub}")
-    return cfg
-
-
-def load_config(path: str | None, seed_override: int | None) -> dict:
-    raw = read_json(path) if path else {}
-    cfg = validate_config(raw)
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
+            cfg[key][sub] = _coerce(subval, type(cfg[key][sub]), f"{key}.{sub}")
     return cfg
 
 
@@ -652,12 +636,11 @@ def _run(argv, config_dict=None) -> int:
     if args.command == "replay":
         return cmd_replay(args)
 
-    if config_dict is not None:
-        cfg = validate_config(config_dict)
-        if args.seed is not None:
-            cfg["seed"] = int(args.seed)
-    else:
-        cfg = load_config(args.config, args.seed)
+    if config_dict is None:
+        config_dict = read_json(args.config) if args.config else {}
+    cfg = validate_config(config_dict)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

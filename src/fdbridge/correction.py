@@ -12,6 +12,7 @@ cross-check.  A linear ablation schedule is also provided.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,6 +26,18 @@ from .grid import KSpaceGrid, as_image, dft2
 from .rng import child_seed
 
 PROVENANCES = ("monte_carlo", "linear", "constant")
+_PACKAGE_DIR = Path(__file__).parent
+
+
+def _outside_package(stacklevel: int) -> int:
+    """``stacklevel``, as the caller passes it to ``warnings.warn``, raised past the frames in this package.
+
+    Python 3.12's ``skip_file_prefixes`` does this; 3.10 and 3.11 lack it.
+    """
+    frame = sys._getframe(stacklevel)  # frame 1 is the caller, which is stacklevel 1
+    while Path(frame.f_code.co_filename).parent == _PACKAGE_DIR and frame.f_back is not None:
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    return stacklevel
 
 
 @dataclass
@@ -48,11 +61,12 @@ class CorrectionSchedule:
             rises = np.diff(self.weights)
             worst = float(rises.max(initial=0.0))
             if worst > 1e-3:
-                # level 3 is the caller of the __init__ that dataclass generates
+                # level 3 is the caller of the __init__ that dataclass generates; the warning
+                # names the first frame above it that is outside the package
                 warnings.warn(
                     f"monte_carlo schedule is non-monotone by {worst:.3g} "
                     "(beyond sampling-noise tolerance)",
-                    stacklevel=3,
+                    stacklevel=_outside_package(3),
                 )
 
     @property

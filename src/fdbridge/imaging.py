@@ -62,15 +62,12 @@ def default_calib(height: int, width: int) -> int:
     return max(1, math.ceil(max(height, width) / 16))
 
 
-def _calib_block(grid: KSpaceGrid, calib: int) -> np.ndarray:
-    block = np.zeros(grid.shape, dtype=bool)
-    if calib == 0:
-        return block
-    cy, cx = grid.height // 2, grid.width // 2
-    y0 = cy - calib // 2
-    x0 = cx - calib // 2
-    block[y0 : y0 + calib, x0 : x0 + calib] = True
-    return block
+def _central(n: int, calib: int) -> np.ndarray:
+    """Indicator of the ``calib`` indices around the DC index ``n // 2`` of a length-``n`` axis."""
+    keep = np.zeros(n, dtype=bool)
+    start = n // 2 - calib // 2
+    keep[start : start + calib] = True
+    return keep
 
 
 def _bisect_sigma(radius: np.ndarray, budget: int) -> float:
@@ -105,11 +102,13 @@ def make_sampling_mask(
 ) -> np.ndarray:
     """Random sampling mask keeping ~1/R of k-space.
 
-    A central calib x calib block is always kept; the remaining budget is
-    drawn without replacement with weights following a Gaussian profile in
-    k-space radius (normal2d), a Gaussian over full phase-encode columns
-    (normal1d), or uniformly.  The Gaussian width is bisected so the
-    profile's expected keep-count matches the budget within 1%.
+    The mask keeps round(n/R) of n units, which must hit 1/R within 5%:
+    k-space components, or full phase-encode columns for normal1d.  The
+    calibration region is always kept: the central calib x calib block, or
+    the calib central columns, starting at index ``size // 2 - calib // 2``.
+    The other units are drawn without replacement, uniformly or with
+    Gaussian weights in their distance to DC, whose width is bisected so
+    the expected keep-count matches the budget within 1%.
     """
     if not r > 1.0:
         raise ConfigError(f"acceleration R must be > 1, got {r}")
@@ -121,55 +120,37 @@ def make_sampling_mask(
         raise ConfigError(f"calib must be in [0, {min(grid.shape)}), got {calib}")
 
     rng = substream(seed, "sampling-mask", density)
-
+    cols = _central(grid.width, calib)
     if density == "normal1d":
-        width = grid.width
-        target_lines = int(round(width / r))
-        if abs(target_lines / width - 1.0 / r) > 0.05 / r:
-            raise ConfigError(
-                f"1D mask cannot hit 1/R={1/r:.4f} within 5% on width {width}; use a wider grid"
-            )
-        if target_lines < calib:
-            raise ConfigError(f"line budget {target_lines} smaller than calib block {calib}")
-        cx = width // 2
-        x0 = cx - calib // 2
-        calib_cols = np.zeros(width, dtype=bool)
-        calib_cols[x0 : x0 + calib] = True
-        budget = target_lines - calib
-        keep_cols = calib_cols.copy()
-        candidates = np.flatnonzero(~calib_cols)
-        if budget >= candidates.size:
-            keep_cols[:] = True
-        elif budget > 0:
-            dist = np.abs(np.arange(width) - cx).astype(np.float64)
-            sigma = _bisect_sigma(dist[candidates], budget)
-            weights = np.exp(-dist[candidates] ** 2 / (2.0 * sigma * sigma))
-            picked = rng.choice(candidates, size=budget, replace=False, p=weights / weights.sum())
-            keep_cols[picked] = True
-        return np.repeat(keep_cols[None, :], grid.height, axis=0)
-
-    target_keep = int(round(grid.n_components / r))
-    if abs(target_keep / grid.n_components - 1.0 / r) > 0.05 / r:
-        raise ConfigError(f"mask cannot hit 1/R={1/r:.4f} within 5% on grid {grid.shape}")
-    block = _calib_block(grid, calib)
-    if target_keep < calib * calib:
-        raise ConfigError(
-            f"keep budget {target_keep} smaller than the {calib}x{calib} calibration block"
-        )
-    budget = target_keep - int(block.sum())
-    keep = block.ravel().copy()
-    candidates = np.flatnonzero(~block.ravel())
+        unit = "column"
+        calibrated = cols
+        distance = grid.radius[grid.height // 2]  # the DC row: each column's offset from DC
+    else:
+        unit = "component"
+        calibrated = np.outer(_central(grid.height, calib), cols).ravel()
+        distance = grid.radius.ravel()
+    target = int(round(calibrated.size / r))
+    if abs(target / calibrated.size - 1.0 / r) > 0.05 / r:
+        raise ConfigError(f"mask cannot hit 1/R={1/r:.4f} within 5% over {calibrated.size} {unit}s")
+    n_calib = int(calibrated.sum())
+    if target < n_calib:
+        raise ConfigError(f"keep budget of {target} {unit}s smaller than the {n_calib} in the calibration region")
+    budget = target - n_calib
+    keep = calibrated.copy()
+    candidates = np.flatnonzero(~calibrated)
     if budget >= candidates.size:
         keep[:] = True
     elif budget > 0:
         if density == "uniform":
             picked = rng.choice(candidates, size=budget, replace=False)
         else:
-            rad = grid.radius.ravel()[candidates]
-            sigma = _bisect_sigma(rad, budget)
-            weights = np.exp(-rad ** 2 / (2.0 * sigma * sigma))
+            dist = distance[candidates]
+            sigma = _bisect_sigma(dist, budget)
+            weights = np.exp(-dist ** 2 / (2.0 * sigma * sigma))
             picked = rng.choice(candidates, size=budget, replace=False, p=weights / weights.sum())
         keep[picked] = True
+    if density == "normal1d":
+        return np.repeat(keep[None, :], grid.height, axis=0)
     return keep.reshape(grid.shape)
 
 

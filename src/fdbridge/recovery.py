@@ -226,18 +226,13 @@ class TinyRegressor:
             "conv3_w": (2, HIDDEN, 3, 3),
             "conv3_b": (2,),
         }
-        fans = {
-            "conv1_w": (2 * 9, HIDDEN * 9),
-            "time_w": (EMB_DIM, HIDDEN),
-            "conv2_w": (HIDDEN * 9, HIDDEN * 9),
-            "conv3_w": (HIDDEN * 9, 2 * 9),
-        }
         for name in PARAM_ORDER:
             shape = shapes[name]
             if name.endswith("_b"):
                 self.params[name] = np.zeros(shape)
             else:
-                fan_in, fan_out = fans[name]
+                # Glorot fans of a (out, in, *kernel) weight
+                fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])
                 limit = math.sqrt(6.0 / (fan_in + fan_out))
                 rng = substream(self.seed, "init", name)
                 self.params[name] = rng.uniform(-limit, limit, size=shape)

@@ -101,8 +101,8 @@ def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t
         return resample_weights(linear_weights(cfg.t_f), t_r)
     if schedule is None:
         raise ConfigError("correction='learned' requires a CorrectionSchedule")
-    if schedule.t_f < cfg.t_f:
-        raise ScheduleError(f"schedule length {schedule.t_f} shorter than T_f={cfg.t_f}")
+    if schedule.t_f != cfg.t_f:
+        raise ScheduleError(f"schedule length {schedule.t_f} differs from T_f={cfg.t_f}")
     return resample_weights(schedule, t_r)
 
 
@@ -129,9 +129,9 @@ def reconstruct(
     """Full reverse-sampling driver.
 
     Initializes at the least-squares reconstruction of ``y``, resamples
-    the correction schedule to T_r steps, and per step estimates the
-    clean image, applies the corrected reverse step, then (optionally)
-    the data-consistency projection.  The trajectory of T_r steps is
+    the correction schedule, which must hold T_f weights, to T_r steps,
+    and per step estimates the clean image, applies the corrected reverse
+    step, then (optionally) the data-consistency projection.  The trajectory of T_r steps is
     drawn from ``process``, whose T_f and R' must be the sampler's: ct_mode
     "fixed" draws the process's own trajectory, so every call with that
     process walks the same one; "independent" draws a fresh one from

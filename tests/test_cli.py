@@ -1,11 +1,12 @@
 import json
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from fdbridge.cli import main, validate_config
+from fdbridge.cli import DEFAULT_CONFIG, main, validate_config
 from fdbridge.correction import save_schedule
 from fdbridge.degradation import ProcessConfig, sample_trajectory
 from fdbridge.errors import ConfigError
@@ -24,6 +25,11 @@ SMALL_CONFIG = {
     "sampler": {"R": 4.0, "correction": "learned"},
     "train": {"learning_rate": 0.02, "epochs": 2, "batch": 2},
 }
+
+# every run-config setting: the top-level seed, then (section, key)
+SETTINGS = [("seed",)] + [
+    (section, key) for section, keys in DEFAULT_CONFIG.items() if isinstance(keys, dict) for key in keys
+]
 
 
 @pytest.fixture
@@ -56,6 +62,28 @@ class TestConfigValidation:
             validate_config({"seed": "not-an-int"})
         with pytest.raises(ConfigError):
             validate_config({"sampler": {"dc_every_step": "yes"}})
+
+    @pytest.mark.parametrize("path", SETTINGS, ids=".".join)
+    def test_each_setting_has_its_default_type(self, path):
+        *section, key = path
+        default = (DEFAULT_CONFIG[section[0]] if section else DEFAULT_CONFIG)[key]
+        name = ".".join(path)
+
+        def read(value):
+            cfg = validate_config({section[0]: {key: value}} if section else {key: value})
+            return (cfg[section[0]] if section else cfg)[key]
+
+        assert read(default) == default and type(read(default)) is type(default)
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: expected")):
+            read(3 if isinstance(default, str) else "3")
+        if type(default) in (int, float):
+            with pytest.raises(ConfigError, match=re.escape(f"{name}: expected")):
+                read(True)
+        if isinstance(default, bool):
+            with pytest.raises(ConfigError, match=re.escape(f"{name}: expected")):
+                read(1)
+        if isinstance(default, float):
+            assert read(3) == 3.0 and type(read(3)) is float
 
 
 class TestExitCodes:
@@ -225,12 +253,14 @@ class TestTrainReconstruct:
         assert not [p for p in out.rglob("*") if p.is_file()]
 
     def test_short_schedule_writes_nothing(self, tmp_path, config_path):
-        save_schedule(tmp_path, constant_schedule(4, 0.5), r_prime=2.0, seed=0)  # T_f is 8
-        (tmp_path / "schedule.json").unlink()  # its T_f=4 would be rejected as a config error first
-        out = tmp_path / "r"
-        assert run("reconstruct", "--config", config_path, "--out", str(out),
-                   "--schedule", str(tmp_path / "schedule.csv")) == 2
-        assert not [p for p in out.rglob("*") if p.is_file()]
+        # a CSV-only schedule of any length but T_f (8) is a runtime failure that leaves --out empty
+        for rows in (4, 16):
+            save_schedule(tmp_path, constant_schedule(rows, 0.5), r_prime=2.0, seed=0)
+            (tmp_path / "schedule.json").unlink()  # its T_f would be rejected as a config error first
+            out = tmp_path / f"r{rows}"
+            assert run("reconstruct", "--config", config_path, "--out", str(out),
+                       "--schedule", str(tmp_path / "schedule.csv")) == 2, rows
+            assert not [p for p in out.rglob("*") if p.is_file()], rows
 
     @pytest.mark.parametrize("case,code", [
         ("other_process", 1), ("rows_differ", 1), ("unedited", 0), ("csv_only", 0),

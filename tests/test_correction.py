@@ -14,6 +14,7 @@ from fdbridge.correction import (
 )
 from fdbridge.degradation import ProcessConfig, sample_trajectory
 from fdbridge.errors import ScheduleError
+from fdbridge.fileio import read_json, write_json
 from fdbridge.grid import dft2, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
 
@@ -147,10 +148,22 @@ def test_non_monotone_schedule_is_reported():
         CorrectionSchedule(rising, "constant")  # a given schedule is not an estimate
 
 
-def test_non_monotone_warning_points_at_the_caller():
-    with pytest.warns(UserWarning, match="non-monotone") as record:
-        CorrectionSchedule([1.0, 0.5, 0.502, 0.2], "monte_carlo")
-    assert [w.filename for w in record] == [__file__]
+def test_non_monotone_warning_points_at_the_caller(tmp_path):
+    # the warning names the user's call, not a frame inside the package, however the schedule is made
+    rising = [1.0, 0.5, 0.502, 0.2]
+    save_schedule(tmp_path, CorrectionSchedule(rising, "constant"), r_prime=2.0, seed=0)
+    meta_path = tmp_path / "schedule.json"
+    write_json(meta_path, {**read_json(meta_path), "provenance": "monte_carlo"})
+    phantoms = [make_phantom(PhantomSpec(32, 32, seed=s)) for s in (70, 71)]
+    builders = {
+        "direct": lambda: CorrectionSchedule(rising, "monte_carlo"),
+        "estimate_weights": lambda: estimate_weights(phantoms, ProcessConfig(r_prime=2.0, t_f=8), 20, seed=0),
+        "load_schedule": lambda: load_schedule(tmp_path / "schedule.csv", ProcessConfig(r_prime=2.0, t_f=4)),
+    }
+    for name, build in builders.items():
+        with pytest.warns(UserWarning, match="non-monotone") as record:
+            build()
+        assert [w.filename for w in record] == [__file__], name
 
 
 class TestLinearWeights:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fdbridge.errors import ConfigError
 from fdbridge.grid import dft2, idft2, radius_map
 from fdbridge.imaging import (
+    MASK_DENSITIES,
     ImagingSystem,
     adjoint,
     apply_forward,
@@ -19,6 +20,7 @@ from fdbridge.imaging import (
 )
 
 from conftest import rand_image, unit_system
+from mask_oracle import reference_sampling_mask
 
 
 class TestSamplingMask:
@@ -64,6 +66,31 @@ class TestSamplingMask:
         a = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=5)
         b = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("density", MASK_DENSITIES)
+    def test_matches_two_branch_reference(self, density):
+        # bit-equal masks, or a ConfigError from both, over odd, non-square and 2x2 grids,
+        # R from 1.01 to 64, calib None/0/odd/even, three seeds
+        drawn = rejected = 0
+        for shape in [(2, 2), (7, 5), (9, 16), (16, 9), (33, 31), (32, 32)]:
+            grid = radius_map(*shape)
+            for r in (1.01, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 64.0):
+                for calib in (None, 0, 1, 2, 3, 4):
+                    for seed in range(3):
+                        outcomes = []
+                        for build in (reference_sampling_mask, make_sampling_mask):
+                            try:
+                                outcomes.append(build(grid, r, density, calib, seed=seed))
+                            except ConfigError:
+                                outcomes.append(None)
+                        want, got = outcomes
+                        assert (want is None) == (got is None), (shape, r, calib, seed)
+                        if want is None:
+                            rejected += 1
+                            continue
+                        assert np.array_equal(want, got), (shape, r, calib, seed)
+                        drawn += not want.all()
+        assert drawn >= 200 and rejected >= 100  # both outcomes are exercised
 
 
 class TestCoilMaps:

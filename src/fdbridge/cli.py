@@ -43,7 +43,7 @@ from .imaging import (
     synth_coil_maps,
 )
 from .metrics import psnr, ssim
-from .phantoms import generate_dataset, load_dataset, save_dataset, seeded_phantom
+from .phantoms import PhantomSpec, generate_dataset, load_dataset, save_dataset, seeded_phantom
 from .recovery import (
     OracleRecovery,
     TinyRegressor,
@@ -95,7 +95,12 @@ def _coerce(value, want, where: str):
 
 
 def validate_config(raw: dict) -> dict:
-    """Merge a user config over the defaults, rejecting unknown keys; each setting has its default's type."""
+    """Merge a user config over the defaults, rejecting unknown keys; each setting has its default's type.
+
+    Every section's ranges and choices are then checked by the objects
+    the commands build from it, so no command records a config that
+    another would reject.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("run config must be a JSON object")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
@@ -111,6 +116,12 @@ def validate_config(raw: dict) -> dict:
             if sub not in cfg[key]:
                 raise ConfigError(f"unknown config key: {key}.{sub}")
             cfg[key][sub] = _coerce(subval, type(cfg[key][sub]), f"{key}.{sub}")
+    data = cfg["data"]
+    if data["count"] < 1:
+        raise ConfigError(f"data.count must be >= 1, got {data['count']}")
+    PhantomSpec(data["dims"], data["dims"], data["contrast"])
+    _sampler_config(cfg, _process_config(cfg, seed=cfg["seed"]))
+    _train_config(cfg)
     return cfg
 
 
@@ -252,17 +263,22 @@ def _train_model(cfg, images, process, *tags):
     gets its own initialization and training seeds.  The averaging
     ablation has no removal masks and so trains on the upper bound.
     """
-    tc = cfg["train"]
     averaging = isinstance(process, ProcessConfig) and process.process_kind == "averaging_constraint"
-    train_cfg = TrainConfig(
+    train_cfg = _train_config(cfg, *tags, upper_bound=averaging)
+    model = TinyRegressor(t_f=process.t_f, seed=child_seed(cfg["seed"], "model-init", *tags))
+    return train(model, images, process, train_cfg)
+
+
+def _train_config(cfg, *tags, upper_bound: bool = False) -> TrainConfig:
+    """The config's training settings, the loss forced to ``upper_bound`` if asked; ``tags`` extend the seed's path."""
+    tc = cfg["train"]
+    return TrainConfig(
         learning_rate=tc["learning_rate"],
         epochs=tc["epochs"],
         batch=tc["batch"],
-        loss_mode="upper_bound" if averaging else tc["loss_mode"],
+        loss_mode="upper_bound" if upper_bound else tc["loss_mode"],
         seed=child_seed(cfg["seed"], "train", *tags),
     )
-    model = TinyRegressor(t_f=process.t_f, seed=child_seed(cfg["seed"], "model-init", *tags))
-    return train(model, images, process, train_cfg)
 
 
 def cmd_train(cfg, args, out: Path) -> list[str]:
@@ -350,6 +366,8 @@ def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps
     summary = {steps_key: result.t_r}
     summary["psnr_recon_db"], summary["ssim_recon"] = _score(reference, result.image)
     summary["psnr_zerofill_db"], summary["ssim_zerofill"] = _score(reference, zero_fill)
+    if result.relaxed_steps is not None:
+        summary["relaxed_steps"] = result.relaxed_steps
     write_json(out / "summary.json", summary)
     print(
         f"{steps_key}={result.t_r}  PSNR recon {summary['psnr_recon_db']:.2f} dB "

@@ -10,12 +10,11 @@ image-domain corruption operator: forward DFT, mask, inverse DFT.  The DC
 component is never removed, so total image energy cannot vanish.  Only
 this module reads the map; other modules use the trajectory's accessors.
 
-Sampling walks the components in descending-radius order, so a
-radius-scheduled step costs O(m log m) in the m candidates between the
-outermost remaining one and its threshold, not O(N) in the grid; uniform
-density scans the grid, O(N) per step.  Each step draws from its
-eligible set in ascending flat-index order, so the output does not
-depend on the candidate order.
+Sampling keeps the eligible components in a pool that the falling
+threshold feeds in descending-radius order, and draws every step from
+one generator per trajectory, so a step costs O(count) whatever the grid
+size.  The pool's order is part of the rule: which components a seed
+removes depends on it.
 """
 
 from __future__ import annotations
@@ -67,18 +66,21 @@ class ProcessConfig:
             raise ConfigError(f"process_kind must be one of {PROCESS_KINDS}, got {self.process_kind!r}")
 
 
-def radius_threshold(t: int, t_f: int, r_prime: float, r_max: float) -> float:
-    """Scheduled radius threshold: r_max at t=0 down to r_max/sqrt(R') at t=T_f.
+def radius_threshold(t: int, t_f: int, r_prime: float, r_anchor: float) -> float:
+    """Scheduled radius threshold: r_anchor at t=0 down to r_anchor/sqrt(R') at t=T_f.
 
-    The schedule extrapolates linearly past t_f (clamped at 0) so
-    reconstruction-time trajectories can extend the same process.
+    ``sample_trajectory`` anchors it at the grid's inscribed radius
+    min(H, W)/2, which leaves the steps of the default processes up to
+    T_f unrelaxed (anchored at the corner radius, every step would relax).  The schedule
+    extrapolates linearly past t_f (clamped at 0) so reconstruction-time
+    trajectories can extend the same process.
     """
     if not r_prime > 1.0:
         raise ConfigError(f"R_prime must be > 1, got {r_prime}")
     if t_f < 1:
         raise ConfigError(f"T_f must be >= 1, got {t_f}")
     fade = 1.0 - (1.0 - r_prime ** -0.5) * (t / t_f)
-    return max(0.0, r_max * fade)
+    return max(0.0, r_anchor * fade)
 
 
 def per_step_count(n_components: int, r_prime: float, t_f: int) -> int:
@@ -184,22 +186,24 @@ class DegradationTrajectory:
 def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None = None) -> DegradationTrajectory:
     """Draw a removal trajectory; deterministic given ``cfg.seed``.
 
-    Step t draws its count uniformly at random from the eligible set
-    {not yet removed, radius > threshold(t)} (the radius clause is dropped
-    for uniform density).  If the annulus is too small the threshold is
-    lowered, for that step only, to the largest radius that keeps the step
-    feasible; such steps are flagged in ``relaxed``.
+    Components enter an eligible pool in ``grid.radius_order`` (descending
+    radius, ties in ascending flat index) once their radius exceeds the
+    threshold, and leave it only when drawn; uniform density puts the whole
+    grid in the pool at step 1.  Step t draws its count uniformly from the
+    pool: positions ``choice(pool_size, count, replace=False)`` from the
+    trajectory's one ``substream(seed, "degradation")`` generator, then a
+    swap-remove that fills the drawn positions below the new pool size,
+    lowest first, with the undrawn entries beyond it, in pool order.  The
+    pool order is part of the rule: it decides which components a seed
+    removes.  If the pool holds fewer than the count, it takes in every
+    component at or above the radius of the count-th candidate (descending
+    radius), which then stay eligible at later steps; such steps are
+    flagged in ``relaxed``.
 
-    Cost: the radius-scheduled density walks ``grid.radius_order`` (sorted
-    once per grid, O(N log N)) behind a head pointer that every removed
-    candidate lies before or within, so step t reads only the m candidates
-    from the head to the threshold (for a relaxed step, to the end of the
-    cutoff radius's ties) and costs O(m log m).  The current threshold
-    relaxes every step, so m is about the step's count.  Uniform density
-    has the whole grid eligible and scans it, O(N) per step.  Each step
-    hands its eligible set to ``substream(seed, "degradation", t)`` in
-    ascending flat-index order, so the output does not depend on the
-    order the candidates were found in.
+    Cost: ``grid.radius_order`` is sorted once per grid, O(N log N); each
+    component is copied into the pool at most once, and a step costs
+    O(count) for its draw and swap-remove plus one binary search for its
+    threshold.
     """
     if t_total is None:
         t_total = cfg.t_f
@@ -211,48 +215,45 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
             "the DC component must survive"
         )
 
-    available = np.ones(grid.n_components, dtype=bool)
-    available[grid.dc_index] = False  # DC is never eligible
     removed_at = np.zeros(grid.shape, dtype=np.int32)
     removed_flat = removed_at.reshape(-1)
     thresholds = np.zeros(t_total)
     relaxed = np.zeros(t_total, dtype=bool)
 
-    radial = cfg.density == "radius_scheduled"
-    if radial:
-        order = grid.radius_order
-        neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
-    head = 0  # every candidate before head is removed
-    reach = 0  # every candidate from reach on is available
+    order = grid.radius_order  # the non-DC components, so DC never enters the pool
+    neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
+    if cfg.density == "radius_scheduled":
+        anchor = min(grid.shape) / 2  # the inscribed radius
+        thresholds[:] = [radius_threshold(t, cfg.t_f, cfg.r_prime, anchor) for t in range(1, t_total + 1)]
+        # step t's window: the candidates above its threshold, order[:stops[t - 1]]
+        stops = np.searchsorted(neg_radius, -thresholds, side="left").tolist()
+    else:
+        stops = [order.size] * t_total
+    pool = np.empty(order.size, dtype=order.dtype)
+    size = 0  # pool[:size] holds the eligible components
+    reach = 0  # order[:reach] has entered the pool
+    rng = substream(cfg.seed, "degradation")
 
-    for t in range(1, t_total + 1):
-        need = int(counts[t - 1])
-        if radial:
-            # Move head past the removed candidates; open_pos holds the
-            # positions of the available ones before reach.
-            open_pos = head + np.flatnonzero(available[order[head:reach]])
-            head = int(open_pos[0]) if open_pos.size else reach
-            rbar = radius_threshold(t, cfg.t_f, cfg.r_prime, grid.r_max)
-            thresholds[t - 1] = rbar
-            stop = max(head, int(np.searchsorted(neg_radius, -rbar, side="left")))
-            window = order[head:stop]
-            eligible = window[available[window]]
-            if eligible.size < need:
-                # Lower the threshold minimally: admit every candidate at or
-                # above the radius of the need-th available one.
-                nth = open_pos[need - 1] if open_pos.size >= need else reach + need - 1 - open_pos.size
-                stop = int(np.searchsorted(neg_radius, neg_radius[nth], side="right"))
-                window = order[head:stop]
-                eligible = window[available[window]]
-                relaxed[t - 1] = True
-            eligible.sort()
-            reach = max(reach, stop)
-        else:
-            eligible = np.flatnonzero(available)  # DC is never available
-        rng = substream(cfg.seed, "degradation", t)
-        picked = np.sort(rng.choice(eligible, size=need, replace=False))
-        available[picked] = False
-        removed_flat[picked] = t
+    for t, (need, stop) in enumerate(zip(counts.tolist(), stops), start=1):
+        stop = max(reach, stop)
+        if size + stop - reach < need:
+            # Relax: admit every candidate at or above the radius of the need-th
+            # one, counting the pool first and then order[reach:].
+            nth = reach + need - size - 1
+            stop = int(np.searchsorted(neg_radius, neg_radius[nth], side="right"))
+            relaxed[t - 1] = True
+        pool[size : size + stop - reach] = order[reach:stop]
+        size += stop - reach
+        reach = stop
+
+        pos = rng.choice(size, need, replace=False)
+        removed_flat[pool[pos]] = t
+        size -= need
+        pos.sort()
+        low = int(np.searchsorted(pos, size))  # pos[:low] are the holes left below the new size
+        survives = np.ones(need, dtype=bool)  # the undrawn entries of pool[size : size + need] fill them
+        survives[pos[low:] - size] = False
+        pool[pos[:low]] = pool[size + np.flatnonzero(survives)]
 
     return DegradationTrajectory(
         grid=grid, process=cfg, counts=counts, removed_at=removed_at, thresholds=thresholds, relaxed=relaxed

@@ -99,10 +99,6 @@ class KSpaceGrid:
         order.setflags(write=False)
         return order
 
-    @cached_property
-    def r_max(self) -> float:
-        return float(self.radius.max())
-
     @property
     def dc_index(self) -> int:
         """Flat row-major index of the DC component."""

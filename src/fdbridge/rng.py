@@ -3,9 +3,11 @@
 Every random draw in the package comes from a counter-based Philox
 generator whose 128-bit key and 256-bit counter are derived by hashing a
 64-bit run seed together with a tag path (for example
-``substream(seed, "degradation", t)``).  Streams for different paths are
-statistically independent, reproducible across platforms, and do not
-depend on how many values earlier steps consumed.
+``substream(seed, "ddpm-reverse", t)`` for one reverse step, or
+``substream(seed, "degradation")`` for every step of one trajectory).
+Streams for different paths are statistically independent, reproducible
+across platforms, and do not depend on how many values other streams
+consumed.
 """
 
 from __future__ import annotations

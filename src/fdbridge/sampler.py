@@ -115,6 +115,8 @@ class ReconstructionResult:
     diagnostics: list[tuple]
     weights: np.ndarray
     trajectory_seed: int | None = None
+    # steps of the reverse trajectory whose threshold was relaxed; None without a trajectory (DDPM)
+    relaxed_steps: int | None = None
 
 
 def reconstruct(
@@ -156,7 +158,12 @@ def reconstruct(
         x = _finish_step(x, t, system, y, cfg.dc_every_step, reference, diagnostics)
 
     return ReconstructionResult(
-        image=x, t_r=t_r, diagnostics=diagnostics, weights=weights, trajectory_seed=traj_seed
+        image=x,
+        t_r=t_r,
+        diagnostics=diagnostics,
+        weights=weights,
+        trajectory_seed=traj_seed,
+        relaxed_steps=traj.relaxation_count,
     )
 
 

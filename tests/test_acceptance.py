@@ -65,6 +65,7 @@ def test_criterion_2_trajectory_laws():
         assert all(len(s) == traj.n for s in sets), "per-step count differs from n"
         keep_fraction = traj.keep_count(t_f) / grid.n_components
         assert abs(keep_fraction - 1.0 / r_prime) <= traj.n / grid.n_components
+        assert traj.relaxation_count == 0, "a scheduled step was relaxed"
         for t, (s, relaxed) in enumerate(zip(sets, traj.relaxed), start=1):
             if not relaxed:
                 assert np.all(radius[s] > traj.thresholds[t - 1])
@@ -208,8 +209,8 @@ def test_criterion_7_end_to_end_toy_reconstruction():
 
     mean_margin = float(np.mean(margins))
     mean_plain = float(np.mean(margins_plain))
-    # frozen fixture: this configuration achieves ~+7.5 dB over least squares
-    # (worst held-out image ~+5.5 dB); training variance at 200 steps is
+    # frozen fixture: this configuration achieves ~+4.3 dB over least squares
+    # (worst held-out image ~+1.8 dB); training variance at 200 steps is
     # large, so the seed and recipe are pinned together
     assert mean_margin >= 2.0, f"mean margin {mean_margin:.2f} dB < 2 dB"
     assert mean_plain < mean_margin, "ablating the correction must score strictly below full"

@@ -86,6 +86,20 @@ class TestConfigValidation:
             assert read(3) == 3.0 and type(read(3)) is float
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"process": {"T_f": 0}}, {"process": {"density": "bogus"}}, {"train": {"epochs": -1}}],
+        ids=["T_f", "density", "epochs"],
+    )
+    def test_every_section_is_checked_before_anything_is_written(self, tmp_path, bad):
+        # phantom reads none of these sections, yet must not record them
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        assert run("phantom", "--config", str(config), "--out", str(out)) == 1
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, tmp_path, capsys):
         assert run("frobnicate", "--out", str(tmp_path)) == 1
@@ -209,6 +223,7 @@ class TestTrainReconstruct:
                    "--schedule", str(west / "schedule.csv")) == 0
         summary = read_json(rec / "summary.json")
         assert summary["T_r"] == 12  # floor(8 * 3 * 2 / 4)
+        assert summary["relaxed_steps"] == 0
         _, diag = read_csv(rec / "diagnostics.csv")
         assert len(diag) == 12
         meas = read_json(rec / "measurement" / "measurement.json")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,30 +24,46 @@ from conftest import rand_image
 
 
 def _full_grid_oracle(grid, cfg, t_total):
-    """Re-enact the point process by scanning the whole grid at every step.
+    """Re-enact the pool rule with a Python list, scanning the whole grid at every step.
 
-    Returns (removed_at, thresholds, relaxed, counts) as a trajectory holds them.
+    Components join the pool in descending radius, ties in ascending index,
+    once their radius exceeds the threshold anchored at min(H, W)/2.  A step
+    draws pool positions from the trajectory's one generator, then fills the
+    drawn positions that lie below the new pool size, lowest first, with the
+    undrawn entries beyond it, in pool order.  Returns (removed_at,
+    thresholds, relaxed, counts) as a trajectory holds them.
     """
     radius = grid.radius.ravel()
+    anchor = min(grid.shape) / 2
     counts = step_counts(grid.n_components, cfg, t_total)
-    removed = np.zeros(grid.n_components, dtype=bool)
-    removed[grid.dc_index] = True
+    entered = np.zeros(grid.n_components, dtype=bool)
+    entered[grid.dc_index] = True  # DC never enters the pool
+    pool = []
     removed_at = np.zeros(grid.n_components, dtype=np.int32)
     thresholds = np.zeros(t_total)
     relaxed = np.zeros(t_total, dtype=bool)
+    rng = substream(cfg.seed, "degradation")
     for t in range(1, t_total + 1):
         need = int(counts[t - 1])
         if cfg.density == "radius_scheduled":
-            thresholds[t - 1] = degradation.radius_threshold(t, cfg.t_f, cfg.r_prime, grid.r_max)
-        eligible = np.flatnonzero(~removed & (radius > thresholds[t - 1]))
-        if eligible.size < need:
-            remaining = np.flatnonzero(~removed)
-            cutoff = np.partition(radius[remaining], remaining.size - need)[remaining.size - need]
-            eligible = remaining[radius[remaining] >= cutoff]
+            thresholds[t - 1] = degradation.radius_threshold(t, cfg.t_f, cfg.r_prime, anchor)
+        outside = np.flatnonzero(~entered)
+        joining = outside[radius[outside] > thresholds[t - 1]]
+        if len(pool) + joining.size < need:
+            cutoff = np.sort(radius[outside])[::-1][need - len(pool) - 1]
+            joining = outside[radius[outside] >= cutoff]
             relaxed[t - 1] = True
-        pick = np.sort(substream(cfg.seed, "degradation", t).choice(eligible, size=need, replace=False))
-        removed[pick] = True
-        removed_at[pick] = t
+        pool += sorted(joining.tolist(), key=lambda i: (-radius[i], i))
+        entered[joining] = True
+        picked = set(rng.choice(len(pool), size=need, replace=False).tolist())
+        for p in picked:
+            removed_at[pool[p]] = t
+        left = len(pool) - need
+        holes = sorted(p for p in picked if p < left)
+        movers = [pool[i] for i in range(left, len(pool)) if i not in picked]
+        for hole, mover in zip(holes, movers):
+            pool[hole] = mover
+        del pool[left:]
     return removed_at.reshape(grid.shape), thresholds, relaxed, counts
 
 
@@ -121,14 +139,24 @@ class TestSampleTrajectory:
         assert all(np.array_equal(a.keep_mask(t), b.keep_mask(t)) for t in range(a.t_total + 1))
 
     def test_scripted_draw_oracle_8x8(self):
-        # independent re-enactment of the point process: n=1, four steps
+        # independent re-enactment of the pool rule in plain Python: n=1, four steps
         grid = radius_map(8, 8)
         cfg = ProcessConfig(r_prime=2.0, t_f=32, seed=5)
         traj = sample_trajectory(grid, cfg, t_total=4)
         assert traj.n == 1
 
-        removed_at = _full_grid_oracle(grid, cfg, 4)[0]
-        expected_sets = [np.flatnonzero(removed_at == t) for t in range(1, 5)]
+        radius = {8 * y + x: math.hypot(y - 4, x - 4) for y in range(8) for x in range(8)}
+        by_radius = sorted((i for i in radius if i != 8 * 4 + 4), key=lambda i: (-radius[i], i))
+        rng = substream(5, "degradation")
+        pool, expected_sets = [], []
+        for t in range(1, 5):
+            threshold = 4.0 * (1.0 - (1.0 - 2.0**-0.5) * t / 32)  # anchored at min(8, 8) / 2
+            while by_radius and radius[by_radius[0]] > threshold:
+                pool.append(by_radius.pop(0))
+            (p,) = rng.choice(len(pool), size=1, replace=False).tolist()
+            expected_sets.append(np.array([pool[p]]))
+            pool[p] = pool[-1]
+            pool.pop()
 
         assert all(np.array_equal(a, b) for a, b in zip(traj.removal_sets(), expected_sets))
         flat = np.concatenate(traj.removal_sets())
@@ -158,15 +186,15 @@ class TestSampleTrajectory:
 
     @pytest.mark.parametrize("slack", [1.0, 1.02, 1.5, 4.0])
     def test_matches_full_grid_oracle_on_unrelaxed_steps(self, monkeypatch, slack):
-        # The scheduled threshold relaxes every step; a radial-quantile
-        # threshold holding `slack` times the cumulative budget outside it
-        # leaves steps unrelaxed, so the walk is checked on those too.
+        # A radial-quantile threshold holding `slack` times the cumulative
+        # budget outside it: slack 1 relaxes most steps on ties, 1.02 only
+        # the first and larger slack none, so the pool is checked on both.
         grid = radius_map(64, 48)
         descending = np.sort(grid.radius.ravel())[::-1]
         cfg = ProcessConfig(r_prime=2.0, t_f=32, seed=7)
         n = per_step_count(grid.n_components, cfg.r_prime, cfg.t_f)
 
-        def quantile_threshold(t, t_f, r_prime, r_max):
+        def quantile_threshold(t, t_f, r_prime, r_anchor):
             return float(descending[min(descending.size - 1, int(slack * n * t))])
 
         monkeypatch.setattr(degradation, "radius_threshold", quantile_threshold)
@@ -178,19 +206,50 @@ class TestSampleTrajectory:
         assert np.array_equal(traj.relaxed, relaxed)
 
     def test_matches_full_grid_oracle_on_relaxed_steps_after_a_wide_window(self, monkeypatch):
-        # Step 1 draws from the wide window above radius 3 and leaves gaps at
-        # every radius; steps 2-8 find nothing above radius 100 and relax, so
-        # each takes its cutoff from the need-th available candidate, whose
-        # radius differs from the (need-1)-th one's.
-        grid = radius_map(16, 16)
+        # Step 1 fills the pool from the wide window above radius 7; steps 2-4
+        # drain it, and steps 5-8 find nothing above radius 100 and relax.  On
+        # this grid a cutoff taken one candidate early leaves the pool short of
+        # the count, and one taken one candidate late admits another radius.
+        grid = radius_map(16, 12)
         cfg = ProcessConfig(r_prime=2.0, t_f=8, seed=5)
-        monkeypatch.setattr(degradation, "radius_threshold", lambda t, t_f, r_prime, r_max: 3.0 if t == 1 else 100.0)
+        monkeypatch.setattr(degradation, "radius_threshold", lambda t, t_f, r_prime, r_anchor: 7.0 if t == 1 else 100.0)
         traj = sample_trajectory(grid, cfg)
         removed_at, thresholds, relaxed, counts = _full_grid_oracle(grid, cfg, 8)
-        assert relaxed.tolist() == [False] + [True] * 7
+        assert relaxed.tolist() == [False] * 4 + [True] * 4
         assert np.array_equal(traj.removed_at, removed_at)
         assert traj.thresholds.tobytes() == thresholds.tobytes()
         assert np.array_equal(traj.relaxed, relaxed)
+
+    @pytest.mark.parametrize(
+        "shape,t_f,t_total", [((64, 64), 64, 64), ((64, 64), 64, 96), ((33, 31), 16, 24), ((256, 256), 1000, 1000)]
+    )
+    def test_default_process_never_relaxes(self, shape, t_f, t_total):
+        # the inscribed-radius anchor keeps every scheduled step feasible
+        traj = sample_trajectory(radius_map(*shape), ProcessConfig(r_prime=2.0, t_f=t_f, seed=1), t_total=t_total)
+        assert traj.relaxation_count == 0
+
+    def test_seeds_draw_different_trajectories(self):
+        # 11,620 components differ at 256^2 (the corner-anchored process, random
+        # only in ties, differed in 18)
+        grid = radius_map(256, 256)
+        a, b = (sample_trajectory(grid, ProcessConfig(r_prime=2.0, t_f=1000, seed=s)) for s in (0, 1))
+        assert np.count_nonzero(a.keep_mask(500) != b.keep_mask(500)) > 10_000
+
+    @pytest.mark.parametrize("t_total", [1, 17, 63, 96])
+    def test_shorter_trajectory_is_a_prefix(self, t_total):
+        # a t-step draw is the first t steps of the T_f-step one (96 > T_f: the first T_f steps)
+        grid = radius_map(64, 64)
+        cfg = ProcessConfig(r_prime=2.0, t_f=64, seed=12)
+        full = sample_trajectory(grid, cfg)
+        part = sample_trajectory(grid, cfg, t_total=t_total)
+        t = min(t_total, cfg.t_f)
+        if t_total < cfg.t_f:
+            expected = np.where(full.removed_at <= t, full.removed_at, 0)
+            assert np.array_equal(part.removed_at, expected)
+        else:
+            assert np.array_equal(np.where(part.removed_at <= t, part.removed_at, 0), full.removed_at)
+        assert part.thresholds[:t].tobytes() == full.thresholds[:t].tobytes()
+        assert np.array_equal(part.relaxed[:t], full.relaxed[:t])
 
     def test_disjoint_and_monotone(self):
         grid = radius_map(32, 32)

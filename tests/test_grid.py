@@ -55,12 +55,6 @@ class TestRadiusMap:
         grid = radius_map(4, 4)
         assert grid.radius[2, 2] == 0.0
 
-    def test_r_max_square(self):
-        assert radius_map(4, 4).r_max == pytest.approx(np.sqrt(8.0))
-
-    def test_r_max_odd_dims(self):
-        assert radius_map(3, 5).r_max == pytest.approx(np.sqrt(5.0))
-
     def test_small_dims_rejected(self):
         with pytest.raises(ValueError):
             radius_map(1, 4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdbridge import degradation
 from fdbridge.correction import linear_weights, resample_weights
 from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, ScheduleError
@@ -236,6 +237,17 @@ class TestReconstruct:
             assert runs["fixed", seed].trajectory_seed == proc.seed
         assert runs["independent", 33].trajectory_seed != runs["independent", 34].trajectory_seed
         assert not np.array_equal(runs["independent", 33].image, runs["independent", 34].image)
+
+    def test_result_counts_the_relaxed_steps(self, monkeypatch):
+        grid, proc, _, x0 = _matched_setup(seed=35)
+        sys_ = unit_system(make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=36))
+        y = forward(sys_, x0)
+        cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="none", seed=37)
+        assert reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg).relaxed_steps == 0
+        # a threshold above every radius relaxes each of the T_r steps
+        monkeypatch.setattr(degradation, "radius_threshold", lambda t, t_f, r_prime, r_anchor: 1e9)
+        result = reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg)
+        assert result.relaxed_steps == result.t_r == 12
 
     def test_learned_correction_requires_schedule(self):
         grid, proc, _, x0 = _matched_setup(seed=24)

@@ -481,8 +481,16 @@ def cmd_metrics(cfg, args, out: Path) -> list[str]:
     return ["metrics.csv"]
 
 
+def _read_config(path):
+    """The JSON document at ``path``; a file that is missing or is not JSON raises a ConfigError naming it."""
+    try:
+        return read_json(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def cmd_replay(args) -> int:
-    manifest = read_json(args.manifest)
+    manifest = _read_config(args.manifest)
     command = manifest["command"]
     if command not in _HANDLERS:
         raise ConfigError(f"manifest names unknown command {command!r}")
@@ -655,7 +663,7 @@ def _run(argv, config_dict=None) -> int:
         return cmd_replay(args)
 
     if config_dict is None:
-        config_dict = read_json(args.config) if args.config else {}
+        config_dict = _read_config(args.config) if args.config else {}
     cfg = validate_config(config_dict)
     if args.seed is not None:
         cfg["seed"] = args.seed

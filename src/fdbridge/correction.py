@@ -98,7 +98,6 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
         raise ValueError("all dataset images must share one shape")
     energies = [np.abs(dft2(x).ravel()) ** 2 for x in images]
 
-    sum_e0 = 0.0
     sum_et = np.zeros(t_f + 1)            # running sums of ||X_t||^2, t = 0..t_f
     sum_removed = np.zeros(t_f)           # running sums of ||X_{t-1} - X_t||^2
     sum_deficit = np.zeros(t_f)           # running sums of ||X_0 - X_t||^2
@@ -110,14 +109,13 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
         e0 = float(energy.sum())
         removed = np.array([float(energy[s].sum()) for s in traj.removal_sets()])
         deficit = np.cumsum(removed)
-        sum_e0 += e0
         sum_et[0] += e0
         sum_et[1:] += e0 - deficit
         sum_removed += removed
         sum_deficit += deficit
 
-    mean_e0 = sum_e0 / mc_samples
     mean_et = sum_et / mc_samples
+    mean_e0 = mean_et[0]
     num_balance = mean_et[:-1] - mean_et[1:]
     den_balance = mean_e0 - mean_et[1:]
     num_diff = sum_removed / mc_samples

@@ -136,20 +136,18 @@ def step_counts(n_components: int, cfg: ProcessConfig, t_total: int) -> np.ndarr
 class DegradationTrajectory:
     """One realization of ``process`` over steps 1..t_total.
 
-    ``process`` is the ProcessConfig this trajectory was drawn from, with
-    the seed of this draw.  ``removed_at`` is an (H, W) map holding, per
-    component, the step in 1..t_total at which it was removed, or 0 if it
-    is never removed (DC always).  Keep-masks and removal sets are derived
-    from it on demand, so a trajectory holds O(N + t_total) bytes whatever
-    its length.  ``counts``, ``thresholds`` and ``relaxed`` hold one entry
-    per step.
+    Stored: ``process``, the ProcessConfig drawn from with this draw's
+    seed; ``removed_at``, an (H, W) map of the step in 1..t_total at which
+    each component was removed, 0 if never (DC always); and ``counts`` and
+    ``relaxed``, per step.  Derived: the grid shape from ``removed_at``,
+    ``t_total`` from ``counts``, keep-masks and removal sets on demand, so
+    a trajectory holds O(N + t_total) bytes.  A radius-scheduled step's
+    threshold is not kept: it is ``radius_threshold(t, T_f, R', min(H, W) / 2)``.
     """
 
-    grid: KSpaceGrid
     process: ProcessConfig
     counts: np.ndarray
     removed_at: np.ndarray
-    thresholds: np.ndarray
     relaxed: np.ndarray
 
     @property
@@ -159,7 +157,7 @@ class DegradationTrajectory:
     @property
     def n(self) -> int:
         """The process's per-step removal count on this grid."""
-        return per_step_count(self.grid.n_components, self.process.r_prime, self.process.t_f)
+        return per_step_count(self.removed_at.size, self.process.r_prime, self.process.t_f)
 
     @property
     def relaxation_count(self) -> int:
@@ -207,6 +205,8 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
     """
     if t_total is None:
         t_total = cfg.t_f
+    if t_total < 0:
+        raise ConfigError(f"trajectory length must be >= 0, got {t_total}")
     counts = step_counts(grid.n_components, cfg, t_total)
     total_removed = int(counts.sum())
     if total_removed > grid.n_components - 1:
@@ -217,16 +217,15 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
 
     removed_at = np.zeros(grid.shape, dtype=np.int32)
     removed_flat = removed_at.reshape(-1)
-    thresholds = np.zeros(t_total)
     relaxed = np.zeros(t_total, dtype=bool)
 
     order = grid.radius_order  # the non-DC components, so DC never enters the pool
     neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
     if cfg.density == "radius_scheduled":
         anchor = min(grid.shape) / 2  # the inscribed radius
-        thresholds[:] = [radius_threshold(t, cfg.t_f, cfg.r_prime, anchor) for t in range(1, t_total + 1)]
+        thresholds = [radius_threshold(t, cfg.t_f, cfg.r_prime, anchor) for t in range(1, t_total + 1)]
         # step t's window: the candidates above its threshold, order[:stops[t - 1]]
-        stops = np.searchsorted(neg_radius, -thresholds, side="left").tolist()
+        stops = np.searchsorted(neg_radius, -np.array(thresholds), side="left").tolist()
     else:
         stops = [order.size] * t_total
     pool = np.empty(order.size, dtype=order.dtype)
@@ -255,9 +254,7 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
         survives[pos[low:] - size] = False
         pool[pos[:low]] = pool[size + np.flatnonzero(survives)]
 
-    return DegradationTrajectory(
-        grid=grid, process=cfg, counts=counts, removed_at=removed_at, thresholds=thresholds, relaxed=relaxed
-    )
+    return DegradationTrajectory(process=cfg, counts=counts, removed_at=removed_at, relaxed=relaxed)
 
 
 def corrupt(x0: np.ndarray, traj: DegradationTrajectory, t: int) -> np.ndarray:
@@ -265,8 +262,8 @@ def corrupt(x0: np.ndarray, traj: DegradationTrajectory, t: int) -> np.ndarray:
     if not 0 <= t <= traj.t_total:
         raise ValueError(f"t must be in [0, {traj.t_total}], got {t}")
     x0 = as_image(x0)
-    if x0.shape != traj.grid.shape:
-        raise ValueError(f"image shape {x0.shape} does not match grid {traj.grid.shape}")
+    if x0.shape != traj.removed_at.shape:
+        raise ValueError(f"image shape {x0.shape} does not match grid {traj.removed_at.shape}")
     if t == 0:
         return x0.copy()
     return idft2(apply_mask(dft2(x0), traj.keep_mask(t)))

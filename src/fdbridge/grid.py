@@ -99,11 +99,6 @@ class KSpaceGrid:
         order.setflags(write=False)
         return order
 
-    @property
-    def dc_index(self) -> int:
-        """Flat row-major index of the DC component."""
-        return (self.height // 2) * self.width + self.width // 2
-
 
 def radius_map(height: int, width: int) -> KSpaceGrid:
     """Build the centered k-space grid for an H x W image."""

@@ -1,9 +1,13 @@
-"""Image-quality metrics on magnitude images (PSNR, SSIM)."""
+"""Image-quality metrics on magnitude images (PSNR, SSIM), each scaled by the reference's maximum."""
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+# SSIM's canonical constants: the Gaussian window's side and standard deviation in pixels, and the
+# luminance and contrast stabilizers as fractions of the dynamic range (the reference's maximum)
+SSIM_WINDOW, SSIM_SIGMA, SSIM_K1, SSIM_K2 = 11, 1.5, 0.01, 0.03
 
 
 def _magnitudes(ref, test) -> tuple[np.ndarray, np.ndarray]:
@@ -14,16 +18,15 @@ def _magnitudes(ref, test) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(ref).astype(np.float64), np.abs(test).astype(np.float64)
 
 
-def psnr(ref, test, peak: float | None = None) -> float:
+def psnr(ref, test) -> float:
     """Peak signal-to-noise ratio in dB; ``inf`` for identical inputs.
 
-    Computed on magnitudes; ``peak`` defaults to the reference maximum.
+    Computed on magnitudes, with the reference maximum as the peak.
     """
     a, b = _magnitudes(ref, test)
-    if peak is None:
-        peak = float(a.max())
+    peak = float(a.max())
     if peak <= 0:
-        raise ValueError(f"peak must be > 0, got {peak}")
+        raise ValueError(f"reference peak must be > 0, got {peak}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -44,37 +47,27 @@ def _filter_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return sliding_window_view(a, k, axis=0) @ kernel
 
 
-def ssim(
-    ref,
-    test,
-    window: int = 11,
-    sigma: float = 1.5,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    dynamic_range: float | None = None,
-) -> float:
+def ssim(ref, test) -> float:
     """Mean local structural similarity on magnitude images.
 
-    Canonical Gaussian-window formulation (11x11, sigma 1.5, stabilizers
-    K1=0.01, K2=0.03); windows are cropped to the valid region.  The
-    window shrinks to the largest odd size that fits when the image is
-    smaller than 11 in either dimension.
+    Canonical Gaussian-window formulation with the SSIM_* constants;
+    windows are cropped to the valid region.  The window shrinks to the
+    largest odd size that fits when the image is smaller than SSIM_WINDOW
+    in either dimension.
     """
     a, b = _magnitudes(ref, test)
     min_dim = min(a.shape)
-    if window > min_dim:
-        window = min_dim if min_dim % 2 == 1 else min_dim - 1
+    window = min(SSIM_WINDOW, min_dim - 1 + min_dim % 2)  # the largest odd size that fits
     if window < 1:
         raise ValueError("image too small for any SSIM window")
-    if dynamic_range is None:
-        dynamic_range = float(a.max())
+    dynamic_range = float(a.max())
     if dynamic_range <= 0:
         # both images must be identically zero for the reference max to vanish
         return 1.0 if np.array_equal(a, b) else 0.0
-    c1 = (k1 * dynamic_range) ** 2
-    c2 = (k2 * dynamic_range) ** 2
+    c1 = (SSIM_K1 * dynamic_range) ** 2
+    c2 = (SSIM_K2 * dynamic_range) ** 2
 
-    kern = _gaussian_kernel(window, sigma)
+    kern = _gaussian_kernel(window, SSIM_SIGMA)
     mu_a = _filter_valid(a, kern)
     mu_b = _filter_valid(b, kern)
     aa = _filter_valid(a * a, kern)

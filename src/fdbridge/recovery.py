@@ -31,7 +31,7 @@ import numpy as np
 from .degradation import ProcessConfig, averaging_corrupt, corrupt, sample_trajectory
 from .errors import ConfigError, TrainingError
 from .fileio import atomic_write_bytes, write_csv
-from .grid import KSpaceGrid, apply_mask, as_image, dft2, idft2
+from .grid import KSpaceGrid, as_image
 from .rng import child_seed, substream
 from .sampler import DdpmSchedule, ddpm_forward_sample
 
@@ -349,14 +349,14 @@ def _energy(r: np.ndarray) -> float:
 LOSS_MODES = ("weighted", "upper_bound")
 
 
-def _loss_residual(estimate: np.ndarray, x0: np.ndarray, keep: np.ndarray | None, mode: str):
+def _loss_residual(estimate: np.ndarray, x0: np.ndarray, traj, t: int, mode: str):
     """One sample's loss residual and its energy: C_t (G - x_0) for weighted, G - x_0 for upper_bound.
 
-    ``keep`` is C_t's keep-mask; the upper bound never reads it.
+    C_t is ``traj``'s corruption at step t; the upper bound never reads either.
     """
     residual = estimate - x0
     if mode == "weighted":
-        residual = idft2(apply_mask(dft2(residual), keep))
+        residual = corrupt(residual, traj, t)
     return residual, _energy(residual)
 
 
@@ -398,7 +398,7 @@ class _Adam:
 
 
 def _draw_corrupted(x0, grid, process, seed_tags):
-    """Draw (x_t, t, keep_mask_or_None) from the configured corruption source; ``grid`` is x0's."""
+    """Draw (x_t, t, traj) from the configured corruption source; traj, x_t's removal trajectory, may be None."""
     rng_t = substream(seed_tags[0], "step-draw", *seed_tags[1:])
     if isinstance(process, ProcessConfig):
         t = int(rng_t.integers(1, process.t_f + 1))
@@ -407,7 +407,7 @@ def _draw_corrupted(x0, grid, process, seed_tags):
             x_start = corrupt(x0, sample_trajectory(grid, traj_cfg, t_total=process.t_f), process.t_f)
             return averaging_corrupt(x0, x_start, t, process.t_f), t, None
         traj = sample_trajectory(grid, traj_cfg, t_total=t)
-        return corrupt(x0, traj, t), t, traj.keep_mask(t)
+        return corrupt(x0, traj, t), t, traj
     if isinstance(process, DdpmSchedule):
         t = int(rng_t.integers(1, process.t_f + 1))
         noise_seed = child_seed(seed_tags[0], "train-noise", *seed_tags[1:])
@@ -445,9 +445,9 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             grads = {n: np.zeros_like(p) for n, p in model.params.items()}
             loss = 0.0
             for i, x0 in enumerate(batch):
-                x_t, t, keep = _draw_corrupted(x0, grids[x0.shape], process, (cfg.seed, epoch, step_idx, i))
+                x_t, t, traj = _draw_corrupted(x0, grids[x0.shape], process, (cfg.seed, epoch, step_idx, i))
                 out, cache = model.forward(_complex_to_channels(x_t), t)
-                residual, energy = _loss_residual(_channels_to_complex(out), x0, keep, cfg.loss_mode)
+                residual, energy = _loss_residual(_channels_to_complex(out), x0, traj, t, cfg.loss_mode)
                 loss += energy
                 dout = _complex_to_channels(residual) * (2.0 / len(batch))
                 for n, g in model.backward(cache, dout).items():

@@ -108,15 +108,19 @@ def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t
 
 @dataclass
 class ReconstructionResult:
+    """The final image, one diagnostics row per reverse step, and the reverse trajectory's relaxed steps."""
+
     image: np.ndarray
-    t_r: int
     # rows (t, residual, psnr_db): residual is ||y - A x|| of the step's update before its DC
     # projection; psnr_db is that of the step's final iterate
     diagnostics: list[tuple]
-    weights: np.ndarray
-    trajectory_seed: int | None = None
     # steps of the reverse trajectory whose threshold was relaxed; None without a trajectory (DDPM)
     relaxed_steps: int | None = None
+
+    @property
+    def t_r(self) -> int:
+        """The number of reverse steps run: each writes one diagnostics row."""
+        return len(self.diagnostics)
 
 
 def reconstruct(
@@ -157,14 +161,7 @@ def reconstruct(
         x = reverse_step(x, t, traj, x0_est, weight=float(weights[t - 1]))
         x = _finish_step(x, t, system, y, cfg.dc_every_step, reference, diagnostics)
 
-    return ReconstructionResult(
-        image=x,
-        t_r=t_r,
-        diagnostics=diagnostics,
-        weights=weights,
-        trajectory_seed=traj_seed,
-        relaxed_steps=traj.relaxation_count,
-    )
+    return ReconstructionResult(image=x, diagnostics=diagnostics, relaxed_steps=traj.relaxation_count)
 
 
 def _finish_step(x, t: int, system, y, dc: bool, reference, diagnostics: list) -> np.ndarray:
@@ -268,6 +265,4 @@ def ddpm_reconstruct(
         z = _complex_noise(x.shape, substream(seed, "ddpm-reverse", t)) if t > 1 else 0.0
         x = coef_x * x + coef_est * x0_est + noise_sd * z
         x = _finish_step(x, t, system, y, True, reference, diagnostics)
-    return ReconstructionResult(
-        image=x, t_r=schedule.t_f, diagnostics=diagnostics, weights=np.zeros(schedule.t_f)
-    )
+    return ReconstructionResult(image=x, diagnostics=diagnostics)

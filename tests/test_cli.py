@@ -112,6 +112,24 @@ class TestExitCodes:
         bad.write_text('{"unknown_key": 1}')
         assert run("phantom", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("content", [None, "{not json", "\xff"], ids=["missing", "malformed", "not-utf8"])
+    def test_unreadable_config_is_one(self, tmp_path, capsys, content):
+        config = tmp_path / "bad.json"
+        if content is not None:
+            config.write_bytes(content.encode("latin-1"))
+        out = tmp_path / "o"
+        assert run("phantom", "--config", str(config), "--out", str(out)) == 1
+        assert not out.exists()
+        assert str(config) in capsys.readouterr().err
+        assert run("replay", str(config), "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_negative_trajectory_length_is_one(self, tmp_path, config_path, capsys):
+        out = tmp_path / "fwd"
+        assert run("forward", "--config", config_path, "--out", str(out), "--t-total", "-1") == 1
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_runtime_failure_is_two(self, tmp_path):
         assert (
             run("metrics", "--out", str(tmp_path / "m"), "--ref", "missing.cimg", "--test", "missing.cimg")
@@ -170,6 +188,13 @@ class TestMaskAndForward:
         corrupted = read_cimg(out / "corrupted_t0008.cimg")
         original = read_cimg(out / "original.cimg")
         assert np.linalg.norm(corrupted) <= np.linalg.norm(original) * (1 + 1e-12)
+
+    def test_forward_with_no_steps(self, tmp_path, config_path):
+        out = tmp_path / "fwd"
+        assert run("forward", "--config", config_path, "--out", str(out), "--t-total", "0") == 0
+        meta = read_json(out / "trajectory.json")
+        assert meta["T_total"] == 0 and meta["step_counts"] == []
+        assert read_kmsk(out / meta["mask_files"]["0"]).all()
 
     def test_forward_at_paper_scale(self, tmp_path):
         # 256^2, T_f = 1000, R' = 2: the paper's forward-process settings

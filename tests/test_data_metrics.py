@@ -46,9 +46,11 @@ class TestMakePhantom:
 
 class TestPsnr:
     def test_quoted_constant_images(self):
+        # constant 0.5 but for one pixel at the peak, 1: 20 log10(1 / 0.1) = 20 dB
         ref = np.full((32, 32), 0.5, dtype=complex)
-        test = np.full((32, 32), 0.6, dtype=complex)
-        assert psnr(ref, test, peak=1.0) == pytest.approx(20.0, abs=1e-9)
+        ref[0, 0] = 1.0
+        test = ref + 0.1
+        assert psnr(ref, test) == pytest.approx(20.0, abs=1e-9)
 
     def test_identical_images_inf(self):
         x = rand_image(16, 16, seed=0)
@@ -88,11 +90,12 @@ class TestSsim:
         assert value == pytest.approx(0.10836944523307597, abs=1e-9)
 
     def test_symmetry_with_fixed_dynamic_range(self):
+        # the dynamic range is the reference's maximum, so a shared one fixes it at 1.5 both ways
         a = np.abs(rand_image(24, 24, seed=7))
         b = np.abs(rand_image(24, 24, seed=8))
-        assert ssim(a, b, dynamic_range=1.5) == pytest.approx(
-            ssim(b, a, dynamic_range=1.5), abs=1e-12
-        )
+        a, b = a / a.max() * 1.5, b / b.max() * 1.5
+        assert a.max() == b.max() == 1.5
+        assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-12)
 
     def test_never_exceeds_one(self):
         for seed in range(6):

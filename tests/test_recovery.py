@@ -46,7 +46,7 @@ def bridge_loss(operator, images, trajectories, steps, mode: str = "upper_bound"
     for x0, traj, t in zip(images, trajectories, steps):
         x0 = as_image(x0)
         x_t = corrupt(x0, traj, t)
-        _, energy = _loss_residual(operator.recover(x_t, t), x0, traj.keep_mask(t), mode)
+        _, energy = _loss_residual(operator.recover(x_t, t), x0, traj, t, mode)
         total += energy
     return total / len(images)
 
@@ -98,6 +98,17 @@ class TestBridgeLoss:
         w = bridge_loss(op, images, trajs, steps, "weighted")
         u = bridge_loss(op, images, trajs, steps, "upper_bound")
         assert w <= u * (1 + 1e-12)
+
+    def test_weighted_residual_is_the_corrupted_plain_residual(self):
+        # C_t applied to G - x_0 = -x_0: a mid-trajectory keep set drops part of its energy
+        images, _, trajs, _ = _toy_setup()
+        x0, traj, t = images[0], trajs[0], 4
+        estimate = ZeroMapRecovery().recover(corrupt(x0, traj, t), t)
+        plain, plain_energy = _loss_residual(estimate, x0, traj, t, "upper_bound")
+        weighted, weighted_energy = _loss_residual(estimate, x0, traj, t, "weighted")
+        assert np.array_equal(plain, estimate - x0)
+        assert np.array_equal(weighted, corrupt(plain, traj, t))
+        assert 0.0 < weighted_energy < plain_energy
 
     def test_zero_map_upper_bound_is_mean_energy(self):
         images, _, trajs, steps = _toy_setup()

@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Every subcommand reads a JSON run config (strictly validated: unknown
-keys are rejected, all seeds are explicit), writes its artifacts
-atomically under --out, and drops a run manifest that allows exact
-replay (``fdb replay <manifest>``).  Exit codes: 0 success, 1 config
-error, 2 runtime failure.
+keys are rejected, all seeds are explicit), writes its artifacts under
+--out, and last drops a run manifest that allows exact replay (``fdb
+replay <manifest>``).  Each file appears under its final name only once
+it is complete.  A run that fails writes no ``run_manifest.json``, and a
+config error writes nothing, not even --out itself.  Exit codes: 0
+success, 1 config error, 2 runtime failure.
 
 ``reconstruct``, ``ddpm-reconstruct`` and ``ablate`` share one path:
 simulate the acquisition of a reference image (sampling mask, coil maps,
@@ -185,6 +187,9 @@ def cmd_mask(cfg, args, out: Path) -> list[str]:
 
 
 def _parse_snapshots(text: str | None, t_total: int) -> list[int]:
+    """The steps of --snapshots (default: quartiles) within a trajectory of ``t_total`` steps, checked before it is drawn."""
+    if t_total < 0:
+        raise ConfigError(f"trajectory length must be >= 0, got {t_total}")
     if text:
         try:
             steps = sorted({int(s) for s in text.split(",")})
@@ -209,8 +214,8 @@ def cmd_forward(cfg, args, out: Path) -> list[str]:
         x0 = seeded_phantom(data["dims"], data["dims"], data["contrast"], cfg["seed"], "forward-image")
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "trajectory"))
     t_total = args.t_total if args.t_total is not None else proc.t_f
-    traj = sample_trajectory(grid, proc, t_total=t_total)
     steps = _parse_snapshots(args.snapshots, t_total)
+    traj = sample_trajectory(grid, proc, t_total=t_total)
     manifest = export_trajectory(traj, out, steps)
     names = ["trajectory.json"] + list(manifest["mask_files"].values())
     if not args.image:
@@ -491,11 +496,23 @@ def _read_config(path):
 
 def cmd_replay(args) -> int:
     manifest = _read_config(args.manifest)
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("command"), str)
+        and isinstance(manifest.get("flags"), dict)
+        and isinstance(manifest.get("config"), dict)
+    ):
+        raise ConfigError(
+            f"{args.manifest} is not a run manifest: it must be an object with a string 'command', "
+            "an object 'flags' and an object 'config'"
+        )
     command = manifest["command"]
     if command not in _HANDLERS:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    out = Path(args.out) if args.out else Path(manifest["out"])
-    argv = [command, "--out", str(out)]
+    out = args.out or manifest.get("out")
+    if not isinstance(out, str):
+        raise ConfigError(f"{args.manifest} names no output directory; pass --out")
+    argv = [command, "--out", out]
     for key, value in manifest["flags"].items():
         if value is None or value is False:
             continue
@@ -669,7 +686,6 @@ def _run(argv, config_dict=None) -> int:
         cfg["seed"] = args.seed
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     outputs = _HANDLERS[args.command](cfg, args, out)
     wall = time.monotonic() - started

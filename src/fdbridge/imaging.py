@@ -1,11 +1,15 @@
 """Accelerated-acquisition measurement model.
 
-The forward operator maps an image to per-coil masked k-space:
-``y_c = M * DFT(S_c * x) + noise``; the adjoint combines coils with
-conjugate sensitivities.  Coil maps are synthetic smooth Gaussian lobes
-with linear phase ramps, normalized to unit sum-of-squares per pixel, so
-the single-coil case reduces to a unit map.  Each operator transforms
-the whole coil stack with one FFT call in FFT-native layout.
+The forward operator A maps an image to per-coil masked k-space,
+``A x = M * DFT(S_c * x)``, and its adjoint A^H combines the coils with
+conjugate sensitivities, ``A^H y = sum_c conj(S_c) * IDFT(M * y_c)``.
+Each transforms the whole coil stack with one FFT call in FFT-native
+layout.  Everything else is composed from these two: the simulated
+acquisition ``forward`` (A plus noise on the sampled locations), the
+data-consistency update ``dc_projection`` (x + A^H (y - A x)) and
+``residual_norm`` (||A x - y||).  Coil maps are synthetic smooth
+Gaussian lobes with linear phase ramps, normalized to unit
+sum-of-squares per pixel, so the single-coil case reduces to a unit map.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_cimg, read_json, read_kmsk, write_cimg, write_json, write_kmsk
+from .fileio import write_cimg, write_json, write_kmsk
 from .grid import KSpaceGrid, as_image, dft2, idft2, to_centered, to_native
 from .rng import substream
 
@@ -178,29 +182,6 @@ def synth_coil_maps(grid: KSpaceGrid, n_coils: int, seed: int = 0) -> np.ndarray
     return maps / sos[None, :, :]
 
 
-def _native_system(system: ImagingSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh FFT-native copies of the coil maps and of the unsampled locations (~mask)."""
-    return to_native(system.coil_maps), ~to_native(system.mask)
-
-
-def _forward_native(maps: np.ndarray, unsampled: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M * DFT(S_c * x) for every coil in one FFT call; native maps, mask and result, centered x."""
-    spec = dft2(maps * to_native(x), native=True)
-    np.copyto(spec, 0.0, where=unsampled)
-    return spec
-
-
-def _adjoint_native(conj_maps: np.ndarray, unsampled: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """sum_c conj(S_c) * IDFT(M * y_c) in native layout, coils summed in index order; zeroes ``data`` off the mask."""
-    np.copyto(data, 0.0, where=unsampled)
-    data = idft2(data, native=True)
-    np.multiply(conj_maps, data, out=data)
-    out = np.zeros(data.shape[1:], dtype=np.complex128)
-    for image in data:
-        out += image
-    return out
-
-
 def _check_image(system: ImagingSystem, x) -> np.ndarray:
     x = as_image(x)
     if x.shape != system.grid.shape:
@@ -209,9 +190,11 @@ def _check_image(system: ImagingSystem, x) -> np.ndarray:
 
 
 def apply_forward(system: ImagingSystem, x: np.ndarray) -> np.ndarray:
-    """Noiseless forward operator as a raw (C, H, W) array."""
+    """A: the noiseless forward operator M * DFT(S_c * x) as a raw (C, H, W) array, all coils in one FFT call."""
     x = _check_image(system, x)
-    return to_centered(_forward_native(*_native_system(system), x))
+    spec = dft2(to_native(system.coil_maps * x), native=True)
+    np.copyto(spec, 0.0, where=~to_native(system.mask))
+    return to_centered(spec)
 
 
 def forward(
@@ -237,38 +220,36 @@ def forward(
     return Measurement(data=data, acceleration=float(acceleration), noise_sigma=float(noise_sigma))
 
 
-def _measurement_data(y) -> np.ndarray:
-    return y.data if isinstance(y, Measurement) else np.asarray(y, dtype=np.complex128)
-
-
-def _check_measurement(system: ImagingSystem, data: np.ndarray) -> np.ndarray:
+def _measured(system: ImagingSystem, y) -> np.ndarray:
+    """The (C, H, W) array of ``y`` (a Measurement or an array), rejected unless it matches the system."""
+    data = y.data if isinstance(y, Measurement) else np.asarray(y, dtype=np.complex128)
     if data.shape != (system.n_coils, *system.grid.shape):
         raise ValueError(f"measurement shape {data.shape} does not match system")
     return data
 
 
 def adjoint(system: ImagingSystem, y) -> np.ndarray:
-    """Adjoint operator: coil-combined inverse DFT of the masked measurements."""
-    data = _check_measurement(system, _measurement_data(y))
-    maps, unsampled = _native_system(system)
-    return to_centered(_adjoint_native(np.conj(maps, out=maps), unsampled, to_native(data)))
+    """A^H: sum_c conj(S_c) * IDFT(M * y_c), all coils in one inverse FFT call, summed in coil order."""
+    data = to_native(_measured(system, y))
+    np.copyto(data, 0.0, where=~to_native(system.mask))
+    data = to_centered(idft2(data, native=True))
+    np.multiply(np.conj(system.coil_maps), data, out=data)
+    out = np.zeros(system.grid.shape, dtype=np.complex128)
+    for image in data:
+        out += image
+    return out
 
 
 def dc_projection(system: ImagingSystem, x: np.ndarray, y) -> tuple[np.ndarray, float]:
-    """Data-consistency update x + A^H (y - A x).
-
-    Returns the updated image and ||y - A x||, the data residual of the
-    input, which the update computes anyway.
-    """
+    """Data-consistency update x + A^H (y - A x) and ||y - A x||, the data residual of the input."""
     x = _check_image(system, x)
-    maps, unsampled = _native_system(system)
-    residual = _check_measurement(system, _measurement_data(y) - to_centered(_forward_native(maps, unsampled, x)))
-    update = _adjoint_native(np.conj(maps, out=maps), unsampled, to_native(residual))
-    return x + to_centered(update), float(np.linalg.norm(residual))
+    residual = _measured(system, y) - apply_forward(system, x)
+    return x + adjoint(system, residual), float(np.linalg.norm(residual))
 
 
 def residual_norm(system: ImagingSystem, x: np.ndarray, y) -> float:
-    data = _measurement_data(y)
+    """||A x - y||."""
+    data = _measured(system, y)
     return float(np.linalg.norm(apply_forward(system, x) - data))
 
 
@@ -297,16 +278,3 @@ def save_measurement(out_dir, system: ImagingSystem, y: Measurement, seed: int, 
         },
     )
     return names + ["mask.kmsk", "measurement.json"]
-
-
-def load_measurement(in_dir) -> tuple[ImagingSystem, Measurement, dict]:
-    in_dir = Path(in_dir)
-    meta = read_json(in_dir / "measurement.json")
-    mask = read_kmsk(in_dir / "mask.kmsk")
-    n_coils = int(meta["C"])
-    data = np.stack([read_cimg(in_dir / f"coil_{c:02d}.cimg") for c in range(n_coils)])
-    maps = np.stack([read_cimg(in_dir / f"sens_{c:02d}.cimg") for c in range(n_coils)])
-    grid = KSpaceGrid(*mask.shape)
-    system = ImagingSystem(mask=mask, coil_maps=maps, grid=grid)
-    y = Measurement(data=data, acceleration=float(meta["R"]), noise_sigma=float(meta["noise_sigma"]))
-    return system, y, meta

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from fdbridge import cli
 from fdbridge.cli import DEFAULT_CONFIG, main, validate_config
 from fdbridge.correction import save_schedule
 from fdbridge.degradation import ProcessConfig, sample_trajectory
@@ -97,7 +98,7 @@ class TestConfigValidation:
         config.write_text(json.dumps(bad))
         out = tmp_path / "out"
         assert run("phantom", "--config", str(config), "--out", str(out)) == 1
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -128,7 +129,34 @@ class TestExitCodes:
         out = tmp_path / "fwd"
         assert run("forward", "--config", config_path, "--out", str(out), "--t-total", "-1") == 1
         assert "must be >= 0" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    def test_snapshot_out_of_range_is_one(self, tmp_path, config_path, capsys, monkeypatch):
+        # rejected before the trajectory, which takes seconds at paper scale, is drawn
+        monkeypatch.setattr(cli, "sample_trajectory", lambda *a, **k: pytest.fail("trajectory drawn"))
+        out = tmp_path / "fwd"
+        assert run("forward", "--config", config_path, "--out", str(out), "--snapshots", "99") == 1
+        assert "snapshot step 99 out of range [0, 8]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", [[1], {"flags": {}}, {"command": "phantom", "flags": [], "config": {}},
+                                          {"command": "phantom", "flags": {}, "config": 3}],
+                             ids=["list", "no-command", "flags-list", "config-number"])
+    def test_unusable_replay_manifest_is_one(self, tmp_path, capsys, manifest):
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert run("replay", str(path), "--out", str(out)) == 1
+        assert f"{path} is not a run manifest" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_without_an_output_directory_is_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps({"command": "phantom", "flags": {}, "config": {}}))
+        assert run("replay", str(path)) == 1
+        assert "names no output directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run_manifest.json"]
 
     def test_runtime_failure_is_two(self, tmp_path):
         assert (
@@ -290,7 +318,7 @@ class TestTrainReconstruct:
         }[case]
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
-        assert not [p for p in out.rglob("*") if p.is_file()]
+        assert not out.exists()
 
     def test_short_schedule_writes_nothing(self, tmp_path, config_path):
         # a CSV-only schedule of any length but T_f (8) is a runtime failure that leaves --out empty
@@ -300,7 +328,7 @@ class TestTrainReconstruct:
             out = tmp_path / f"r{rows}"
             assert run("reconstruct", "--config", config_path, "--out", str(out),
                        "--schedule", str(tmp_path / "schedule.csv")) == 2, rows
-            assert not [p for p in out.rglob("*") if p.is_file()], rows
+            assert not out.exists(), rows
 
     @pytest.mark.parametrize("case,code", [
         ("other_process", 1), ("rows_differ", 1), ("unedited", 0), ("csv_only", 0),
@@ -325,7 +353,7 @@ class TestTrainReconstruct:
         elif case == "rows_differ":
             assert "T_f=8" in err and "holds 12 rows" in err
         if code:
-            assert not [p for p in out.rglob("*") if p.is_file()]
+            assert not out.exists()
         else:
             assert (out / "recon.cimg").exists()
 
@@ -337,7 +365,7 @@ class TestTrainReconstruct:
         csv.write_text("\n".join(lines) + "\n")
         out = tmp_path / "r"
         assert run("reconstruct", "--config", config_path, "--out", str(out), "--schedule", str(csv)) == 2
-        assert not [p for p in out.rglob("*") if p.is_file()]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "ddpm-reconstruct"])
     def test_manifest_lists_every_output(self, tmp_path, config_path, command):

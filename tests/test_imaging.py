@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdbridge.errors import ConfigError
+from fdbridge.fileio import read_cimg, read_json, read_kmsk
 from fdbridge.grid import dft2, idft2, radius_map
 from fdbridge.imaging import (
     MASK_DENSITIES,
@@ -12,7 +13,6 @@ from fdbridge.imaging import (
     apply_forward,
     dc_projection,
     forward,
-    load_measurement,
     make_sampling_mask,
     residual_norm,
     save_measurement,
@@ -243,6 +243,15 @@ class TestCoilBatchedOperators:
         assert norm == float(np.linalg.norm(residual))
         assert residual_norm(system, x, y) == float(np.linalg.norm(_per_coil_forward(system, x) - y.data))
 
+    @pytest.mark.parametrize("bad", ["one coil", "extra coil"])
+    def test_measurement_of_the_wrong_shape_is_rejected(self, bad):
+        system, y, x = self._case((32, 32), 4)
+        data = y.data[0] if bad == "one coil" else np.concatenate([y.data, y.data[:1]])
+        for call in (lambda: adjoint(system, data), lambda: dc_projection(system, x, data),
+                     lambda: residual_norm(system, x, data)):
+            with pytest.raises(ValueError, match="measurement shape"):
+                call()
+
     def test_inputs_left_unchanged(self):
         system, y, x = self._case((33, 31), 4)
         before = (system.coil_maps.copy(), system.mask.copy(), y.data.copy(), x.copy())
@@ -258,9 +267,14 @@ def test_measurement_serialization_round_trip(tmp_path):
     mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=12)
     sys_ = ImagingSystem(mask=mask, coil_maps=synth_coil_maps(grid, 3, seed=13), grid=grid)
     y = forward(sys_, rand_image(32, 32, seed=14), noise_sigma=0.1, seed=15, acceleration=4.0)
-    save_measurement(tmp_path, sys_, y, seed=15, density="normal2d")
-    sys2, y2, meta = load_measurement(tmp_path)
-    assert np.array_equal(sys2.mask, sys_.mask)
-    assert np.array_equal(sys2.coil_maps, sys_.coil_maps)
-    assert np.array_equal(y2.data, y.data)
+    names = save_measurement(tmp_path, sys_, y, seed=15, density="normal2d")
+    assert sorted(names) == sorted(
+        [f"coil_{c:02d}.cimg" for c in range(3)] + [f"sens_{c:02d}.cimg" for c in range(3)]
+        + ["mask.kmsk", "measurement.json"]
+    )
+    assert np.array_equal(read_kmsk(tmp_path / "mask.kmsk"), sys_.mask)
+    for c in range(3):
+        assert np.array_equal(read_cimg(tmp_path / f"coil_{c:02d}.cimg"), y.data[c])
+        assert np.array_equal(read_cimg(tmp_path / f"sens_{c:02d}.cimg"), sys_.coil_maps[c])
+    meta = read_json(tmp_path / "measurement.json")
     assert meta == {"R": 4.0, "C": 3, "noise_sigma": 0.1, "seed": 15, "density": "normal2d"}

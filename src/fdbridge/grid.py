@@ -6,12 +6,18 @@ sits at index ``(H // 2, W // 2)`` so radius thresholds read directly off
 array indices.  Frequency masks are boolean ``(H, W)`` arrays
 (True = component retained).
 
-Inside a computation the spectra may stay in the FFT-native layout that
-``np.fft`` works in (DC at index ``(0, 0)``): ``to_native`` and
-``to_centered`` convert over the last two axes, and ``dft2`` and
-``idft2`` with ``native=True`` transform there, so a ``(C, H, W)`` stack
-shifts and transforms in one call each.  None of these validate their
-input.
+Inside a computation arrays may stay in the FFT-native layout that
+``np.fft`` works in (DC at index ``(0, 0)``, for images and spectra
+alike): ``to_native`` and ``to_centered`` convert over the last two
+axes, and ``dft2`` and ``idft2`` with ``native=True`` transform there, so
+a ``(C, H, W)`` stack shifts and transforms in one call each.  None of
+these validate their input.  A shift is an exact permutation, so a
+computation gives the same bits in either layout as long as it sums
+nothing.  The imaging operators (``imaging.native_*``) and
+``sampler.reverse_step`` take native arrays; the reverse loop converts
+its inputs once per reconstruction and then shifts twice per step: the
+iterate to centered layout for the recovery operator and the PSNR, and
+the operator's estimate back to native layout.
 """
 
 from __future__ import annotations

@@ -3,13 +3,19 @@
 The forward operator A maps an image to per-coil masked k-space,
 ``A x = M * DFT(S_c * x)``, and its adjoint A^H combines the coils with
 conjugate sensitivities, ``A^H y = sum_c conj(S_c) * IDFT(M * y_c)``.
-Each transforms the whole coil stack with one FFT call in FFT-native
-layout.  Everything else is composed from these two: the simulated
-acquisition ``forward`` (A plus noise on the sampled locations), the
-data-consistency update ``dc_projection`` (x + A^H (y - A x)) and
-``residual_norm`` (||A x - y||).  Coil maps are synthetic smooth
-Gaussian lobes with linear phase ramps, normalized to unit
-sum-of-squares per pixel, so the single-coil case reduces to a unit map.
+Each is written once, in FFT-native layout (``grid``), and transforms
+the whole coil stack with one FFT call: ``native_forward`` and
+``native_adjoint`` take a ``NativeSystem``, the system's coil maps,
+their conjugates and the mask's complement shifted once by
+``native_system``, and native images and data.  The data-consistency
+update ``native_dc`` (x + A^H (y - A x)) and ``native_residual``
+(||A x - y||) are composed from them; the reverse loop calls these four.
+``apply_forward``, ``adjoint``, ``dc_projection`` and ``residual_norm``
+are the same functions on centered arrays, shifted in on entry and out
+on return, and the simulated acquisition ``forward`` is A plus noise on
+the sampled locations.  Coil maps are synthetic smooth Gaussian lobes
+with linear phase ramps, normalized to unit sum-of-squares per pixel, so
+the single-coil case reduces to a unit map.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,12 +196,31 @@ def _check_image(system: ImagingSystem, x) -> np.ndarray:
     return x
 
 
+class NativeSystem(NamedTuple):
+    """An ImagingSystem's arrays in FFT-native layout, built once per reconstruction by :func:`native_system`."""
+
+    coil_maps: np.ndarray       # (C, H, W) complex128
+    conj_maps: np.ndarray       # (C, H, W), conj(coil_maps)
+    unsampled: np.ndarray       # (H, W) bool, ~mask
+
+
+def native_system(system: ImagingSystem) -> NativeSystem:
+    """The system's coil maps, their conjugates and the mask's complement, shifted to FFT-native layout."""
+    maps = to_native(system.coil_maps)
+    return NativeSystem(maps, np.conj(maps), to_native(~system.mask))
+
+
+def native_forward(native: NativeSystem, x: np.ndarray) -> np.ndarray:
+    """A in FFT-native layout: M * DFT(S_c * x) for a native image, all coils in one FFT call."""
+    spec = dft2(native.coil_maps * x, native=True)
+    np.copyto(spec, 0.0, where=native.unsampled)
+    return spec
+
+
 def apply_forward(system: ImagingSystem, x: np.ndarray) -> np.ndarray:
-    """A: the noiseless forward operator M * DFT(S_c * x) as a raw (C, H, W) array, all coils in one FFT call."""
-    x = _check_image(system, x)
-    spec = dft2(to_native(system.coil_maps * x), native=True)
-    np.copyto(spec, 0.0, where=~to_native(system.mask))
-    return to_centered(spec)
+    """A for a centered image, as a raw centered (C, H, W) array: :func:`native_forward` between layout shifts."""
+    x = to_native(_check_image(system, x))
+    return to_centered(native_forward(native_system(system), x))
 
 
 def forward(
@@ -228,29 +254,50 @@ def _measured(system: ImagingSystem, y) -> np.ndarray:
     return data
 
 
-def adjoint(system: ImagingSystem, y) -> np.ndarray:
-    """A^H: sum_c conj(S_c) * IDFT(M * y_c), all coils in one inverse FFT call, summed in coil order."""
-    data = to_native(_measured(system, y))
-    np.copyto(data, 0.0, where=~to_native(system.mask))
-    data = to_centered(idft2(data, native=True))
-    np.multiply(np.conj(system.coil_maps), data, out=data)
-    out = np.zeros(system.grid.shape, dtype=np.complex128)
+def native_measurement(system: ImagingSystem, y) -> np.ndarray:
+    """``y``'s (C, H, W) data in FFT-native layout, as a new array; its shape is checked first."""
+    return to_native(_measured(system, y))
+
+
+def native_adjoint(native: NativeSystem, data: np.ndarray) -> np.ndarray:
+    """A^H in FFT-native layout: sum_c conj(S_c) * IDFT(M * y_c), summed in coil order; overwrites ``data``."""
+    np.copyto(data, 0.0, where=native.unsampled)
+    data = idft2(data, native=True)
+    np.multiply(native.conj_maps, data, out=data)
+    out = np.zeros(data.shape[1:], dtype=np.complex128)
     for image in data:
         out += image
     return out
 
 
+def adjoint(system: ImagingSystem, y) -> np.ndarray:
+    """A^H of centered data, as a centered image: :func:`native_adjoint` between layout shifts."""
+    return to_centered(native_adjoint(native_system(system), native_measurement(system, y)))
+
+
+def native_dc(native: NativeSystem, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """In FFT-native layout, the data-consistency update x + A^H (y - A x) and ||y - A x||, the input's residual."""
+    residual = y - native_forward(native, x)
+    norm = float(np.linalg.norm(residual))
+    return x + native_adjoint(native, residual), norm
+
+
 def dc_projection(system: ImagingSystem, x: np.ndarray, y) -> tuple[np.ndarray, float]:
-    """Data-consistency update x + A^H (y - A x) and ||y - A x||, the data residual of the input."""
-    x = _check_image(system, x)
-    residual = _measured(system, y) - apply_forward(system, x)
-    return x + adjoint(system, residual), float(np.linalg.norm(residual))
+    """:func:`native_dc` of a centered image and centered data, the image shifted back."""
+    x = to_native(_check_image(system, x))
+    image, norm = native_dc(native_system(system), x, native_measurement(system, y))
+    return to_centered(image), norm
+
+
+def native_residual(native: NativeSystem, x: np.ndarray, y: np.ndarray) -> float:
+    """||A x - y|| in FFT-native layout."""
+    return float(np.linalg.norm(native_forward(native, x) - y))
 
 
 def residual_norm(system: ImagingSystem, x: np.ndarray, y) -> float:
-    """||A x - y||."""
-    data = _measured(system, y)
-    return float(np.linalg.norm(apply_forward(system, x) - data))
+    """:func:`native_residual` of a centered image and centered data."""
+    x = to_native(_check_image(system, x))
+    return native_residual(native_system(system), x, native_measurement(system, y))
 
 
 def save_measurement(out_dir, system: ImagingSystem, y: Measurement, seed: int, density: str) -> list[str]:

@@ -10,6 +10,14 @@ trajectory from the bridge's process, runs T_r corrected steps
 interleaved with data-consistency projections, and records per-step
 diagnostics.  A DDPM baseline with the same driver structure is included
 for comparison runs.
+
+The loop runs in FFT-native layout (``grid``).  ``reconstruct`` shifts
+the system, the measurement, the zero-filled start and the trajectory's
+removal-time map once; ``reverse_step`` and the data-consistency step
+then take native arrays.  Each step shifts the iterate to centered
+layout, for the recovery operator and the PSNR, and the operator's
+estimate back.  The DDPM iterate stays centered and is shifted in and
+out around its data-consistency step.
 """
 
 from __future__ import annotations
@@ -23,7 +31,15 @@ from .correction import CorrectionSchedule, linear_weights, resample_weights
 from .degradation import DegradationTrajectory, ProcessConfig, sample_trajectory
 from .errors import ConfigError, SamplingError, ScheduleError, TrajectoryError
 from .grid import as_image, dft2, idft2, to_centered, to_native
-from .imaging import ImagingSystem, Measurement, adjoint, dc_projection, residual_norm
+from .imaging import (
+    ImagingSystem,
+    Measurement,
+    native_adjoint,
+    native_dc,
+    native_measurement,
+    native_residual,
+    native_system,
+)
 from .metrics import psnr
 from .rng import child_seed, substream
 
@@ -71,13 +87,15 @@ def reverse_step(
     x0_est: np.ndarray,
     weight: float = 0.0,
 ) -> np.ndarray:
-    """One reverse step from t to t-1.
+    """One reverse step from t to t-1, in FFT-native layout.
 
     standard (weight 0): x_{t-1} = x_t + (C_{t-1} - C_t) x0_est;
-    corrected adds weight * C_t (x0_est - x_t).  All operator applications
-    go through DFT, mask, inverse DFT; the corrected step transforms
-    x0_est and x_t in one stacked call, and the update stays in FFT-native
-    layout until its inverse DFT.
+    corrected adds weight * C_t (x0_est - x_t).  ``x_t``, ``x0_est``, the
+    result and ``traj.removed_at`` are in FFT-native layout, as
+    :func:`native_trajectory` gives it, so the step's masks are read off
+    the map unshifted.  All operator applications go through DFT, mask,
+    inverse DFT; the corrected step transforms x0_est and x_t in one
+    stacked call.
     """
     if t < 1:
         raise ValueError(f"reverse step needs t >= 1, got {t}")
@@ -86,12 +104,17 @@ def reverse_step(
     x_t = as_image(x_t)
     x0_est = as_image(x0_est)
     both = weight != 0.0
-    spec = dft2(to_native(np.stack([x0_est, x_t]) if both else x0_est), native=True)
+    spec = dft2(np.stack([x0_est, x_t]) if both else x0_est, native=True)
     est_spec = spec[0] if both else spec
-    update = np.where(to_native(traj.removed_mask(t)), est_spec, 0.0)
+    update = np.where(traj.removed_mask(t), est_spec, 0.0)
     if both:
-        update = update + weight * np.where(to_native(traj.keep_mask(t)), est_spec - spec[1], 0.0)
-    return x_t + to_centered(idft2(update, native=True))
+        update = update + weight * np.where(traj.keep_mask(t), est_spec - spec[1], 0.0)
+    return x_t + idft2(update, native=True)
+
+
+def native_trajectory(traj: DegradationTrajectory) -> DegradationTrajectory:
+    """``traj`` with its removal-time map in FFT-native layout, the form :func:`reverse_step` reads."""
+    return replace(traj, removed_at=to_native(traj.removed_at))
 
 
 def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t_r: int) -> np.ndarray:
@@ -141,7 +164,8 @@ def reconstruct(
     drawn from ``process``, whose T_f and R' must be the sampler's: ct_mode
     "fixed" draws the process's own trajectory, so every call with that
     process walks the same one; "independent" draws a fresh one from
-    ``cfg.seed``.
+    ``cfg.seed``.  The native forms of the system, ``y`` and the
+    trajectory are locals of this call, so ``system`` is left as it was.
     """
     for name, ours, theirs in (("T_f", cfg.t_f, process.t_f), ("R_prime", cfg.r_prime, process.r_prime)):
         if ours != theirs:
@@ -151,30 +175,38 @@ def reconstruct(
         raise ConfigError(f"T_r={t_r}; R={cfg.r} leaves nothing to reconstruct")
     weights = _resolve_schedule(cfg, schedule, t_r)
 
-    x = adjoint(system, y)
+    native = native_system(system)
+    y = native_measurement(system, y)
+    x = native_adjoint(native, y.copy())  # the zero-filled start; the adjoint overwrites its data
+    centered = to_centered(x)
     traj_seed = process.seed if cfg.ct_mode == "fixed" else child_seed(cfg.seed, "test-trajectory")
     traj = sample_trajectory(system.grid, replace(process, seed=traj_seed), t_total=t_r)
+    traj_native = native_trajectory(traj)
 
     diagnostics: list[tuple] = []
     for t in range(t_r, 0, -1):
-        x0_est = operator.recover(x, t)
-        x = reverse_step(x, t, traj, x0_est, weight=float(weights[t - 1]))
-        x = _finish_step(x, t, system, y, cfg.dc_every_step, reference, diagnostics)
+        x0_est = to_native(operator.recover(centered, t))
+        x = reverse_step(x, t, traj_native, x0_est, weight=float(weights[t - 1]))
+        x, centered = _finish_step(x, t, native, y, cfg.dc_every_step, reference, diagnostics)
 
-    return ReconstructionResult(image=x, diagnostics=diagnostics, relaxed_steps=traj.relaxation_count)
+    return ReconstructionResult(image=centered, diagnostics=diagnostics, relaxed_steps=traj.relaxation_count)
 
 
-def _finish_step(x, t: int, system, y, dc: bool, reference, diagnostics: list) -> np.ndarray:
-    """Tail of reverse step t: data consistency (or only its residual), finiteness, diagnostics row."""
+def _finish_step(x, t: int, native, y, dc: bool, reference, diagnostics: list) -> tuple[np.ndarray, np.ndarray]:
+    """Tail of reverse step t: data consistency (or only its residual), finiteness, diagnostics row.
+
+    ``x`` and ``y`` are native; returns the native iterate and its centered copy.
+    """
     if dc:
-        x, res = dc_projection(system, x, y)
+        x, res = native_dc(native, x, y)
     else:
-        res = residual_norm(system, x, y)
+        res = native_residual(native, x, y)
     if not np.all(np.isfinite(x)):
         raise SamplingError(f"non-finite iterate at step {t}")
-    quality = psnr(reference, x) if reference is not None else float("nan")
+    centered = to_centered(x)
+    quality = psnr(reference, centered) if reference is not None else float("nan")
     diagnostics.append((t, res, quality))
-    return x
+    return x, centered
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +282,8 @@ def ddpm_reconstruct(
     reference: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Noise-diffusion baseline: ancestral steps interleaved with data consistency."""
+    native = native_system(system)
+    y = native_measurement(system, y)
     rng_init = substream(seed, "ddpm-init")
     x = _complex_noise(system.grid.shape, rng_init)
     diagnostics: list[tuple] = []
@@ -264,5 +298,5 @@ def ddpm_reconstruct(
         noise_sd = math.sqrt((1.0 - gb_prev) / (1.0 - gb_t) * beta)
         z = _complex_noise(x.shape, substream(seed, "ddpm-reverse", t)) if t > 1 else 0.0
         x = coef_x * x + coef_est * x0_est + noise_sd * z
-        x = _finish_step(x, t, system, y, True, reference, diagnostics)
+        _, x = _finish_step(to_native(x), t, native, y, True, reference, diagnostics)
     return ReconstructionResult(image=x, diagnostics=diagnostics)

@@ -2,26 +2,36 @@ import numpy as np
 import pytest
 
 from fdbridge import degradation
-from fdbridge.correction import linear_weights, resample_weights
+from fdbridge.correction import CorrectionSchedule, linear_weights, resample_weights
 from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, ScheduleError
-from fdbridge.grid import dft2, idft2, radius_map
-from fdbridge.imaging import adjoint, dc_projection, forward, make_sampling_mask, residual_norm
+from fdbridge.grid import dft2, idft2, radius_map, to_centered, to_native
+from fdbridge.imaging import (
+    ImagingSystem,
+    adjoint,
+    dc_projection,
+    forward,
+    make_sampling_mask,
+    residual_norm,
+    synth_coil_maps,
+)
 from fdbridge.metrics import psnr
 from fdbridge.phantoms import PhantomSpec, make_phantom
-from fdbridge.recovery import OracleRecovery, ZeroFillRecovery
+from fdbridge.recovery import OracleRecovery, TinyRegressor, ZeroFillRecovery
 from fdbridge.sampler import (
     DdpmSchedule,
     SamplerConfig,
     ddpm_forward_sample,
     ddpm_reconstruct,
     ddpm_schedule,
+    native_trajectory,
     reconstruct,
     reconstruction_steps,
     reverse_step,
 )
 
 from conftest import constant_schedule, rand_image, unit_system
+from loop_oracle import reference_ddpm_reconstruct, reference_reconstruct
 
 
 class TestReconstructionSteps:
@@ -65,12 +75,17 @@ def _three_transform_reverse_step(x_t, t, traj, x0_est, weight, corrected):
     return x_t + idft2(update)
 
 
+def _centered_step(x_t, t, traj, x0_est, weight=0.0):
+    """``reverse_step`` on centered images: its native inputs and output shifted at this boundary."""
+    return to_centered(reverse_step(to_native(x_t), t, native_trajectory(traj), to_native(x0_est), weight=weight))
+
+
 class TestReverseStep:
     def test_oracle_telescoping(self):
         _, _, traj, x0 = _matched_setup()
         for t in (1, 4, 8):
             x_t = corrupt(x0, traj, t)
-            out = reverse_step(x_t, t, traj, x0)
+            out = _centered_step(x_t, t, traj, x0)
             expected = corrupt(x0, traj, t - 1)
             assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(x0)
 
@@ -78,8 +93,8 @@ class TestReverseStep:
         _, _, traj, x0 = _matched_setup(seed=1)
         for t in (2, 6):
             x_t = corrupt(x0, traj, t)
-            plain = reverse_step(x_t, t, traj, x0)
-            corr = reverse_step(x_t, t, traj, x0, weight=0.8)
+            plain = _centered_step(x_t, t, traj, x0)
+            corr = _centered_step(x_t, t, traj, x0, weight=0.8)
             assert np.linalg.norm(corr - plain) <= 1e-12 * np.linalg.norm(x0)
 
     def test_uncorrected_update_only_touches_step_set(self):
@@ -87,7 +102,7 @@ class TestReverseStep:
         x_t = rand_image(32, 32, seed=6)
         est = rand_image(32, 32, seed=7)
         t = 4
-        out = reverse_step(x_t, t, traj, est)
+        out = _centered_step(x_t, t, traj, est)
         delta_spec = dft2(out) - dft2(x_t)
         step_set = traj.keep_mask(t - 1) & ~traj.keep_mask(t)
         assert np.max(np.abs(delta_spec[~step_set])) <= 1e-12 * np.linalg.norm(est)
@@ -101,7 +116,7 @@ class TestReverseStep:
         x_t = rand_image(*shape, seed=10)
         est = rand_image(*shape, seed=11)
         for t in (1, 9, 24):
-            got = reverse_step(x_t, t, traj, est, weight=weight)
+            got = _centered_step(x_t, t, traj, est, weight=weight)
             ref = _three_transform_reverse_step(x_t, t, traj, est, weight, corrected)
             assert got.tobytes() == ref.tobytes()
 
@@ -156,7 +171,7 @@ class TestReconstruct:
         x = adjoint(sys_, y)
         op = ZeroFillRecovery()
         for t in range(traj.t_total, 0, -1):
-            x = reverse_step(x, t, traj, op.recover(x, t), weight=0.3)
+            x = _centered_step(x, t, traj, op.recover(x, t), weight=0.3)
             x, _ = dc_projection(sys_, x, y)
             spec = dft2(x)
             assert np.max(np.abs(spec[mask] - y.data[0][mask])) <= 1e-12 * np.linalg.norm(y.data)
@@ -195,7 +210,7 @@ class TestReconstruct:
         cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="none", ct_mode="fixed", seed=29)
         res = reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg)
         x_start = adjoint(sys_, y)
-        first_update = reverse_step(x_start, t_r, traj, ZeroFillRecovery().recover(x_start, t_r))
+        first_update = _centered_step(x_start, t_r, traj, ZeroFillRecovery().recover(x_start, t_r))
         assert res.diagnostics[0][1] == pytest.approx(residual_norm(sys_, first_update, y), rel=1e-12)
         assert max(row[1] for row in res.diagnostics) > 1e-12
         ddpm = ddpm_reconstruct(y, sys_, ZeroFillRecovery(), ddpm_schedule(30), seed=30)
@@ -230,7 +245,7 @@ class TestReconstruct:
         weights = resample_weights(linear_weights(proc.t_f), t_r)
         x = adjoint(sys_, y)
         for t in range(t_r, 0, -1):
-            x = reverse_step(x, t, stored, ZeroFillRecovery().recover(x, t), weight=float(weights[t - 1]))
+            x = _centered_step(x, t, stored, ZeroFillRecovery().recover(x, t), weight=float(weights[t - 1]))
             x, _ = dc_projection(sys_, x, y)
         for seed in (33, 34):
             assert np.array_equal(runs["fixed", seed].image, x)
@@ -255,6 +270,59 @@ class TestReconstruct:
         cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="learned", seed=26)
         with pytest.raises(ConfigError):
             reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg)
+
+
+def _oracle_case(shape, coils, seed):
+    """A noisy multi-coil measurement of a phantom, with an untrained regressor as the operator."""
+    grid = radius_map(*shape)
+    mask = make_sampling_mask(grid, 4.0, "normal2d", seed=seed)
+    system = ImagingSystem(mask=mask, coil_maps=synth_coil_maps(grid, coils, seed=seed + 1), grid=grid)
+    side = max(32, *shape)  # a phantom is at least 32 wide, so an odd 33 x 31 case is cropped from one
+    reference = make_phantom(PhantomSpec(side, side, seed=seed + 2))[: shape[0], : shape[1]]
+    y = forward(system, reference, noise_sigma=0.05, seed=seed + 3)
+    return system, y, reference
+
+
+def _held(system) -> dict:
+    return {name: (value, value.tobytes()) for name, value in vars(system).items() if isinstance(value, np.ndarray)}
+
+
+def _assert_same_run(result, image, diagnostics):
+    assert result.image.tobytes() == image.tobytes()
+    assert [row[0] for row in result.diagnostics] == [row[0] for row in diagnostics]
+    assert [row[2] for row in result.diagnostics] == [row[2] for row in diagnostics]
+    # the residual norms sum in FFT-native order, so only their rounding may differ
+    assert [row[1] for row in result.diagnostics] == pytest.approx([row[1] for row in diagnostics], rel=1e-12)
+
+
+class TestNativeLoopMatchesCenteredLoop:
+    """The FFT-native loop gives the centered loop's images and PSNRs bit for bit (tests/loop_oracle.py)."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)])
+    @pytest.mark.parametrize("coils", [1, 4])
+    @pytest.mark.parametrize("correction", ["learned", "linear", "none"])
+    @pytest.mark.parametrize("dc", [True, False])
+    def test_reconstruct(self, shape, coils, correction, dc):
+        system, y, reference = _oracle_case(shape, coils, seed=40 + coils)
+        proc = ProcessConfig(r_prime=2.0, t_f=8, seed=45)
+        cfg = SamplerConfig(t_f=8, r_prime=2.0, r=4.0, correction=correction, ct_mode="fixed",
+                            dc_every_step=dc, seed=46)
+        sched = CorrectionSchedule(weights=[1.0, 0.9, 0.7, 0.6, 0.4, 0.3, 0.3, 0.1], provenance="constant")
+        model = TinyRegressor(t_f=8, seed=47)
+        held = _held(system)
+        result = reconstruct(y, system, model, proc, sched, cfg, reference=reference)
+        _assert_same_run(result, *reference_reconstruct(y, system, model, proc, sched, cfg, reference=reference))
+        assert result.t_r == 12
+        assert _held(system).keys() == held.keys()
+        for name, (array, data) in held.items():
+            assert getattr(system, name) is array and array.tobytes() == data
+
+    def test_ddpm_reconstruct(self):
+        system, y, reference = _oracle_case((33, 31), 2, seed=48)
+        model = TinyRegressor(t_f=30, seed=49)
+        result = ddpm_reconstruct(y, system, model, ddpm_schedule(30), seed=50, reference=reference)
+        _assert_same_run(result, *reference_ddpm_reconstruct(y, system, model, ddpm_schedule(30), seed=50,
+                                                             reference=reference))
 
 
 class TestDdpmSchedule:

@@ -3,10 +3,13 @@
 Every subcommand reads a JSON run config (strictly validated: unknown
 keys are rejected, all seeds are explicit), writes its artifacts under
 --out, and last drops a run manifest that allows exact replay (``fdb
-replay <manifest>``).  Each file appears under its final name only once
-it is complete.  A run that fails writes no ``run_manifest.json``, and a
-config error writes nothing, not even --out itself.  Exit codes: 0
-success, 1 config error, 2 runtime failure.
+replay <manifest>``), with path flags resolved as they are parsed.  Each
+file is written to a temporary name and renamed, so it appears under its
+final name only once it is complete, and the manifest's ``outputs`` are
+read off the disk: the files under --out that are new or have a new
+inode.  A run that fails writes no ``run_manifest.json``, and a config
+error writes nothing, not even --out itself.  Exit codes: 0 success, 1
+config error, 2 runtime failure.
 
 ``reconstruct``, ``ddpm-reconstruct`` and ``ablate`` share one path:
 simulate the acquisition of a reference image (sampling mask, coil maps,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import sys
 import time
@@ -32,7 +36,7 @@ from . import __version__
 from .correction import estimate_weights, load_schedule, save_schedule
 from .degradation import ProcessConfig, corrupt, export_trajectory, sample_trajectory
 from .errors import ConfigError
-from .fileio import read_cimg, read_json, write_cimg, write_csv, write_json, write_kmsk
+from .fileio import atomic_write_bytes, read_cimg, read_json, write_cimg, write_csv, write_json, write_kmsk
 from .grid import KSpaceGrid
 from .imaging import (
     MASK_DENSITIES,
@@ -148,30 +152,26 @@ def _training_images(cfg: dict, args) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each handler returns a list of artifact names (relative to
-# --out) for the run manifest.
+# Subcommands.  Each handler writes its artifacts under --out; ``_run``
+# lists them in the run manifest.
 
 
-def cmd_phantom(cfg, args, out: Path) -> list[str]:
+def cmd_phantom(cfg, args, out: Path) -> None:
     data = cfg["data"]
     images = generate_dataset(data["count"], data["dims"], data["dims"], data["contrast"], cfg["seed"])
-    manifest = save_dataset(out, images, data["contrast"], cfg["seed"])
-    return ["manifest.json"] + [f"images/{name}" for name in manifest["ids"]]
+    save_dataset(out, images, data["contrast"], cfg["seed"])
 
 
-def cmd_mask(cfg, args, out: Path) -> list[str]:
+def cmd_mask(cfg, args, out: Path) -> None:
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     dims = cfg["data"]["dims"]
     grid = KSpaceGrid(dims, dims)
     calib = args.calib if args.calib is not None else default_calib(dims, dims)
-    names = []
-    seeds = []
-    for i in range(args.count):
-        seed_i = child_seed(cfg["seed"], "mask", i)
-        mask = make_sampling_mask(grid, cfg["sampler"]["R"], args.density, calib, seed=seed_i)
-        name = f"mask_{i:02d}.kmsk"
-        write_kmsk(out / name, mask)
-        names.append(name)
-        seeds.append(seed_i)
+    names = [f"mask_{i:02d}.kmsk" for i in range(args.count)]
+    seeds = [child_seed(cfg["seed"], "mask", i) for i in range(args.count)]
+    for name, seed_i in zip(names, seeds):
+        write_kmsk(out / name, make_sampling_mask(grid, cfg["sampler"]["R"], args.density, calib, seed=seed_i))
     write_json(
         out / "masks.json",
         {
@@ -183,7 +183,6 @@ def cmd_mask(cfg, args, out: Path) -> list[str]:
             "files": names,
         },
     )
-    return names + ["masks.json"]
 
 
 def _parse_snapshots(text: str | None, t_total: int) -> list[int]:
@@ -203,7 +202,7 @@ def _parse_snapshots(text: str | None, t_total: int) -> list[int]:
     return steps
 
 
-def cmd_forward(cfg, args, out: Path) -> list[str]:
+def cmd_forward(cfg, args, out: Path) -> None:
     data = cfg["data"]
     grid = KSpaceGrid(data["dims"], data["dims"])
     if args.image:
@@ -216,26 +215,21 @@ def cmd_forward(cfg, args, out: Path) -> list[str]:
     t_total = args.t_total if args.t_total is not None else proc.t_f
     steps = _parse_snapshots(args.snapshots, t_total)
     traj = sample_trajectory(grid, proc, t_total=t_total)
-    manifest = export_trajectory(traj, out, steps)
-    names = ["trajectory.json"] + list(manifest["mask_files"].values())
+    export_trajectory(traj, out, steps)
     if not args.image:
         write_cimg(out / "original.cimg", x0)
-        names.append("original.cimg")
     for t in steps:
-        name = f"corrupted_t{t:04d}.cimg"
-        write_cimg(out / name, corrupt(x0, traj, t))
-        names.append(name)
-    return names
+        write_cimg(out / f"corrupted_t{t:04d}.cimg", corrupt(x0, traj, t))
 
 
-def _plot_schedule(out: Path, weights: np.ndarray) -> str | None:
+def _plot_schedule(out: Path, weights: np.ndarray) -> None:
     try:
         import matplotlib
 
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:  # matplotlib is the optional "plot" extra
-        return None
+        return
     fig, ax = plt.subplots(figsize=(5, 3.2))
     ax.plot(np.arange(1, weights.size + 1), weights, lw=1.5)
     ax.set_xlabel("t")
@@ -243,22 +237,19 @@ def _plot_schedule(out: Path, weights: np.ndarray) -> str | None:
     ax.set_title("correction weight schedule")
     ax.grid(alpha=0.3)
     fig.tight_layout()
-    fig.savefig(out / "schedule.png", dpi=110)
+    png = io.BytesIO()
+    fig.savefig(png, format="png", dpi=110)
     plt.close(fig)
-    return "schedule.png"
+    atomic_write_bytes(out / "schedule.png", png.getvalue())
 
 
-def cmd_estimate_w(cfg, args, out: Path) -> list[str]:
+def cmd_estimate_w(cfg, args, out: Path) -> None:
     images = _training_images(cfg, args)
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
     schedule = estimate_weights(images, proc, args.mc_samples, seed=child_seed(cfg["seed"], "mc"))
     save_schedule(out, schedule, r_prime=proc.r_prime, seed=cfg["seed"])
-    names = ["schedule.csv", "schedule.json"]
     if not args.no_plot:
-        plotted = _plot_schedule(out, schedule.weights)
-        if plotted:
-            names.append(plotted)
-    return names
+        _plot_schedule(out, schedule.weights)
 
 
 def _train_model(cfg, images, process, *tags):
@@ -286,7 +277,7 @@ def _train_config(cfg, *tags, upper_bound: bool = False) -> TrainConfig:
     )
 
 
-def cmd_train(cfg, args, out: Path) -> list[str]:
+def cmd_train(cfg, args, out: Path) -> None:
     images = _training_images(cfg, args)
     if args.corruption == "ddpm":
         process = ddpm_schedule(args.ddpm_steps)
@@ -295,7 +286,6 @@ def cmd_train(cfg, args, out: Path) -> list[str]:
     model, trace = _train_model(cfg, images, process)
     save_checkpoint(out / "checkpoint.ckpt", model, epochs=cfg["train"]["epochs"])
     save_loss_trace(out / "loss_trace.csv", trace)
-    return ["checkpoint.ckpt", "loss_trace.csv"]
 
 
 def _load_operator(args, reference, horizon: int):
@@ -343,8 +333,8 @@ def _score(reference, image) -> tuple[float, float]:
     return psnr(reference, image), ssim(reference, image)
 
 
-def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps_key: str) -> list[str]:
-    """The path of ``reconstruct`` and ``ddpm-reconstruct``; returns the names written.
+def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps_key: str) -> None:
+    """The path of ``reconstruct`` and ``ddpm-reconstruct``.
 
     Simulates the acquisition of --image (or of a generated held-out
     phantom), loads the operator, runs ``sample(y, system, operator,
@@ -364,7 +354,7 @@ def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps
     zero_fill = adjoint(system, y)
 
     write_cimg(out / "reference.cimg", reference)
-    measured = save_measurement(out / "measurement", system, y, seed, args.mask_density)
+    save_measurement(out / "measurement", system, y, seed, args.mask_density)
     write_cimg(out / "recon.cimg", result.image)
     write_cimg(out / "zerofill.cimg", zero_fill)
     write_csv(out / "diagnostics.csv", ["t", "residual", "psnr_db"], result.diagnostics)
@@ -378,12 +368,9 @@ def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps
         f"{steps_key}={result.t_r}  PSNR recon {summary['psnr_recon_db']:.2f} dB "
         f"vs zero-fill {summary['psnr_zerofill_db']:.2f} dB"
     )
-    return ["reference.cimg", "recon.cimg", "zerofill.cimg", "diagnostics.csv", "summary.json"] + [
-        f"measurement/{name}" for name in measured
-    ]
 
 
-def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
+def cmd_reconstruct(cfg, args, out: Path) -> None:
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
     scfg = _sampler_config(cfg, proc)
     if scfg.correction == "learned" and not args.schedule:
@@ -393,31 +380,37 @@ def cmd_reconstruct(cfg, args, out: Path) -> list[str]:
     def sample(y, system, operator, reference):
         return reconstruct(y, system, operator, proc, schedule, scfg, reference=reference)
 
-    return _measure_reconstruct_score(cfg, args, out, proc.t_f, sample, "T_r")
+    _measure_reconstruct_score(cfg, args, out, proc.t_f, sample, "T_r")
 
 
-def cmd_ddpm_reconstruct(cfg, args, out: Path) -> list[str]:
+def cmd_ddpm_reconstruct(cfg, args, out: Path) -> None:
     schedule = ddpm_schedule(args.ddpm_steps)
     seed = child_seed(cfg["seed"], "ddpm-sampling")
 
     def sample(y, system, operator, reference):
         return ddpm_reconstruct(y, system, operator, schedule, seed=seed, reference=reference)
 
-    return _measure_reconstruct_score(cfg, args, out, schedule.t_f, sample, "T")
+    _measure_reconstruct_score(cfg, args, out, schedule.t_f, sample, "T")
 
 
-ABLATION_VARIANTS = (
-    "fdb",
-    "ct_uniform",
-    "n_log_schedule",
-    "xt_averaging",
-    "ct_fixed",
-    "no_correction",
-    "wt_linear",
-)
+# Each ablation variant, in row order: the changes to fdb's process that
+# it trains its own model on (None: it samples fdb's model and process),
+# and the sampler settings it overrides.  Every row otherwise samples with
+# learned correction and ct_mode "independent", whatever the config says.
+ABLATION_VARIANTS = {
+    "fdb": ({}, {}),
+    "ct_uniform": ({"density": "uniform"}, {}),
+    "n_log_schedule": ({"step_count_schedule": "log"}, {}),
+    "xt_averaging": ({"process_kind": "averaging_constraint"}, {}),
+    "ct_fixed": (None, {"ct_mode": "fixed"}),
+    "no_correction": (None, {"correction": "none"}),
+    "wt_linear": (None, {"correction": "linear"}),
+}
 
 
-def cmd_ablate(cfg, args, out: Path) -> list[str]:
+def cmd_ablate(cfg, args, out: Path) -> None:
+    if args.mc_samples < 1:
+        raise ConfigError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     seed, data = cfg["seed"], cfg["data"]
     dims, contrast = data["dims"], data["contrast"]
     train_images = generate_dataset(data["count"], dims, dims, contrast, seed)
@@ -428,28 +421,22 @@ def cmd_ablate(cfg, args, out: Path) -> list[str]:
         acquisitions.append(_acquire(cfg, args, reference, *seeds))
 
     base_proc = _process_config(cfg, seed=child_seed(seed, "process"))
-    variants_proc = {
-        "fdb": base_proc,
-        "ct_uniform": replace(base_proc, density="uniform"),
-        "n_log_schedule": replace(base_proc, step_count_schedule="log"),
-        "xt_averaging": replace(base_proc, process_kind="averaging_constraint"),
-    }
-    models, schedules = {}, {}
-    for name, proc in variants_proc.items():
-        models[name], _ = _train_model(cfg, train_images, proc, name)
+    trained = {}  # variant -> (model, process, schedule)
+    for name, (changes, _) in ABLATION_VARIANTS.items():
+        if changes is None:
+            continue
+        proc = replace(base_proc, **changes)
+        model, _ = _train_model(cfg, train_images, proc, name)
         if proc.process_kind == "frequency_removal":
-            mc_seed = child_seed(seed, "mc", name)
-            schedules[name] = estimate_weights(train_images, proc, args.mc_samples, seed=mc_seed)
-    schedules["xt_averaging"] = schedules["fdb"]  # sampling is unchanged for this variant
+            schedule = estimate_weights(train_images, proc, args.mc_samples, seed=child_seed(seed, "mc", name))
+        else:  # a process that removes no frequencies samples with fdb's schedule
+            schedule = trained["fdb"][2]
+        trained[name] = (model, proc, schedule)
 
     rows = []
-    for variant in ABLATION_VARIANTS:
-        trained = variant if variant in variants_proc else "fdb"
-        model, proc, schedule = models[trained], variants_proc[trained], schedules[trained]
-        settings = {
-            "correction": {"no_correction": "none", "wt_linear": "linear"}.get(variant, "learned"),
-            "ct_mode": "fixed" if variant == "ct_fixed" else "independent",
-        }
+    for variant, (changes, overrides) in ABLATION_VARIANTS.items():
+        model, proc, schedule = trained["fdb" if changes is None else variant]
+        settings = {"correction": "learned", "ct_mode": "independent", **overrides}
         scores = []
         for i, (reference, (system, y)) in enumerate(zip(eval_images, acquisitions)):
             scfg = _sampler_config(cfg, proc, variant, i, **settings)
@@ -460,7 +447,6 @@ def cmd_ablate(cfg, args, out: Path) -> list[str]:
     write_csv(out / "ablation.csv", ["variant", "psnr_mean", "psnr_std", "ssim_mean", "ssim_std"], rows)
     for row in rows:
         print(f"{row[0]:<16} PSNR {row[1]:6.2f} +/- {row[2]:.2f}  SSIM {row[3]:.4f}")
-    return ["ablation.csv"]
 
 
 def _metric_pairs(ref_path: Path, test_path: Path) -> list[tuple[str, str, Path, Path]]:
@@ -478,12 +464,11 @@ def _metric_pairs(ref_path: Path, test_path: Path) -> list[tuple[str, str, Path,
     ]
 
 
-def cmd_metrics(cfg, args, out: Path) -> list[str]:
+def cmd_metrics(cfg, args, out: Path) -> None:
     rows = []
     for ref_id, test_id, ref_path, test_path in _metric_pairs(Path(args.ref), Path(args.test)):
         rows.append((ref_id, test_id, *_score(read_cimg(ref_path), read_cimg(test_path))))
     write_csv(out / "metrics.csv", ["ref", "test", "psnr_db", "ssim"], rows)
-    return ["metrics.csv"]
 
 
 def _read_config(path):
@@ -535,6 +520,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _resolved(path: str) -> str:
+    """A path flag's value, made absolute so that a replay from another directory reads the same file."""
+    return str(Path(path).resolve())
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="JSON run config (merged over defaults)")
     p.add_argument("--seed", type=int, help="override the config seed")
@@ -550,9 +540,9 @@ def _add_acquisition_flags(p: _Parser) -> None:
 
 
 def _add_measurement_flags(p: _Parser) -> None:
-    p.add_argument("--image", help="reference CIMG1 image (default: a generated held-out phantom)")
+    p.add_argument("--image", type=_resolved, help="reference CIMG1 image (default: a generated held-out phantom)")
     _add_acquisition_flags(p)
-    p.add_argument("--checkpoint", help="trained recovery checkpoint")
+    p.add_argument("--checkpoint", type=_resolved, help="trained recovery checkpoint")
     p.add_argument(
         "--recovery",
         choices=("zero_fill", "oracle"),
@@ -579,17 +569,17 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--snapshots", help="comma-separated steps to export (default: quartiles)")
     p.add_argument("--t-total", type=int, default=None, help="trajectory length (default: T_f)")
-    p.add_argument("--image", help="CIMG1 image to corrupt (default: a generated phantom)")
+    p.add_argument("--image", type=_resolved, help="CIMG1 image to corrupt (default: a generated phantom)")
 
     p = sub.add_parser("estimate-w", help="Monte-Carlo correction-weight schedule")
     _add_common(p)
-    p.add_argument("--dataset", help="dataset directory (default: generate from the config)")
+    p.add_argument("--dataset", type=_resolved, help="dataset directory (default: generate from the config)")
     p.add_argument("--mc-samples", type=int, default=2000)
     p.add_argument("--no-plot", action="store_true")
 
     p = sub.add_parser("train", help="train the recovery operator")
     _add_common(p)
-    p.add_argument("--dataset", help="dataset directory (default: generate from the config)")
+    p.add_argument("--dataset", type=_resolved, help="dataset directory (default: generate from the config)")
     p.add_argument("--corruption", choices=("bridge", "ddpm"), default="bridge")
     p.add_argument("--ddpm-steps", type=int, default=200)
 
@@ -600,6 +590,7 @@ def build_parser() -> _Parser:
     _add_measurement_flags(p)
     p.add_argument(
         "--schedule",
+        type=_resolved,
         help="correction schedule CSV (required for correction='learned'); its sibling .json, as estimate-w "
         "writes schedule.json, is read if present and must match the process's R_prime and T_f",
     )
@@ -621,8 +612,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("metrics", help="PSNR/SSIM between reference and test images")
     _add_common(p)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--test", required=True)
+    p.add_argument("--ref", type=_resolved, required=True)
+    p.add_argument("--test", type=_resolved, required=True)
 
     p = sub.add_parser("replay", help="re-execute a run manifest")
     p.add_argument("manifest")
@@ -647,14 +638,13 @@ _COMMON_KEYS = {"command", "config", "seed", "out"}
 
 
 def _flag_dict(args: argparse.Namespace) -> dict:
-    flags = {}
-    for key, value in vars(args).items():
-        if key in _COMMON_KEYS:
-            continue
-        if isinstance(value, str) and key in ("image", "dataset", "checkpoint", "schedule", "ref", "test"):
-            value = str(Path(value).resolve())
-        flags[key] = value
-    return flags
+    return {key: value for key, value in vars(args).items() if key not in _COMMON_KEYS}
+
+
+def _file_stamps(root: Path) -> dict[str, tuple[int, int]]:
+    """(inode, mtime in ns) of each file under ``root``, keyed by its POSIX path relative to ``root``."""
+    stats = {path.relative_to(root).as_posix(): path.stat() for path in root.rglob("*") if path.is_file()}
+    return {name: (st.st_ino, st.st_mtime_ns) for name, st in stats.items()}
 
 
 def _peak_rss_mb() -> float | None:
@@ -686,9 +676,12 @@ def _run(argv, config_dict=None) -> int:
         cfg["seed"] = args.seed
 
     out = Path(args.out)
+    before = _file_stamps(out)
     started = time.monotonic()
-    outputs = _HANDLERS[args.command](cfg, args, out)
+    _HANDLERS[args.command](cfg, args, out)
     wall = time.monotonic() - started
+    # every writer replaces a file by rename, so a rewritten file has a new inode
+    written = [name for name, stamp in _file_stamps(out).items() if before.get(name) != stamp]
     write_json(
         out / "run_manifest.json",
         {
@@ -696,7 +689,7 @@ def _run(argv, config_dict=None) -> int:
             "config": cfg,
             "flags": _flag_dict(args),
             "out": str(out.resolve()),
-            "outputs": sorted(outputs),
+            "outputs": sorted(name for name in written if name != "run_manifest.json"),
             "wall_time_s": wall,
             "peak_rss_mb": _peak_rss_mb(),
             "tool": {"name": "fdbridge", "version": __version__},

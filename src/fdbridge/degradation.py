@@ -279,10 +279,9 @@ def averaging_corrupt(x0: np.ndarray, x_start: np.ndarray, t: int, t_f: int) -> 
     return (1.0 - lam) * x0 + lam * x_start
 
 
-def export_trajectory(traj: DegradationTrajectory, out_dir, steps) -> dict:
+def export_trajectory(traj: DegradationTrajectory, out_dir, steps) -> None:
     """Write KMSK1 keep-masks for the requested steps plus a JSON manifest of the trajectory and its process."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
     for t in steps:
         if not 0 <= t <= traj.t_total:
@@ -291,7 +290,7 @@ def export_trajectory(traj: DegradationTrajectory, out_dir, steps) -> dict:
         write_kmsk(out_dir / name, traj.keep_mask(t))
         files[str(t)] = name
     process = traj.process
-    manifest = {
+    write_json(out_dir / "trajectory.json", {
         "seed": process.seed,
         "R_prime": process.r_prime,
         "T_f": process.t_f,
@@ -301,6 +300,4 @@ def export_trajectory(traj: DegradationTrajectory, out_dir, steps) -> dict:
         "step_counts": [int(c) for c in traj.counts],
         "relaxed_steps": int(traj.relaxation_count),
         "mask_files": files,
-    }
-    write_json(out_dir / "trajectory.json", manifest)
-    return manifest
+    })

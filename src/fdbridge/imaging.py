@@ -300,19 +300,12 @@ def residual_norm(system: ImagingSystem, x: np.ndarray, y) -> float:
     return native_residual(native_system(system), x, native_measurement(system, y))
 
 
-def save_measurement(out_dir, system: ImagingSystem, y: Measurement, seed: int, density: str) -> list[str]:
-    """Serialize a measurement: one CIMG1 per coil, the KMSK1 mask, and a JSON sidecar.
-
-    Returns the names of the files written, relative to ``out_dir``.
-    """
+def save_measurement(out_dir, system: ImagingSystem, y: Measurement, seed: int, density: str) -> None:
+    """Serialize a measurement: one CIMG1 per coil and per coil map, the KMSK1 mask, and a JSON sidecar."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
     for c in range(system.n_coils):
-        coil, sens = f"coil_{c:02d}.cimg", f"sens_{c:02d}.cimg"
-        write_cimg(out_dir / coil, y.data[c])
-        write_cimg(out_dir / sens, system.coil_maps[c])
-        names += [coil, sens]
+        write_cimg(out_dir / f"coil_{c:02d}.cimg", y.data[c])
+        write_cimg(out_dir / f"sens_{c:02d}.cimg", system.coil_maps[c])
     write_kmsk(out_dir / "mask.kmsk", system.mask)
     write_json(
         out_dir / "measurement.json",
@@ -324,4 +317,3 @@ def save_measurement(out_dir, system: ImagingSystem, y: Measurement, seed: int, 
             "density": density,
         },
     )
-    return names + ["mask.kmsk", "measurement.json"]

@@ -115,18 +115,13 @@ def generate_dataset(
     return [seeded_phantom(height, width, contrast, seed, group, i) for i in range(count)]
 
 
-def save_dataset(out_dir, images: list[np.ndarray], contrast: str, seed: int) -> dict:
+def save_dataset(out_dir, images: list[np.ndarray], contrast: str, seed: int) -> None:
     """Write images/NNNN.cimg plus a dataset manifest."""
     out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    ids = []
-    for i, img in enumerate(images):
-        name = f"{i:04d}.cimg"
+    ids = [f"{i:04d}.cimg" for i in range(len(images))]
+    for name, img in zip(ids, images):
         write_cimg(out_dir / "images" / name, img)
-        ids.append(name)
-    manifest = {"ids": ids, "contrast": contrast, "seed": seed, "count": len(images)}
-    write_json(out_dir / "manifest.json", manifest)
-    return manifest
+    write_json(out_dir / "manifest.json", {"ids": ids, "contrast": contrast, "seed": seed, "count": len(images)})
 
 
 def load_dataset(in_dir) -> list[np.ndarray]:

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ class TestExitCodes:
         assert "snapshot step 99 out of range [0, 8]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_mask_count_below_one_is_one(self, tmp_path, config_path, capsys, count):
+        out = tmp_path / "masks"
+        assert run("mask", "--config", config_path, "--out", str(out), "--count", count) == 1
+        assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablate_mc_samples_below_one_is_one(self, tmp_path, config_path, capsys, monkeypatch):
+        # rejected before fdb's model, which takes seconds at the default config, is trained
+        monkeypatch.setattr(cli, "_train_model", lambda *a, **k: pytest.fail("model trained"))
+        out = tmp_path / "abl"
+        assert run("ablate", "--config", config_path, "--out", str(out), "--mc-samples", "0") == 1
+        assert "--mc-samples must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("manifest", [[1], {"flags": {}}, {"command": "phantom", "flags": [], "config": {}},
                                           {"command": "phantom", "flags": {}, "config": 3}],
                              ids=["list", "no-command", "flags-list", "config-number"])
@@ -257,6 +273,33 @@ class TestEstimateW:
         assert meta["mc_samples"] == 100
         assert meta["R_prime"] == 2.0 and meta["T_f"] == 8
 
+    def test_plot_is_written_whole(self, tmp_path, config_path, monkeypatch):
+        # a stub matplotlib whose figure writes a PNG signature to the file object it is given
+        class Figure:
+            def tight_layout(self):
+                pass
+
+            def savefig(self, fh, **kwargs):
+                assert kwargs.get("format") == "png"
+                fh.write(b"\x89PNG\r\n\x1a\n")
+
+        axes = types.SimpleNamespace(**{name: lambda *a, **k: None
+                                        for name in ("plot", "set_xlabel", "set_ylabel", "set_title", "grid")})
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda **kwargs: (Figure(), axes)
+        pyplot.close = lambda fig: None
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.use = lambda backend: None
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+        out = tmp_path / "west"
+        assert run("estimate-w", "--config", config_path, "--out", str(out), "--mc-samples", "20") == 0
+        assert (out / "schedule.png").read_bytes() == b"\x89PNG\r\n\x1a\n"
+        assert "schedule.png" in read_json(out / "run_manifest.json")["outputs"]
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
 
 class TestTrainReconstruct:
     def test_pipeline(self, tmp_path, config_path):
@@ -367,26 +410,58 @@ class TestTrainReconstruct:
         assert run("reconstruct", "--config", config_path, "--out", str(out), "--schedule", str(csv)) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["reconstruct", "ddpm-reconstruct"])
+    @pytest.mark.parametrize("command", [
+        "phantom", "mask", "forward", "estimate-w", "train", "reconstruct", "ddpm-reconstruct", "ablate", "metrics",
+    ])
     def test_manifest_lists_every_output(self, tmp_path, config_path, command):
-        out = tmp_path / "rec"
-        if command == "reconstruct":
-            save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
-            extra = ["--schedule", str(tmp_path / "schedule.csv")]
-        else:
-            extra = ["--ddpm-steps", "30"]
-        assert run(command, "--config", config_path, "--out", str(out), "--coils", "2",
-                   "--recovery", "oracle", *extra) == 0
+        image = tmp_path / "image.cimg"
+        write_cimg(image, np.ones((32, 32), dtype=np.complex128))
+        save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
+        measurement = ["image", "coils", "noise_sigma", "mask_density", "calib", "checkpoint", "recovery"]
+        # the extra argv, one file the run must write, and the flags that replay reads back
+        extra, written, flags = {
+            "phantom": ([], "images/0003.cimg", []),
+            "mask": (["--count", "2"], "mask_01.kmsk", ["density", "calib", "count"]),
+            "forward": (["--image", str(image)], "mask_t0008.kmsk", ["snapshots", "t_total", "image"]),
+            "estimate-w": (["--mc-samples", "20"], "schedule.json", ["dataset", "mc_samples", "no_plot"]),
+            "train": ([], "checkpoint.ckpt", ["dataset", "corruption", "ddpm_steps"]),
+            "reconstruct": (["--coils", "2", "--recovery", "oracle", "--schedule", str(tmp_path / "schedule.csv")],
+                            "measurement/sens_01.cimg", measurement + ["schedule"]),
+            "ddpm-reconstruct": (["--coils", "2", "--recovery", "oracle", "--ddpm-steps", "30"],
+                                 "measurement/sens_01.cimg", measurement + ["ddpm_steps"]),
+            "ablate": (["--eval-count", "1", "--mc-samples", "20"], "ablation.csv",
+                       ["eval_count", "mc_samples", "coils", "noise_sigma", "mask_density", "calib"]),
+            "metrics": (["--ref", str(image), "--test", str(image)], "metrics.csv", ["ref", "test"]),
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, "--config", config_path, "--out", str(out), *extra) == 0
         on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
         on_disk.remove("run_manifest.json")
-        assert "measurement/sens_01.cimg" in on_disk
+        assert written in on_disk
         manifest = read_json(out / "run_manifest.json")
         assert manifest["outputs"] == on_disk
-        # replay reads these keys back as flags
-        assert sorted(manifest["flags"]) == sorted([
-            "image", "coils", "noise_sigma", "mask_density", "calib", "checkpoint", "recovery",
-            "schedule" if command == "reconstruct" else "ddpm_steps",
-        ])
+        assert sorted(manifest["flags"]) == sorted(flags)
+
+    def test_manifest_omits_files_the_run_did_not_write(self, tmp_path, config_path):
+        out = tmp_path / "ds"
+        (out / "images").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        write_cimg(out / "images" / "0009.cimg", np.ones((32, 32), dtype=np.complex128))
+        assert run("phantom", "--config", config_path, "--out", str(out)) == 0
+        outputs = read_json(out / "run_manifest.json")["outputs"]
+        assert outputs == ["images/0000.cimg", "images/0001.cimg", "images/0002.cimg", "images/0003.cimg",
+                           "manifest.json"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_replay_into_the_same_out_lists_the_same_outputs(self, tmp_path, config_path):
+        out = tmp_path / "fwd"
+        assert run("forward", "--config", config_path, "--out", str(out), "--snapshots", "0,8") == 0
+        first = read_json(out / "run_manifest.json")
+        assert run("replay", str(out / "run_manifest.json")) == 0
+        again = read_json(out / "run_manifest.json")
+        assert again["outputs"] == first["outputs"]
+        assert "corrupted_t0008.cimg" in first["outputs"]
+        assert (again["flags"], again["out"]) == (first["flags"], first["out"])
 
     def test_ddpm_reconstruct_smoke(self, tmp_path, config_path):
         out = tmp_path / "drec"
@@ -434,6 +509,18 @@ class TestMetrics:
 
 
 class TestReplayDeterminism:
+    def test_path_flags_resolve_where_they_are_given(self, tmp_path, config_path, monkeypatch):
+        image = tmp_path / "data" / "image.cimg"
+        write_cimg(image, np.ones((32, 32), dtype=np.complex128))
+        monkeypatch.chdir(tmp_path / "data")
+        assert run("metrics", "--out", str(tmp_path / "m1"), "--ref", "image.cimg", "--test", "./image.cimg") == 0
+        flags = read_json(tmp_path / "m1" / "run_manifest.json")["flags"]
+        assert flags == {"ref": str(image.resolve()), "test": str(image.resolve())}
+        monkeypatch.chdir(tmp_path)  # where image.cimg names no file
+        assert run("replay", str(tmp_path / "m1" / "run_manifest.json"), "--out", str(tmp_path / "m2")) == 0
+        assert (tmp_path / "m1" / "metrics.csv").read_bytes() == (tmp_path / "m2" / "metrics.csv").read_bytes()
+
+
     def test_estimate_w_replay_byte_identical(self, tmp_path, config_path):
         w1, w2 = tmp_path / "w1", tmp_path / "w2"
         assert run("estimate-w", "--config", config_path, "--out", str(w1),

@@ -359,7 +359,7 @@ def test_export_trajectory(tmp_path):
     grid = radius_map(16, 16)
     cfg = ProcessConfig(r_prime=2.0, t_f=4, seed=10)
     traj = sample_trajectory(grid, cfg)
-    manifest = export_trajectory(traj, tmp_path, steps=[0, 2, 4])
+    export_trajectory(traj, tmp_path, steps=[0, 2, 4])
     stored = read_json(tmp_path / "trajectory.json")
     assert traj.process == cfg
     assert stored["seed"] == 10 and stored["R_prime"] == 2.0 and stored["density"] == "radius_scheduled"
@@ -367,5 +367,5 @@ def test_export_trajectory(tmp_path):
     assert stored["n"] == traj.n
     assert stored["step_counts"] == [int(c) for c in traj.counts]
     for t in (0, 2, 4):
-        mask = read_kmsk(tmp_path / manifest["mask_files"][str(t)])
+        mask = read_kmsk(tmp_path / stored["mask_files"][str(t)])
         assert np.array_equal(mask, traj.keep_mask(t))

@@ -268,8 +268,8 @@ def test_measurement_serialization_round_trip(tmp_path):
     mask = make_sampling_mask(grid, 4.0, "normal2d", calib=2, seed=12)
     sys_ = ImagingSystem(mask=mask, coil_maps=synth_coil_maps(grid, 3, seed=13), grid=grid)
     y = forward(sys_, rand_image(32, 32, seed=14), noise_sigma=0.1, seed=15, acceleration=4.0)
-    names = save_measurement(tmp_path, sys_, y, seed=15, density="normal2d")
-    assert sorted(names) == sorted(
+    save_measurement(tmp_path, sys_, y, seed=15, density="normal2d")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"coil_{c:02d}.cimg" for c in range(3)] + [f"sens_{c:02d}.cimg" for c in range(3)]
         + ["mask.kmsk", "measurement.json"]
     )

@@ -23,7 +23,7 @@ from .errors import (
     TrainingError,
     TrajectoryError,
 )
-from .grid import KSpaceGrid, apply_mask, as_image, dft2, idft2, radius_map
+from .grid import KSpaceGrid, as_image, dft2, idft2, radius_map
 from .imaging import (
     ImagingSystem,
     Measurement,

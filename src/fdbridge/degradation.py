@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, TrajectoryError
 from .fileio import write_json, write_kmsk
-from .grid import KSpaceGrid, apply_mask, as_image, dft2, idft2
+from .grid import KSpaceGrid, as_image, dft2, idft2, to_centered, to_native
 from .rng import substream
 
 DENSITIES = ("radius_scheduled", "uniform")
@@ -231,10 +231,11 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
     pool = np.empty(order.size, dtype=order.dtype)
     size = 0  # pool[:size] holds the eligible components
     reach = 0  # order[:reach] has entered the pool
-    rng = substream(cfg.seed, "degradation")
+    choice = substream(cfg.seed, "degradation").choice
 
     for t, (need, stop) in enumerate(zip(counts.tolist(), stops), start=1):
-        stop = max(reach, stop)
+        if stop < reach:
+            stop = reach
         if size + stop - reach < need:
             # Relax: admit every candidate at or above the radius of the need-th
             # one, counting the pool first and then order[reach:].
@@ -245,20 +246,26 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
         size += stop - reach
         reach = stop
 
-        pos = rng.choice(size, need, replace=False)
+        pos = choice(size, need, replace=False)
         removed_flat[pool[pos]] = t
         size -= need
         pos.sort()
-        low = int(np.searchsorted(pos, size))  # pos[:low] are the holes left below the new size
-        survives = np.ones(need, dtype=bool)  # the undrawn entries of pool[size : size + need] fill them
-        survives[pos[low:] - size] = False
-        pool[pos[:low]] = pool[size + np.flatnonzero(survives)]
+        low = int(pos.searchsorted(size))  # pos[:low] are the holes left below the new size
+        if low:
+            survives = np.ones(need, dtype=bool)  # the undrawn entries of pool[size : size + need] fill them
+            survives[pos[low:] - size] = False
+            pool[pos[:low]] = pool[size : size + need][survives]
 
     return DegradationTrajectory(process=cfg, counts=counts, removed_at=removed_at, relaxed=relaxed)
 
 
 def corrupt(x0: np.ndarray, traj: DegradationTrajectory, t: int) -> np.ndarray:
-    """Image-domain corruption at step t: inverse DFT of the masked spectrum."""
+    """Image-domain corruption at step t: inverse DFT of the masked spectrum.
+
+    Runs in FFT-native layout: x0 and the keep-mask are shifted there once
+    and the result shifted back once, which gives the same bits as the
+    centered composition ``idft2(np.where(keep_mask(t), dft2(x0), 0))``.
+    """
     if not 0 <= t <= traj.t_total:
         raise ValueError(f"t must be in [0, {traj.t_total}], got {t}")
     x0 = as_image(x0)
@@ -266,7 +273,9 @@ def corrupt(x0: np.ndarray, traj: DegradationTrajectory, t: int) -> np.ndarray:
         raise ValueError(f"image shape {x0.shape} does not match grid {traj.removed_at.shape}")
     if t == 0:
         return x0.copy()
-    return idft2(apply_mask(dft2(x0), traj.keep_mask(t)))
+    spectrum = dft2(to_native(x0), native=True)
+    np.copyto(spectrum, 0.0, where=~to_native(traj.keep_mask(t)))
+    return to_centered(idft2(spectrum, native=True))
 
 
 def averaging_corrupt(x0: np.ndarray, x_start: np.ndarray, t: int, t_f: int) -> np.ndarray:

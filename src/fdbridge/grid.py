@@ -17,7 +17,9 @@ nothing.  The imaging operators (``imaging.native_*``) and
 ``sampler.reverse_step`` take native arrays; the reverse loop converts
 its inputs once per reconstruction and then shifts twice per step: the
 iterate to centered layout for the recovery operator and the PSNR, and
-the operator's estimate back to native layout.
+the operator's estimate back to native layout.  ``degradation.corrupt``
+shifts its image and keep-mask to native layout, masks the spectrum
+there and shifts the result back.
 """
 
 from __future__ import annotations
@@ -109,12 +111,3 @@ class KSpaceGrid:
 def radius_map(height: int, width: int) -> KSpaceGrid:
     """Build the centered k-space grid for an H x W image."""
     return KSpaceGrid(int(height), int(width))
-
-
-def apply_mask(spectrum: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Zero masked-out components; retained components are passed through bit-identically."""
-    spectrum = np.asarray(spectrum)
-    keep = np.asarray(keep, dtype=bool)
-    if spectrum.shape != keep.shape:
-        raise ValueError(f"mask shape {keep.shape} does not match spectrum shape {spectrum.shape}")
-    return np.where(keep, spectrum, np.complex128(0.0))

@@ -11,11 +11,12 @@ convolution.  Everything is double precision and deterministic.
 Each convolution is a sum of three matrix products, one per kernel row,
 over a zero-padded, flattened copy of its input held three times, each
 shifted by one more column (see ``_conv_layer``), and writes its output
-straight into the next layer's padded copy.  The weight gradients read
-the same three row views, and the input gradients run the same layer on
-the stacked output gradient.  ``recover``, ``forward`` and ``backward``
-share one set of these buffers, kept while the image shape stays the
-same; ``forward`` copies each layer's padded input out for its cache.
+straight into the next layer's padded copy.  Each kernel row's weight
+gradient is one product, that row's view times the transposed output
+gradient, and the input gradients run the same layer on the stacked
+output gradient.  ``recover``, ``forward`` and ``backward`` share one
+set of these buffers, kept while the image shape stays the same;
+``forward`` copies each layer's padded input out for its cache.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ class ZeroFillRecovery:
 
 
 def _complex_to_channels(img: np.ndarray) -> np.ndarray:
-    return np.stack([img.real, img.imag]).astype(np.float64)
+    return np.stack([img.real, img.imag]).astype(np.float64, copy=False)
 
 
 def _channels_to_complex(chan: np.ndarray) -> np.ndarray:
-    return (chan[0] + 1j * chan[1]).astype(np.complex128)
+    return (chan[0] + 1j * chan[1]).astype(np.complex128, copy=False)
 
 
 def _stacked(c: int, h: int, wd: int) -> np.ndarray:
@@ -146,17 +147,17 @@ def _weight_grad(d: np.ndarray, x: np.ndarray, wd: int) -> np.ndarray:
     """dL/dw of a layer from dL/d(out) and the ``_stacked`` input ``x`` the layer read.
 
     ``d`` is in the uncropped (C_out, H(W+2)) layout with the wrapped
-    columns zero.  Kernel row dy's gradient is the one product
-    d @ x[:, dy(W+2) : dy(W+2) + H(W+2)].T, whose column dx C_in + c is
-    tap (dy, dx) of input channel c.
+    columns zero.  Kernel row dy's gradient is the one (3 C_in, C_out)
+    product x[:, dy(W+2) : dy(W+2) + H(W+2)] @ d.T, whose row dx C_in + c
+    is tap (dy, dx) of input channel c.
     """
     _fill_shifts(x)
     cout, n = d.shape
-    g = np.empty((3, cout, x.shape[0]))
+    g = np.empty((3, x.shape[0], cout))
     for dy in range(3):
         o = dy * (wd + 2)
-        np.matmul(d, x[:, o : o + n].T, out=g[dy])
-    return np.ascontiguousarray(g.reshape(3, cout, 3, -1).transpose(1, 3, 0, 2))
+        np.matmul(x[:, o : o + n], d.T, out=g[dy])
+    return np.ascontiguousarray(g.reshape(3, 3, -1, cout).transpose(3, 2, 0, 1))
 
 
 def _leaky_backward(d: np.ndarray, a: np.ndarray, scratch: np.ndarray) -> None:

@@ -16,7 +16,7 @@ from fdbridge.degradation import (
 )
 from fdbridge.errors import ConfigError, TrajectoryError
 from fdbridge.fileio import read_json, read_kmsk
-from fdbridge.grid import dft2, radius_map
+from fdbridge.grid import dft2, idft2, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
 from fdbridge.rng import substream
 
@@ -172,7 +172,9 @@ class TestSampleTrajectory:
             for schedule in ("constant", "log")
             for seed in (1, 2)
         ]
-        + [((256, 256), 1000, 1000, "radius_scheduled", "constant", 3)],
+        + [((256, 256), 1000, 1000, "radius_scheduled", "constant", 3)]
+        # the R = 8 horizon past T_f, where 15 of the 112 steps relax
+        + [((64, 64), 64, 112, "radius_scheduled", "constant", 3)],
     )
     def test_matches_full_grid_oracle(self, shape, t_f, t_total, density, schedule, seed):
         grid = radius_map(*shape)
@@ -339,6 +341,23 @@ class TestCorrupt:
         traj = sample_trajectory(grid, ProcessConfig(r_prime=2.0, t_f=8, seed=0))
         with pytest.raises(ValueError):
             corrupt(rand_image(32, 32, 0), traj, 9)
+
+    def test_shape_mismatch(self):
+        traj = sample_trajectory(radius_map(32, 32), ProcessConfig(r_prime=2.0, t_f=8, seed=0))
+        with pytest.raises(ValueError):
+            corrupt(rand_image(32, 33, 0), traj, 1)
+
+    @pytest.mark.parametrize("shape,t_f,t_total", [((64, 64), 64, 96), ((33, 31), 16, 24), ((32, 33), 16, 16)])
+    def test_matches_centered_composition_bitwise(self, shape, t_f, t_total):
+        # the native-layout masking gives the bytes of the centered masked round trip;
+        # step 0 is the input itself, which a round trip would not give bit for bit
+        traj = sample_trajectory(radius_map(*shape), ProcessConfig(r_prime=2.0, t_f=t_f, seed=6), t_total=t_total)
+        x0 = rand_image(*shape, seed=9)
+        before = x0.copy()
+        for t in (0, 1, t_total // 2, t_total):
+            expected = x0 if t == 0 else idft2(np.where(traj.keep_mask(t), dft2(x0), 0.0))
+            assert corrupt(x0, traj, t).tobytes() == expected.tobytes()
+        assert x0.tobytes() == before.tobytes()
 
 
 class TestAveragingCorrupt:

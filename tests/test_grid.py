@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdbridge.grid import apply_mask, as_image, dft2, idft2, radius_map
+from fdbridge.grid import as_image, dft2, idft2, radius_map
 
 from conftest import rand_image
 
@@ -58,32 +58,3 @@ class TestRadiusMap:
     def test_small_dims_rejected(self):
         with pytest.raises(ValueError):
             radius_map(1, 4)
-
-
-class TestApplyMask:
-    def test_identity_mask(self):
-        x = rand_image(6, 6, seed=2)
-        spec = dft2(x)
-        out = apply_mask(spec, np.ones((6, 6), dtype=bool))
-        assert np.array_equal(out, spec)
-
-    def test_all_false_mask(self):
-        spec = dft2(rand_image(6, 6, seed=3))
-        assert np.all(apply_mask(spec, np.zeros((6, 6), dtype=bool)) == 0)
-
-    def test_idempotence_bitwise(self):
-        spec = dft2(rand_image(6, 6, seed=4))
-        mask = np.random.default_rng(5).random((6, 6)) > 0.5
-        once = apply_mask(spec, mask)
-        assert np.array_equal(apply_mask(once, mask), once)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_mask(np.zeros((4, 4), complex), np.ones((4, 5), bool))
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
-    def test_mask_never_increases_energy(self, seed, p):
-        x = rand_image(8, 8, seed)
-        mask = np.random.default_rng(seed ^ 0xABCD).random((8, 8)) < p
-        assert np.linalg.norm(apply_mask(x, mask)) <= np.linalg.norm(x) * (1 + 1e-12)

@@ -7,7 +7,8 @@ sets are disjoint, the same ratio equals
 E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2.  The weights come from this
 difference form, a ratio of sums of non-negative terms; the
 energy-balance form subtracts nearly equal energies and serves only as a
-cross-check.  A linear ablation schedule is also provided.
+cross-check.  A draw's removed energies for every t are one O(N) pass,
+its trajectory's ``removed_sums``.  A linear ablation schedule is also provided.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class CorrectionSchedule:
 def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int = 0) -> CorrectionSchedule:
     """Monte-Carlo estimate of the learned schedule over the given dataset.
 
-    Draw i pairs image ``i mod len(images)`` with a fresh trajectory.  w_t
+    Draw i pairs image ``i mod len(images)`` with a fresh trajectory, whose
+    ``removed_sums`` of the spectral energy are ||X_{t-1} - X_t||^2.  w_t
     is the removed-energy ratio E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2,
     which lies in [0, 1] by construction.  The energy-balance ratio is
     accumulated through an independent arithmetic path and must agree to
@@ -107,7 +109,7 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
         traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
         traj = sample_trajectory(grid, traj_cfg, t_total=t_f)
         e0 = float(energy.sum())
-        removed = np.array([float(energy[s].sum()) for s in traj.removal_sets()])
+        removed = traj.removed_sums(energy)
         deficit = np.cumsum(removed)
         sum_et[0] += e0
         sum_et[1:] += e0 - deficit

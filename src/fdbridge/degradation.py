@@ -8,7 +8,9 @@ the step at which each component was removed, 0 for never.  The keep-mask
 at step t (components never removed or removed after t) defines an
 image-domain corruption operator: forward DFT, mask, inverse DFT.  The DC
 component is never removed, so total image energy cannot vanish.  Only
-this module reads the map; other modules use the trajectory's accessors.
+this module reads the map, in one pass per question: other modules use
+the trajectory's masks, its ``removed_sums`` (every step's sum in one
+``bincount``) and ``native_trajectory``, the map in FFT-native layout.
 
 Sampling keeps the eligible components in a pool that the falling
 threshold feeds in descending-radius order, and draws every step from
@@ -20,7 +22,7 @@ removes depends on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,32 +106,27 @@ def removal_target(n_components: int, r_prime: float) -> int:
 def step_counts(n_components: int, cfg: ProcessConfig, t_total: int) -> np.ndarray:
     """Per-step removal counts for steps 1..t_total.
 
-    Constant schedule: n per step, with the final training step absorbing
-    the remainder so the cumulative removal at t_f hits the target
-    exactly.  Log schedule (ablation): counts within 1..t_f proportional
-    to log(1+t), largest-remainder rounded to the same target.  Steps past
-    t_f always remove n.
+    The T_f-step plan is built once and cut to t_total steps; steps past
+    T_f remove n each.  Constant schedule: n per step, with step T_f
+    absorbing the remainder so the cumulative removal at T_f hits the
+    target exactly.  Log schedule (ablation): counts proportional to
+    log(1+t), largest-remainder rounded to the same target.
     """
     n = per_step_count(n_components, cfg.r_prime, cfg.t_f)
     target = removal_target(n_components, cfg.r_prime)
-    inner = min(t_total, cfg.t_f)
     if cfg.step_count_schedule == "constant":
-        counts = np.full(inner, n, dtype=np.int64)
-        if inner == cfg.t_f:
-            counts[-1] += target - n * cfg.t_f
+        plan = np.full(cfg.t_f, n, dtype=np.int64)
+        plan[-1] += target - n * cfg.t_f
     else:
         weights = np.log1p(np.arange(1, cfg.t_f + 1, dtype=np.float64))
         quota = weights / weights.sum() * target
-        counts_full = np.floor(quota).astype(np.int64)
-        shortfall = target - int(counts_full.sum())
-        order = np.argsort(-(quota - counts_full), kind="stable")
-        counts_full[order[:shortfall]] += 1
-        if np.any(counts_full < 1):
+        plan = np.floor(quota).astype(np.int64)
+        shortfall = target - int(plan.sum())
+        order = np.argsort(-(quota - plan), kind="stable")
+        plan[order[:shortfall]] += 1
+        if np.any(plan < 1):
             raise ConfigError("log step-count schedule yields an empty step; use a smaller T_f")
-        counts = counts_full[:inner]
-    if t_total > cfg.t_f:
-        counts = np.concatenate([counts, np.full(t_total - cfg.t_f, n, dtype=np.int64)])
-    return counts
+    return np.concatenate([plan[:t_total], np.full(max(0, t_total - cfg.t_f), n, dtype=np.int64)])
 
 
 @dataclass
@@ -140,8 +137,8 @@ class DegradationTrajectory:
     seed; ``removed_at``, an (H, W) map of the step in 1..t_total at which
     each component was removed, 0 if never (DC always); and ``counts`` and
     ``relaxed``, per step.  Derived: the grid shape from ``removed_at``,
-    ``t_total`` from ``counts``, keep-masks and removal sets on demand, so
-    a trajectory holds O(N + t_total) bytes.  A radius-scheduled step's
+    ``t_total`` from ``counts``, masks and per-step sums on demand, so a
+    trajectory holds O(N + t_total) bytes.  A radius-scheduled step's
     threshold is not kept: it is ``radius_threshold(t, T_f, R', min(H, W) / 2)``.
     """
 
@@ -174,11 +171,14 @@ class DegradationTrajectory:
     def keep_count(self, t: int) -> int:
         return int(np.count_nonzero(self.keep_mask(t)))
 
-    def removal_sets(self) -> list[np.ndarray]:
-        """Flat indices removed at each step 1..t_total, ascending within a step."""
-        order = np.argsort(self.removed_at, axis=None, kind="stable")
-        removed = order[order.size - int(self.counts.sum()) :]
-        return np.split(removed, np.cumsum(self.counts))[:-1]
+    def removed_sums(self, values) -> np.ndarray:
+        """Sums of ``values`` (one per component) over each step's removals, 1..t_total, in flat-index order."""
+        return np.bincount(self.removed_at.ravel(), weights=np.ravel(values), minlength=self.t_total + 1)[1:]
+
+
+def native_trajectory(traj: DegradationTrajectory) -> DegradationTrajectory:
+    """``traj`` with its removal-time map in FFT-native layout, the form ``sampler.reverse_step`` reads."""
+    return replace(traj, removed_at=to_native(traj.removed_at))
 
 
 def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None = None) -> DegradationTrajectory:

@@ -246,17 +246,11 @@ def forward(
     return Measurement(data=data, acceleration=float(acceleration), noise_sigma=float(noise_sigma))
 
 
-def _measured(system: ImagingSystem, y) -> np.ndarray:
-    """The (C, H, W) array of ``y`` (a Measurement or an array), rejected unless it matches the system."""
-    data = y.data if isinstance(y, Measurement) else np.asarray(y, dtype=np.complex128)
-    if data.shape != (system.n_coils, *system.grid.shape):
-        raise ValueError(f"measurement shape {data.shape} does not match system")
-    return data
-
-
-def native_measurement(system: ImagingSystem, y) -> np.ndarray:
-    """``y``'s (C, H, W) data in FFT-native layout, as a new array; its shape is checked first."""
-    return to_native(_measured(system, y))
+def native_measurement(system: ImagingSystem, y: Measurement) -> np.ndarray:
+    """``y``'s (C, H, W) data in FFT-native layout, as a new array; rejected unless its shape matches the system."""
+    if y.data.shape != (system.n_coils, *system.grid.shape):
+        raise ValueError(f"measurement shape {y.data.shape} does not match system")
+    return to_native(y.data)
 
 
 def native_adjoint(native: NativeSystem, data: np.ndarray) -> np.ndarray:
@@ -270,7 +264,7 @@ def native_adjoint(native: NativeSystem, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjoint(system: ImagingSystem, y) -> np.ndarray:
+def adjoint(system: ImagingSystem, y: Measurement) -> np.ndarray:
     """A^H of centered data, as a centered image: :func:`native_adjoint` between layout shifts."""
     return to_centered(native_adjoint(native_system(system), native_measurement(system, y)))
 
@@ -282,7 +276,7 @@ def native_dc(native: NativeSystem, x: np.ndarray, y: np.ndarray) -> tuple[np.nd
     return x + native_adjoint(native, residual), norm
 
 
-def dc_projection(system: ImagingSystem, x: np.ndarray, y) -> tuple[np.ndarray, float]:
+def dc_projection(system: ImagingSystem, x: np.ndarray, y: Measurement) -> tuple[np.ndarray, float]:
     """:func:`native_dc` of a centered image and centered data, the image shifted back."""
     x = to_native(_check_image(system, x))
     image, norm = native_dc(native_system(system), x, native_measurement(system, y))
@@ -294,7 +288,7 @@ def native_residual(native: NativeSystem, x: np.ndarray, y: np.ndarray) -> float
     return float(np.linalg.norm(native_forward(native, x) - y))
 
 
-def residual_norm(system: ImagingSystem, x: np.ndarray, y) -> float:
+def residual_norm(system: ImagingSystem, x: np.ndarray, y: Measurement) -> float:
     """:func:`native_residual` of a centered image and centered data."""
     x = to_native(_check_image(system, x))
     return native_residual(native_system(system), x, native_measurement(system, y))

@@ -22,6 +22,7 @@ set of these buffers, kept while the image shape stays the same;
 from __future__ import annotations
 
 import functools
+import json
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -40,6 +41,15 @@ LEAKY_SLOPE = 0.1
 EMB_DIM = 8
 HIDDEN = 16
 PARAM_ORDER = ("conv1_w", "conv1_b", "time_w", "conv2_w", "conv2_b", "conv3_w", "conv3_b")
+# the layout a checkpoint's parameter block is written in, stated in its header
+ARCHITECTURE = {
+    "in_channels": 2,
+    "hidden": HIDDEN,
+    "out_channels": 2,
+    "kernel": 3,
+    "emb_dim": EMB_DIM,
+    "param_order": list(PARAM_ORDER),
+}
 
 
 class OracleRecovery:
@@ -469,34 +479,23 @@ CKPT_MAGIC = b"FDBN1\x00"
 
 def save_checkpoint(path, model: TinyRegressor, epochs: int = 0) -> None:
     """JSON header + raw little-endian float64 parameter block."""
-    import json
-
-    header = {
-        "architecture": {
-            "in_channels": 2,
-            "hidden": HIDDEN,
-            "out_channels": 2,
-            "kernel": 3,
-            "emb_dim": EMB_DIM,
-            "param_order": list(PARAM_ORDER),
-        },
-        "T_f": model.t_f,
-        "seed": model.seed,
-        "epochs": epochs,
-    }
+    header = {"architecture": ARCHITECTURE, "T_f": model.t_f, "seed": model.seed, "epochs": epochs}
     head = json.dumps(header, sort_keys=True).encode()
     block = model.flat_params().astype("<f8").tobytes()
     atomic_write_bytes(path, CKPT_MAGIC + struct.pack("<I", len(head)) + head + block)
 
 
 def load_checkpoint(path) -> tuple[TinyRegressor, dict]:
-    import json
-
+    """A checkpoint's model and header; a ConfigError names the first architecture key that is not ours."""
     raw = Path(path).read_bytes()
     if raw[:6] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     (head_len,) = struct.unpack("<I", raw[6:10])
     header = json.loads(raw[10 : 10 + head_len].decode())
+    stated = header.get("architecture", {})
+    for key, value in ARCHITECTURE.items():
+        if stated.get(key) != value:
+            raise ConfigError(f"{path}: architecture {key}={stated.get(key)!r}, but the model has {key}={value!r}")
     model = TinyRegressor(t_f=int(header["T_f"]), seed=int(header["seed"]))
     flat = np.frombuffer(raw, dtype="<f8", offset=10 + head_len)
     model.set_flat_params(flat.astype(np.float64))

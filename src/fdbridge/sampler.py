@@ -12,12 +12,12 @@ diagnostics.  A DDPM baseline with the same driver structure is included
 for comparison runs.
 
 The loop runs in FFT-native layout (``grid``).  ``reconstruct`` shifts
-the system, the measurement, the zero-filled start and the trajectory's
-removal-time map once; ``reverse_step`` and the data-consistency step
-then take native arrays.  Each step shifts the iterate to centered
-layout, for the recovery operator and the PSNR, and the operator's
-estimate back.  The DDPM iterate stays centered and is shifted in and
-out around its data-consistency step.
+the system, the measurement, the zero-filled start and, through
+``degradation.native_trajectory``, the trajectory once; ``reverse_step``
+and the data-consistency step then take native arrays.  Each step shifts
+the iterate to centered layout, for the recovery operator and the PSNR,
+and the operator's estimate back.  The DDPM iterate stays centered and is
+shifted in and out around its data-consistency step.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .correction import CorrectionSchedule, linear_weights, resample_weights
-from .degradation import DegradationTrajectory, ProcessConfig, sample_trajectory
+from .degradation import DegradationTrajectory, ProcessConfig, native_trajectory, sample_trajectory
 from .errors import ConfigError, SamplingError, ScheduleError, TrajectoryError
 from .grid import as_image, dft2, idft2, to_centered, to_native
 from .imaging import (
@@ -91,11 +91,10 @@ def reverse_step(
 
     standard (weight 0): x_{t-1} = x_t + (C_{t-1} - C_t) x0_est;
     corrected adds weight * C_t (x0_est - x_t).  ``x_t``, ``x0_est``, the
-    result and ``traj.removed_at`` are in FFT-native layout, as
-    :func:`native_trajectory` gives it, so the step's masks are read off
-    the map unshifted.  All operator applications go through DFT, mask,
-    inverse DFT; the corrected step transforms x0_est and x_t in one
-    stacked call.
+    result and ``traj`` are in FFT-native layout, the trajectory as
+    ``degradation.native_trajectory`` gives it, so its masks are read
+    unshifted.  All operator applications go through DFT, mask, inverse
+    DFT; the corrected step transforms x0_est and x_t in one stacked call.
     """
     if t < 1:
         raise ValueError(f"reverse step needs t >= 1, got {t}")
@@ -110,11 +109,6 @@ def reverse_step(
     if both:
         update = update + weight * np.where(traj.keep_mask(t), est_spec - spec[1], 0.0)
     return x_t + idft2(update, native=True)
-
-
-def native_trajectory(traj: DegradationTrajectory) -> DegradationTrajectory:
-    """``traj`` with its removal-time map in FFT-native layout, the form :func:`reverse_step` reads."""
-    return replace(traj, removed_at=to_native(traj.removed_at))
 
 
 def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t_r: int) -> np.ndarray:
@@ -147,7 +141,7 @@ class ReconstructionResult:
 
 
 def reconstruct(
-    y: Measurement | np.ndarray,
+    y: Measurement,
     system: ImagingSystem,
     operator,
     process: ProcessConfig,
@@ -274,7 +268,7 @@ def ddpm_forward_sample(x0: np.ndarray, t: int, schedule: DdpmSchedule, seed: in
 
 
 def ddpm_reconstruct(
-    y: Measurement | np.ndarray,
+    y: Measurement,
     system: ImagingSystem,
     operator,
     schedule: DdpmSchedule,

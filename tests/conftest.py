@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,16 @@ def unit_system(mask):
 def constant_schedule(t_f, value):
     """A fixed schedule of ``t_f`` equal weights, as ``load_schedule`` reads a CSV without metadata."""
     return CorrectionSchedule(weights=np.full(t_f, value), provenance="constant")
+
+
+def edit_checkpoint_architecture(path, edit):
+    """Rewrite a checkpoint's header after ``edit`` changes its architecture dict in place; the parameters stay."""
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10 : 10 + head_len])
+    edit(header["architecture"])
+    head = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:6] + struct.pack("<I", len(head)) + head + raw[10 + head_len :])
 
 
 @pytest.fixture

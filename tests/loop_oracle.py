@@ -17,14 +17,9 @@ import numpy as np
 from fdbridge.degradation import sample_trajectory
 from fdbridge.errors import SamplingError
 from fdbridge.grid import as_image, dft2, idft2, to_centered, to_native
-from fdbridge.imaging import Measurement
 from fdbridge.metrics import psnr
 from fdbridge.rng import child_seed, substream
 from fdbridge.sampler import _complex_noise, _resolve_schedule, reconstruction_steps
-
-
-def _data(y) -> np.ndarray:
-    return y.data if isinstance(y, Measurement) else np.asarray(y, dtype=np.complex128)
 
 
 def apply_forward(system, x):
@@ -33,8 +28,8 @@ def apply_forward(system, x):
     return to_centered(spec)
 
 
-def adjoint(system, y):
-    data = to_native(_data(y))
+def adjoint(system, data):
+    data = to_native(data)
     np.copyto(data, 0.0, where=~to_native(system.mask))
     data = to_centered(idft2(data, native=True))
     np.multiply(np.conj(system.coil_maps), data, out=data)
@@ -46,12 +41,12 @@ def adjoint(system, y):
 
 def dc_projection(system, x, y):
     x = as_image(x)
-    residual = _data(y) - apply_forward(system, x)
+    residual = y.data - apply_forward(system, x)
     return x + adjoint(system, residual), float(np.linalg.norm(residual))
 
 
 def residual_norm(system, x, y):
-    return float(np.linalg.norm(apply_forward(system, x) - _data(y)))
+    return float(np.linalg.norm(apply_forward(system, x) - y.data))
 
 
 def reverse_step(x_t, t, traj, x0_est, weight=0.0):
@@ -82,7 +77,7 @@ def reference_reconstruct(y, system, operator, process, schedule, cfg, reference
     """``sampler.reconstruct``'s loop in centered layout: (image, diagnostics rows)."""
     t_r = reconstruction_steps(cfg.t_f, cfg.r, cfg.r_prime)
     weights = _resolve_schedule(cfg, schedule, t_r)
-    x = adjoint(system, y)
+    x = adjoint(system, y.data)
     traj_seed = process.seed if cfg.ct_mode == "fixed" else child_seed(cfg.seed, "test-trajectory")
     traj = sample_trajectory(system.grid, replace(process, seed=traj_seed), t_total=t_r)
     diagnostics = []

@@ -61,7 +61,7 @@ def test_criterion_2_trajectory_laws():
     thresholds = [fb.radius_threshold(t, t_f, r_prime, 32.0) for t in range(1, t_f + 1)]
     for seed in range(50):
         traj = fb.sample_trajectory(grid, fb.ProcessConfig(r_prime=r_prime, t_f=t_f, seed=seed))
-        sets = traj.removal_sets()
+        sets = [np.flatnonzero(traj.removed_mask(t)) for t in range(1, t_f + 1)]
         flat = np.concatenate(sets)
         assert len(flat) == len(set(flat.tolist())), "removal sets overlap"
         assert all(len(s) == traj.n for s in sets), "per-step count differs from n"
@@ -111,7 +111,7 @@ def test_criterion_4_operator_algebra():
         x = rand_image(64, 64, seed=seed)
         yv = np.stack([rand_image(64, 64, seed=seed ^ (c + 1)) for c in range(sys_.n_coils)])
         lhs = np.vdot(apply_forward(sys_, x), yv)
-        rhs = np.vdot(x, fb.adjoint(sys_, yv))
+        rhs = np.vdot(x, fb.adjoint(sys_, fb.Measurement(yv, acceleration=4.0)))
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(yv)
 
     # single-coil DC projection: idempotent <= 1e-12, pins sampled frequencies
@@ -163,7 +163,7 @@ def test_criterion_6_reconstruction_steps_formula():
     for r in (4.0, 8.0):
         t_r = fb.reconstruction_steps(64, r, 2.0)
         traj = fb.sample_trajectory(grid, fb.ProcessConfig(r_prime=2.0, t_f=64, seed=3), t_total=t_r)
-        removed = sum(len(s) for s in traj.removal_sets())
+        removed = sum(np.count_nonzero(traj.removed_mask(t)) for t in range(1, t_r + 1))
         target = grid.n_components * (r - 1.0) / r
         assert abs(removed - target) <= traj.n, f"R={r}: removed {removed} vs target {target}"
     _report(6, "T_r formula and extension", time.monotonic() - started)

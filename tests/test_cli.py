@@ -18,7 +18,7 @@ from fdbridge.metrics import psnr, ssim
 from fdbridge.recovery import TinyRegressor, load_checkpoint, save_checkpoint
 from fdbridge.rng import child_seed
 
-from conftest import constant_schedule
+from conftest import constant_schedule, edit_checkpoint_architecture
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -332,6 +332,7 @@ class TestTrainReconstruct:
         "forward_image_shape",
         "reconstruct_checkpoint_horizon",
         "ddpm_checkpoint_horizon",
+        "checkpoint_architecture",
         "learned_correction_without_schedule",
         "ddpm_train_steps",
         "ddpm_reconstruct_steps",
@@ -342,6 +343,9 @@ class TestTrainReconstruct:
         write_cimg(image, np.ones((48, 48), dtype=np.complex128))  # the config's dims are 32
         checkpoint = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint, TinyRegressor(t_f=4, seed=0))  # the config's T_f is 8
+        narrow = tmp_path / "narrow.ckpt"  # the config's T_f, but a header stating 8 hidden channels
+        save_checkpoint(narrow, TinyRegressor(t_f=8, seed=0))
+        edit_checkpoint_architecture(narrow, lambda arch: arch.update(hidden=8))
         save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
         power_law = tmp_path / "power_law"  # not a schedule provenance
         save_schedule(power_law, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
@@ -353,6 +357,8 @@ class TestTrainReconstruct:
                                                "--schedule", str(tmp_path / "schedule.csv")],
             "ddpm_checkpoint_horizon": ["ddpm-reconstruct", "--checkpoint", str(checkpoint),
                                         "--ddpm-steps", "30"],
+            "checkpoint_architecture": ["reconstruct", "--checkpoint", str(narrow),
+                                        "--schedule", str(tmp_path / "schedule.csv")],
             "learned_correction_without_schedule": ["reconstruct"],
             # T <= beta_max = 20 would put beta_T at or above 1
             "ddpm_train_steps": ["train", "--corruption", "ddpm", "--ddpm-steps", "10"],

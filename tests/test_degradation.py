@@ -120,6 +120,17 @@ class TestStepCounts:
         counts = step_counts(1024, cfg, 12)
         assert counts[8:].tolist() == [64] * 4
 
+    @pytest.mark.parametrize("schedule", ["constant", "log"])
+    def test_cut_and_extended_plans(self, schedule):
+        # 0, T_f - 1 and T_f + 1 steps: a prefix of the T_f-step plan, then n = 7 per step past T_f
+        cfg = ProcessConfig(r_prime=2.0, t_f=7, step_count_schedule=schedule, seed=0)
+        plan = step_counts(100, cfg, 7).tolist()
+        assert sum(plan) == 50
+        for t_total in (0, 6, 8):
+            counts = step_counts(100, cfg, t_total)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == (plan + [7])[:t_total], t_total
+
 
 class TestSampleTrajectory:
     def test_keep_fraction_at_t_f(self):
@@ -135,7 +146,10 @@ class TestSampleTrajectory:
         cfg = ProcessConfig(r_prime=2.0, t_f=16, seed=77)
         a = sample_trajectory(grid, cfg)
         b = sample_trajectory(grid, cfg)
-        assert all(np.array_equal(x, y) for x, y in zip(a.removal_sets(), b.removal_sets()))
+        assert all(
+            np.array_equal(np.flatnonzero(a.removed_mask(t)), np.flatnonzero(b.removed_mask(t)))
+            for t in range(1, a.t_total + 1)
+        )
         assert all(np.array_equal(a.keep_mask(t), b.keep_mask(t)) for t in range(a.t_total + 1))
 
     def test_scripted_draw_oracle_8x8(self):
@@ -158,8 +172,9 @@ class TestSampleTrajectory:
             pool[p] = pool[-1]
             pool.pop()
 
-        assert all(np.array_equal(a, b) for a, b in zip(traj.removal_sets(), expected_sets))
-        flat = np.concatenate(traj.removal_sets())
+        sets = [np.flatnonzero(traj.removed_mask(t)) for t in range(1, traj.t_total + 1)]
+        assert all(np.array_equal(a, b) for a, b in zip(sets, expected_sets))
+        flat = np.concatenate(sets)
         assert len(flat) == len(set(flat.tolist()))  # disjoint singletons
         assert traj.keep_count(4) == 60
 
@@ -254,7 +269,8 @@ class TestSampleTrajectory:
         cfg = ProcessConfig(r_prime=4.0, t_f=12, seed=3)
         traj = sample_trajectory(grid, cfg)
         seen = set()
-        for t, s in enumerate(traj.removal_sets(), start=1):
+        for t in range(1, traj.t_total + 1):
+            s = np.flatnonzero(traj.removed_mask(t))
             assert not (seen & set(s.tolist()))
             seen.update(s.tolist())
             prev = traj.keep_mask(t - 1)
@@ -262,7 +278,6 @@ class TestSampleTrajectory:
             assert np.all(cur <= prev)
             assert prev.sum() - cur.sum() == len(s)
             assert np.array_equal(traj.removed_mask(t), prev & ~cur)
-            assert np.array_equal(np.flatnonzero(traj.removed_mask(t)), s)
 
     def test_radius_discipline_on_unrelaxed_steps(self):
         grid = radius_map(48, 48)
@@ -270,7 +285,8 @@ class TestSampleTrajectory:
         traj = sample_trajectory(grid, cfg)
         radius = grid.radius.ravel()
         assert not traj.relaxed.all()
-        for t, (s, relaxed) in enumerate(zip(traj.removal_sets(), traj.relaxed), start=1):
+        for t, relaxed in enumerate(traj.relaxed, start=1):
+            s = np.flatnonzero(traj.removed_mask(t))
             if not relaxed:
                 assert np.all(radius[s] > radius_threshold(t, cfg.t_f, cfg.r_prime, 48 / 2))
 
@@ -279,7 +295,7 @@ class TestSampleTrajectory:
         cfg = ProcessConfig(r_prime=2.0, t_f=4, density="uniform", seed=1)
         traj = sample_trajectory(grid, cfg)
         dc = 8 * 16 + 8  # (H // 2, W // 2), row-major
-        assert dc not in np.concatenate(traj.removal_sets())
+        assert dc not in np.concatenate([np.flatnonzero(traj.removed_mask(t)) for t in range(1, traj.t_total + 1)])
         assert traj.keep_mask(traj.t_total).ravel()[dc]
 
     def test_storage_is_linear_in_grid_and_steps(self):
@@ -318,6 +334,34 @@ class TestSampleTrajectory:
             x = rand_image(16, 16, seed=i)
             t = 1 + i % 4
             assert np.linalg.norm(corrupt(x, traj, t)) <= np.linalg.norm(x) * (1 + 1e-12)
+
+
+class TestRemovedSums:
+    @pytest.mark.parametrize(
+        "shape,t_f,t_total,density,schedule",
+        [
+            ((64, 64), 64, 64, "radius_scheduled", "constant"),
+            ((64, 64), 64, 63, "radius_scheduled", "constant"),
+            ((64, 64), 64, 0, "radius_scheduled", "constant"),
+            # the R = 8 horizon past T_f, where steps relax
+            ((64, 64), 64, 112, "radius_scheduled", "constant"),
+            ((33, 31), 16, 16, "uniform", "constant"),
+            ((33, 31), 16, 15, "radius_scheduled", "log"),
+            ((64, 64), 64, 64, "uniform", "log"),
+        ],
+    )
+    def test_matches_per_step_masked_sums(self, shape, t_f, t_total, density, schedule):
+        cfg = ProcessConfig(r_prime=2.0, t_f=t_f, density=density, step_count_schedule=schedule, seed=3)
+        traj = sample_trajectory(radius_map(*shape), cfg, t_total=t_total)
+        if t_total == 112:
+            assert traj.relaxation_count > 0
+        values = np.abs(dft2(rand_image(*shape, seed=4))) ** 2
+        expected = np.array([values[traj.removed_mask(t)].sum() for t in range(1, t_total + 1)])
+        sums = traj.removed_sums(values)
+        assert sums.shape == (t_total,)
+        assert np.all(np.abs(sums - expected) <= 1e-13 * expected)
+        # unit weights count each step's removals
+        assert np.array_equal(traj.removed_sums(np.ones(shape)), traj.counts)
 
 
 class TestCorrupt:

@@ -9,6 +9,7 @@ from fdbridge.grid import dft2, idft2, radius_map, to_native
 from fdbridge.imaging import (
     MASK_DENSITIES,
     ImagingSystem,
+    Measurement,
     adjoint,
     apply_forward,
     dc_projection,
@@ -140,7 +141,7 @@ class TestForwardAdjoint:
 
     def test_zero_measurement(self):
         sys_ = unit_system(np.ones((16, 16), dtype=bool))
-        assert np.all(adjoint(sys_, np.zeros((1, 16, 16), complex)) == 0)
+        assert np.all(adjoint(sys_, Measurement(np.zeros((1, 16, 16), complex), acceleration=1.0)) == 0)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**31 - 1), coils=st.integers(1, 5))
@@ -152,7 +153,7 @@ class TestForwardAdjoint:
         y = rand_image(24, 24, seed=seed ^ 0x2)
         yv = np.stack([y * (c + 1) for c in range(coils)])
         lhs = np.vdot(apply_forward(sys_, x), yv)
-        rhs = np.vdot(x, adjoint(sys_, yv))
+        rhs = np.vdot(x, adjoint(sys_, Measurement(yv, acceleration=3.0)))
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(yv)
 
 
@@ -248,8 +249,9 @@ class TestCoilBatchedOperators:
     def test_measurement_of_the_wrong_shape_is_rejected(self, bad):
         system, y, x = self._case((32, 32), 4)
         data = y.data[0] if bad == "one coil" else np.concatenate([y.data, y.data[:1]])
-        for call in (lambda: adjoint(system, data), lambda: dc_projection(system, x, data),
-                     lambda: residual_norm(system, x, data)):
+        wrong = Measurement(data, acceleration=y.acceleration)
+        for call in (lambda: adjoint(system, wrong), lambda: dc_projection(system, x, wrong),
+                     lambda: residual_norm(system, x, wrong)):
             with pytest.raises(ValueError, match="measurement shape"):
                 call()
 

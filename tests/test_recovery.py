@@ -27,7 +27,7 @@ from fdbridge.recovery import (
     train,
 )
 
-from conftest import rand_image
+from conftest import edit_checkpoint_architecture, rand_image
 from gradcheck import grad_check
 
 
@@ -474,6 +474,18 @@ class TestCheckpoint:
         assert loaded.t_f == 24
         assert header["epochs"] == 7
         assert header["architecture"]["hidden"] == 16
+
+    @pytest.mark.parametrize("key", ["param_order", "hidden"])
+    def test_other_architecture_is_rejected(self, tmp_path, key):
+        edit = {
+            # conv2_b listed before conv1_b: the block would load conv2_b's values into conv1_b
+            "param_order": lambda arch: arch["param_order"].insert(1, arch["param_order"].pop(4)),
+            "hidden": lambda arch: arch.update(hidden=8),
+        }[key]
+        save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12))
+        edit_checkpoint_architecture(tmp_path / "m.ckpt", edit)
+        with pytest.raises(ConfigError, match=f"architecture {key}="):
+            load_checkpoint(tmp_path / "m.ckpt")
 
     def test_loss_trace_csv(self, tmp_path):
         save_loss_trace(tmp_path / "trace.csv", [2.0, 1.0, 0.5])

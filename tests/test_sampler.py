@@ -3,7 +3,7 @@ import pytest
 
 from fdbridge import degradation
 from fdbridge.correction import CorrectionSchedule, linear_weights, resample_weights
-from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
+from fdbridge.degradation import ProcessConfig, corrupt, native_trajectory, sample_trajectory
 from fdbridge.errors import ConfigError, ScheduleError
 from fdbridge.grid import dft2, idft2, radius_map, to_centered, to_native
 from fdbridge.imaging import (
@@ -24,7 +24,6 @@ from fdbridge.sampler import (
     ddpm_forward_sample,
     ddpm_reconstruct,
     ddpm_schedule,
-    native_trajectory,
     reconstruct,
     reconstruction_steps,
     reverse_step,
@@ -49,7 +48,7 @@ class TestReconstructionSteps:
             cfg = ProcessConfig(r_prime=2.0, t_f=64, seed=0)
             t_r = reconstruction_steps(64, r, 2.0)
             traj = sample_trajectory(grid, cfg, t_total=t_r)
-            removed = sum(len(s) for s in traj.removal_sets())
+            removed = sum(np.count_nonzero(traj.removed_mask(t)) for t in range(1, t_r + 1))
             target = grid.n_components * (r - 1.0) / r
             assert abs(removed - target) <= traj.n
 

@@ -6,7 +6,12 @@ estimate of the clean image through three 3x3 convolutions
 (2 -> 16 -> 16 -> 2) with leaky rectifiers (slope 0.1) between layers.
 The step index conditions the network through an 8-dimensional sinusoidal
 embedding, linearly projected to a per-channel bias added after the first
-convolution.  Everything is double precision and deterministic.
+convolution.  Parameters, ``forward``, ``backward``, training and
+checkpoints are double precision; ``recover``, the inference pass the
+sampler calls once per reverse step, runs the layers in
+``INFERENCE_DTYPE`` (float32) and returns the estimate widened, exactly,
+to complex128.  Its estimate differs from ``forward``'s by float32
+rounding, about 1e-7 relative.  Everything is deterministic.
 
 Each convolution is a sum of three matrix products, one per kernel row,
 over a zero-padded, flattened copy of its input held three times, each
@@ -15,8 +20,8 @@ straight into the next layer's padded copy.  Each kernel row's weight
 gradient is one product, that row's view times the transposed output
 gradient, and the input gradients run the same layer on the stacked
 output gradient.  ``recover``, ``forward`` and ``backward`` share one
-set of these buffers, kept while the image shape stays the same;
-``forward`` copies each layer's padded input out for its cache.
+set of these buffers, kept while the image shape and dtype stay the
+same; ``forward`` copies each layer's padded input out for its cache.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .sampler import DdpmSchedule, ddpm_forward_sample
 LEAKY_SLOPE = 0.1
 EMB_DIM = 8
 HIDDEN = 16
+INFERENCE_DTYPE = np.float32  # the dtype recover runs the layers in
 PARAM_ORDER = ("conv1_w", "conv1_b", "time_w", "conv2_w", "conv2_b", "conv3_w", "conv3_b")
 # the layout a checkpoint's parameter block is written in, stated in its header
 ARCHITECTURE = {
@@ -80,7 +86,7 @@ def _channels_to_complex(chan: np.ndarray) -> np.ndarray:
     return (chan[0] + 1j * chan[1]).astype(np.complex128, copy=False)
 
 
-def _stacked(c: int, h: int, wd: int) -> np.ndarray:
+def _stacked(c: int, h: int, wd: int, dtype) -> np.ndarray:
     """Zero buffer of C flattened, zero-padded (H+2, W+2) channels, held three times.
 
     Shape (3C, (H+2)(W+2) + 2).  Block 0 (rows :C) holds the padded rows
@@ -90,7 +96,7 @@ def _stacked(c: int, h: int, wd: int) -> np.ndarray:
     reads the buffer.  Writers write block 0 only, so blocks 1 and 2 are
     free scratch until the next read.
     """
-    return np.zeros((3 * c, (h + 2) * (wd + 2) + 2))
+    return np.zeros((3 * c, (h + 2) * (wd + 2) + 2), dtype=dtype)
 
 
 def _interior(x: np.ndarray, h: int, wd: int) -> np.ndarray:
@@ -186,7 +192,10 @@ def _leaky_backward(d: np.ndarray, a: np.ndarray, scratch: np.ndarray) -> None:
 
 
 class _Workspace:
-    """The buffers of one pass through the layers at one image shape.
+    """The buffers of one pass through the layers at one image shape and dtype.
+
+    The dtype is the pass's arithmetic: float64 for ``forward`` and
+    ``backward``, ``INFERENCE_DTYPE`` for ``recover``.
 
     ``x`` holds each layer's ``_stacked`` input: the image's (real, imag)
     planes, then the two hidden activations, each written into block 0
@@ -196,10 +205,11 @@ class _Workspace:
     layer its products and output in those of the first buffer.
     """
 
-    def __init__(self, h: int, wd: int):
+    def __init__(self, h: int, wd: int, dtype):
         self.shape = (h, wd)
+        self.dtype = np.dtype(dtype)
         self.region = slice(wd + 3, wd + 3 + h * (wd + 2))  # padded pixel (1, 1) onwards, H rows of W+2
-        self.x = [_stacked(2, h, wd), _stacked(HIDDEN, h, wd), _stacked(HIDDEN, h, wd)]
+        self.x = [_stacked(c, h, wd, dtype) for c in (2, HIDDEN, HIDDEN)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,18 +270,25 @@ class TinyRegressor:
         if offset != flat.size:
             raise ValueError(f"parameter block has {flat.size} values, expected {offset}")
 
-    def _workspace_for(self, shape: tuple[int, int]) -> _Workspace:
+    def _workspace_for(self, shape: tuple[int, int], dtype) -> _Workspace:
+        """The model's one workspace, replaced when the shape or the dtype changes."""
         ws = self._workspace
-        if ws is None or ws.shape != shape:
-            ws = self._workspace = _Workspace(*shape)
+        if ws is None or ws.shape != shape or ws.dtype != dtype:
+            ws = self._workspace = _Workspace(*shape, dtype)
         return ws
 
     def _layers(self, ws: _Workspace, feat: np.ndarray) -> np.ndarray:
-        """Run the three layers on the input planes in ``ws.x[0]``; returns a (2, H, W) view of the output."""
-        p = self.params
+        """Run the three layers on the input planes in ``ws.x[0]``; returns a (2, H, W) view of the output.
+
+        Every operand is cast to the workspace's dtype, the time bias after
+        its float64 product, so each add and product runs that dtype's
+        loop under value-based and NEP 50 casting alike; at float64 the
+        casts are no-ops.
+        """
+        p = {n: a.astype(ws.dtype, copy=False) for n, a in self.params.items() if n != "time_w"}
         (h, wd), r = ws.shape, ws.region
         x1, x2, x3 = ws.x
-        biases = (p["conv1_b"], p["time_w"] @ feat)
+        biases = (p["conv1_b"], (self.params["time_w"] @ feat).astype(ws.dtype, copy=False))
         _conv_layer(x1, _rows(p["conv1_w"]), biases, x2[:HIDDEN, r], x2[HIDDEN : 2 * HIDDEN, r], wd, True)
         _conv_layer(x2, _rows(p["conv2_w"]), (p["conv2_b"],), x3[:HIDDEN, r], x3[HIDDEN : 2 * HIDDEN, r], wd, True)
         out = x1[4:, r]
@@ -288,7 +305,7 @@ class TinyRegressor:
         activations.
         """
         feat = time_features(t, self.t_f)
-        ws = self._workspace_for(chan_in.shape[1:])
+        ws = self._workspace_for(chan_in.shape[1:], np.float64)
         _interior(ws.x[0], *ws.shape)[...] = chan_in
         out = np.ascontiguousarray(self._layers(ws, feat))
         return out, (feat, *(x[: x.shape[0] // 3].copy() for x in ws.x))
@@ -307,7 +324,7 @@ class TinyRegressor:
         p = self.params
         feat, xp1, xp2, xp3 = cache
         h, wd = dout.shape[1:]
-        ws = self._workspace_for((h, wd))
+        ws = self._workspace_for((h, wd), np.float64)
         r = ws.region
         x1, x2, x3 = ws.x
         grads: dict[str, np.ndarray] = {}
@@ -340,17 +357,26 @@ class TinyRegressor:
         return grads
 
     def recover(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        """Clean-image estimate from x_t, computed in the model's workspace.
+        """Clean-image estimate from x_t, computed in an ``INFERENCE_DTYPE`` workspace.
 
-        The workspace makes this method, ``forward`` and ``backward``
+        The layers run in float32 on x_t rounded to float32; the estimate
+        comes back as a fresh complex128 array, each plane widened
+        exactly.  It differs from ``forward``'s float64 output by float32
+        rounding.  A pass that overflows float32 returns non-finite
+        components, which the sampler's finiteness check reports.  The
+        workspace makes this method, ``forward`` and ``backward``
         non-reentrant: one model must not run them on two threads at once.
         """
         x_t = as_image(x_t)
-        ws = self._workspace_for(x_t.shape)
+        ws = self._workspace_for(x_t.shape, INFERENCE_DTYPE)
         planes = _interior(ws.x[0], *ws.shape)
         planes[0] = x_t.real
         planes[1] = x_t.imag
-        return _channels_to_complex(self._layers(ws, time_features(t, self.t_f)))
+        out = self._layers(ws, time_features(t, self.t_f))
+        est = np.empty(x_t.shape, dtype=np.complex128)
+        est.real = out[0]
+        est.imag = out[1]
+        return est
 
 
 def _energy(r: np.ndarray) -> float:
@@ -486,19 +512,30 @@ def save_checkpoint(path, model: TinyRegressor, epochs: int = 0) -> None:
 
 
 def load_checkpoint(path) -> tuple[TinyRegressor, dict]:
-    """A checkpoint's model and header; a ConfigError names the first architecture key that is not ours."""
+    """A checkpoint's model and header.
+
+    A file that is not a checkpoint, a header that does not parse, an
+    architecture other than ours (the error names the first key that
+    differs) and a parameter block of another size raise ConfigError.
+    """
     raw = Path(path).read_bytes()
     if raw[:6] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (head_len,) = struct.unpack("<I", raw[6:10])
-    header = json.loads(raw[10 : 10 + head_len].decode())
+        raise ConfigError(f"{path}: not a checkpoint file")
+    try:
+        (head_len,) = struct.unpack("<I", raw[6:10])
+        header = json.loads(raw[10 : 10 + head_len].decode())
+    except (struct.error, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint header: {exc}") from exc
     stated = header.get("architecture", {})
     for key, value in ARCHITECTURE.items():
         if stated.get(key) != value:
             raise ConfigError(f"{path}: architecture {key}={stated.get(key)!r}, but the model has {key}={value!r}")
     model = TinyRegressor(t_f=int(header["T_f"]), seed=int(header["seed"]))
-    flat = np.frombuffer(raw, dtype="<f8", offset=10 + head_len)
-    model.set_flat_params(flat.astype(np.float64))
+    block = raw[10 + head_len :]
+    expected = model.flat_params().nbytes
+    if len(block) != expected:
+        raise ConfigError(f"{path}: parameter block of {len(block)} bytes, expected {expected}")
+    model.set_flat_params(np.frombuffer(block, dtype="<f8").astype(np.float64))
     return model, header
 
 

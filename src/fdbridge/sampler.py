@@ -160,6 +160,7 @@ def reconstruct(
     process walks the same one; "independent" draws a fresh one from
     ``cfg.seed``.  The native forms of the system, ``y`` and the
     trajectory are locals of this call, so ``system`` is left as it was.
+    A non-finite estimate or iterate raises SamplingError naming the step.
     """
     for name, ours, theirs in (("T_f", cfg.t_f, process.t_f), ("R_prime", cfg.r_prime, process.r_prime)):
         if ours != theirs:
@@ -179,7 +180,10 @@ def reconstruct(
 
     diagnostics: list[tuple] = []
     for t in range(t_r, 0, -1):
-        x0_est = to_native(operator.recover(centered, t))
+        x0_est = operator.recover(centered, t)
+        if not np.all(np.isfinite(x0_est)):  # a network pass that overflowed; reverse_step would raise ValueError
+            raise SamplingError(f"non-finite estimate at step {t}")
+        x0_est = to_native(x0_est)
         x = reverse_step(x, t, traj_native, x0_est, weight=float(weights[t - 1]))
         x, centered = _finish_step(x, t, native, y, cfg.dc_every_step, reference, diagnostics)
 

@@ -333,6 +333,8 @@ class TestTrainReconstruct:
         "reconstruct_checkpoint_horizon",
         "ddpm_checkpoint_horizon",
         "checkpoint_architecture",
+        "checkpoint_not_a_checkpoint",
+        "checkpoint_short_block",
         "learned_correction_without_schedule",
         "ddpm_train_steps",
         "ddpm_reconstruct_steps",
@@ -346,6 +348,11 @@ class TestTrainReconstruct:
         narrow = tmp_path / "narrow.ckpt"  # the config's T_f, but a header stating 8 hidden channels
         save_checkpoint(narrow, TinyRegressor(t_f=8, seed=0))
         edit_checkpoint_architecture(narrow, lambda arch: arch.update(hidden=8))
+        text = tmp_path / "text.ckpt"
+        text.write_text("not a checkpoint\n")
+        short = tmp_path / "short.ckpt"  # the config's T_f, one parameter short
+        save_checkpoint(short, TinyRegressor(t_f=8, seed=0))
+        short.write_bytes(short.read_bytes()[:-8])
         save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
         power_law = tmp_path / "power_law"  # not a schedule provenance
         save_schedule(power_law, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
@@ -359,6 +366,10 @@ class TestTrainReconstruct:
                                         "--ddpm-steps", "30"],
             "checkpoint_architecture": ["reconstruct", "--checkpoint", str(narrow),
                                         "--schedule", str(tmp_path / "schedule.csv")],
+            "checkpoint_not_a_checkpoint": ["reconstruct", "--checkpoint", str(text),
+                                            "--schedule", str(tmp_path / "schedule.csv")],
+            "checkpoint_short_block": ["reconstruct", "--checkpoint", str(short),
+                                       "--schedule", str(tmp_path / "schedule.csv")],
             "learned_correction_without_schedule": ["reconstruct"],
             # T <= beta_max = 20 would put beta_T at or above 1
             "ddpm_train_steps": ["train", "--corruption", "ddpm", "--ddpm-steps", "10"],

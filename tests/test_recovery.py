@@ -193,13 +193,17 @@ def _border_impulses(c, h, wd):
         yield x
 
 
-def _conv3x3(x, w, b):
-    """3x3 zero-padded cross-correlation of (C, H, W) ``x`` through ``_conv_layer``; returns (out, stacked input)."""
+def _conv3x3(x, w, b, dtype=np.float64):
+    """3x3 zero-padded cross-correlation of (C, H, W) ``x`` through ``_conv_layer`` in ``dtype``, every operand cast to it.
+
+    Returns (out, stacked input).
+    """
     cin, h, wd = x.shape
-    xs = _stacked(cin, h, wd)
+    xs = _stacked(cin, h, wd, dtype)
     _interior(xs, h, wd)[...] = x
-    out = np.empty((w.shape[0], h * (wd + 2)))
-    _conv_layer(xs, _rows(w), () if b is None else (b,), out, np.empty_like(out), wd, rectify=False)
+    out = np.empty((w.shape[0], h * (wd + 2)), dtype=dtype)
+    biases = () if b is None else (b.astype(dtype),)
+    _conv_layer(xs, _rows(w.astype(dtype)), biases, out, np.empty_like(out), wd, rectify=False)
     return np.ascontiguousarray(out.reshape(w.shape[0], h, wd + 2)[:, :, :wd]), xs
 
 
@@ -260,18 +264,19 @@ class TestConv3x3:
                     self._close(_conv3x3_weight_grad(dout, xp), dw_ref)
 
 
-def _forward_oracle(model, chan, t):
-    """Forward pass as separate layers: fresh-buffer convs, np.where rectifiers, crop and re-pad between.
+def _forward_oracle(model, chan, t, dtype=np.float64):
+    """Forward pass as separate layers in ``dtype``: fresh-buffer convs, np.where rectifiers, crop and re-pad between.
 
-    Returns (out, cache) with the cache (feat, xp1, h1, xp2, h2, xp3)
-    holding the pre-activations h1 and h2.
+    The time bias is the float64 product cast to ``dtype``.  Returns
+    (out, cache) with the cache (feat, xp1, h1, xp2, h2, xp3) holding the
+    pre-activations h1 and h2.
     """
     p = model.params
     feat = time_features(t, model.t_f)
-    h1, xp1 = _conv3x3(chan, p["conv1_w"], p["conv1_b"])
-    h1 += (p["time_w"] @ feat)[:, None, None]
-    h2, xp2 = _conv3x3(np.where(h1 > 0, h1, 0.1 * h1), p["conv2_w"], p["conv2_b"])
-    out, xp3 = _conv3x3(np.where(h2 > 0, h2, 0.1 * h2), p["conv3_w"], p["conv3_b"])
+    h1, xp1 = _conv3x3(chan, p["conv1_w"], p["conv1_b"], dtype)
+    h1 += (p["time_w"] @ feat).astype(dtype)[:, None, None]
+    h2, xp2 = _conv3x3(np.where(h1 > 0, h1, 0.1 * h1), p["conv2_w"], p["conv2_b"], dtype)
+    out, xp3 = _conv3x3(np.where(h2 > 0, h2, 0.1 * h2), p["conv3_w"], p["conv3_b"], dtype)
     return out, (feat, xp1, h1, xp2, h2, xp3)
 
 
@@ -293,7 +298,7 @@ def _backward_oracle(model, cache, dout):
 
 
 class TestLayerWorkspace:
-    """forward, backward and recover equal the layer-by-layer oracle bit for bit.
+    """forward and backward equal the float64 layer-by-layer oracle bit for bit, and recover the float32 one.
 
     The shapes include non-square and odd ones, where a wrapped column
     left unzeroed in a padded buffer would leak into the next row, grids
@@ -335,15 +340,25 @@ class TestLayerWorkspace:
         assert got.tobytes() == (d * np.where(h > 0, 1.0, 0.1)).tobytes()
         assert a.tobytes() == np.where(h > 0, h, 0.1 * h).tobytes()
 
+    # largest |recover - forward| / max |forward| measured over SHAPES: 3.3e-7, under 3 float32 epsilons
+    RECOVER_VS_FORWARD_RTOL = 1e-6
+
     def test_recover_matches_forward_across_alternating_shapes(self):
+        """recover is the float32 oracle bit for bit, and float32 rounding away from forward's float64 output."""
         model = self._model()
         results = {}
         for rep in range(2):
             for i, shape in enumerate(self.SHAPES):
                 x = rand_image(*shape, seed=10 + i)
+                chan = np.stack([x.real, x.imag])
                 got = model.recover(x, 2 + i)
-                out, _ = model.forward(np.stack([x.real, x.imag]), 2 + i)
-                assert got.tobytes() == (out[0] + 1j * out[1]).tobytes()
+                assert got.dtype == np.complex128
+                ref, _ = _forward_oracle(model, chan, 2 + i, np.float32)
+                assert got.real.tobytes() == ref[0].astype(np.float64).tobytes()
+                assert got.imag.tobytes() == ref[1].astype(np.float64).tobytes()
+                out, _ = model.forward(chan, 2 + i)
+                wide = out[0] + 1j * out[1]
+                assert np.max(np.abs(got - wide)) <= self.RECOVER_VS_FORWARD_RTOL * np.max(np.abs(wide))
                 results.setdefault(shape, []).append(got)
         # each call returns a fresh array: later calls on the same workspace leave earlier results alone
         for first, second in results.values():
@@ -485,6 +500,20 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12))
         edit_checkpoint_architecture(tmp_path / "m.ckpt", edit)
         with pytest.raises(ConfigError, match=f"architecture {key}="):
+            load_checkpoint(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda raw: b"not a checkpoint\n", "not a checkpoint file"),
+        (lambda raw: raw[:8], "unreadable checkpoint header"),  # cut inside the header length
+        (lambda raw: raw[:20], "unreadable checkpoint header"),  # cut inside the JSON header
+        (lambda raw: raw[:-8], "parameter block of"),  # one parameter short
+        (lambda raw: raw[:-3], "parameter block of"),  # not a whole number of float64 values
+        (lambda raw: raw + bytes(8), "parameter block of"),
+    ], ids=["text", "cut_length", "cut_header", "short", "ragged", "long"])
+    def test_bad_file_is_a_config_error(self, tmp_path, edit, match):
+        save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12))
+        (tmp_path / "m.ckpt").write_bytes(edit((tmp_path / "m.ckpt").read_bytes()))
+        with pytest.raises(ConfigError, match=match):
             load_checkpoint(tmp_path / "m.ckpt")
 
     def test_loss_trace_csv(self, tmp_path):

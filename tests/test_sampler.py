@@ -4,7 +4,7 @@ import pytest
 from fdbridge import degradation
 from fdbridge.correction import CorrectionSchedule, linear_weights, resample_weights
 from fdbridge.degradation import ProcessConfig, corrupt, native_trajectory, sample_trajectory
-from fdbridge.errors import ConfigError, ScheduleError
+from fdbridge.errors import ConfigError, SamplingError, ScheduleError
 from fdbridge.grid import dft2, idft2, radius_map, to_centered, to_native
 from fdbridge.imaging import (
     ImagingSystem,
@@ -322,6 +322,54 @@ class TestNativeLoopMatchesCenteredLoop:
         result = ddpm_reconstruct(y, system, model, ddpm_schedule(30), seed=50, reference=reference)
         _assert_same_run(result, *reference_ddpm_reconstruct(y, system, model, ddpm_schedule(30), seed=50,
                                                              reference=reference))
+
+
+class _Float64Recover:
+    """Tests-only operator: the model's float64 ``forward`` pass, the estimate ``recover`` computes in float32."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def recover(self, x, t):
+        out, _ = self.model.forward(np.stack([x.real, x.imag]), t)
+        return out[0] + 1j * out[1]
+
+
+class TestFloat32Recover:
+    """TinyRegressor.recover runs in float32; reconstruct drifts from the float64 pass by float32 rounding only."""
+
+    # largest drift measured over these four cases: image 2.4e-7 relative, PSNR 1.1e-7 dB
+    IMAGE_RTOL = 1e-6
+    PSNR_ATOL_DB = 1e-6
+
+    @staticmethod
+    def _case(coils, correction):
+        system, y, reference = _oracle_case((64, 64), coils, seed=60 + coils)
+        proc = ProcessConfig(r_prime=2.0, t_f=8, seed=65)
+        cfg = SamplerConfig(t_f=8, r_prime=2.0, r=4.0, correction=correction, seed=66)
+        sched = CorrectionSchedule(weights=[1.0, 0.9, 0.7, 0.6, 0.4, 0.3, 0.3, 0.1], provenance="constant")
+        return (y, system), (proc, sched, cfg), reference
+
+    @pytest.mark.parametrize("coils", [1, 4])
+    @pytest.mark.parametrize("correction", ["learned", "linear"])
+    def test_reconstruct_drift_from_float64(self, coils, correction):
+        data, setup, reference = self._case(coils, correction)
+        model = TinyRegressor(t_f=8, seed=67)
+        got = reconstruct(*data, model, *setup, reference=reference).image
+        wide = reconstruct(*data, _Float64Recover(model), *setup, reference=reference).image
+        assert np.max(np.abs(got - wide)) <= self.IMAGE_RTOL * np.max(np.abs(wide))
+        assert abs(psnr(reference, got) - psnr(reference, wide)) <= self.PSNR_ATOL_DB
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_float32_overflow_fails_the_step(self):
+        data, setup, reference = self._case(1, "learned")
+        model = TinyRegressor(t_f=8, seed=67)
+        for name in ("conv1_w", "conv2_w", "conv3_w"):  # a gain of 1e45 overflows float32, not float64
+            model.params[name] *= 1e15
+        assert np.all(np.isfinite(_Float64Recover(model).recover(reference, 12)))
+        assert not np.all(np.isfinite(model.recover(reference, 12)))
+        with pytest.raises(SamplingError, match="non-finite estimate at step 12$"):
+            reconstruct(*data, model, *setup, reference=reference)
 
 
 class TestDdpmSchedule:

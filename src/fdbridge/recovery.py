@@ -21,7 +21,10 @@ gradient is one product, that row's view times the transposed output
 gradient, and the input gradients run the same layer on the stacked
 output gradient.  ``recover``, ``forward`` and ``backward`` share one
 set of these buffers, kept while the image shape and dtype stay the
-same; ``forward`` copies each layer's padded input out for its cache.
+same.  ``forward``'s cache is a reference to them, not a copy: ``backward``
+reads each layer's stacked input as ``forward`` left it and overwrites
+them with the gradients, so a cache serves one ``backward``, and only
+until the model's next pass (``ForwardCache``).
 """
 
 from __future__ import annotations
@@ -92,9 +95,10 @@ def _stacked(c: int, h: int, wd: int, dtype) -> np.ndarray:
     Shape (3C, (H+2)(W+2) + 2).  Block 0 (rows :C) holds the padded rows
     back to back, then two zeros that only the wrapped columns of the last
     row read; block dx (rows dx*C : (dx+1)*C) holds block 0 shifted left
-    by dx, filled from block 0 (``_fill_shifts``) by each function that
-    reads the buffer.  Writers write block 0 only, so blocks 1 and 2 are
-    free scratch until the next read.
+    by dx, filled from block 0 (``_fill_shifts``) by the layer that reads
+    the buffer, and read again, unfilled, by that layer's weight gradient.
+    Writers write block 0 only, so blocks 1 and 2 are free scratch until
+    the next fill.
     """
     return np.zeros((3 * c, (h + 2) * (wd + 2) + 2), dtype=dtype)
 
@@ -162,12 +166,12 @@ def _conv_layer(x: np.ndarray, rows: np.ndarray, biases, dst: np.ndarray, scratc
 def _weight_grad(d: np.ndarray, x: np.ndarray, wd: int) -> np.ndarray:
     """dL/dw of a layer from dL/d(out) and the ``_stacked`` input ``x`` the layer read.
 
-    ``d`` is in the uncropped (C_out, H(W+2)) layout with the wrapped
-    columns zero.  Kernel row dy's gradient is the one (3 C_in, C_out)
-    product x[:, dy(W+2) : dy(W+2) + H(W+2)] @ d.T, whose row dx C_in + c
-    is tap (dy, dx) of input channel c.
+    ``x``'s shift blocks must still be the ones the layer filled.  ``d``
+    is in the uncropped (C_out, H(W+2)) layout with the wrapped columns
+    zero.  Kernel row dy's gradient is the one (3 C_in, C_out) product
+    x[:, dy(W+2) : dy(W+2) + H(W+2)] @ d.T, whose row dx C_in + c is tap
+    (dy, dx) of input channel c.
     """
-    _fill_shifts(x)
     cout, n = d.shape
     g = np.empty((3, x.shape[0], cout))
     for dy in range(3):
@@ -176,19 +180,19 @@ def _weight_grad(d: np.ndarray, x: np.ndarray, wd: int) -> np.ndarray:
     return np.ascontiguousarray(g.reshape(3, 3, -1, cout).transpose(3, 2, 0, 1))
 
 
-def _leaky_backward(d: np.ndarray, a: np.ndarray, scratch: np.ndarray) -> None:
-    """Multiply dL/d(activations) in place by the rectifier's derivative, read from the activations ``a``.
+def _leaky_slope(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the rectifier's derivative, read from the activations ``a``, into ``out`` (a's shape).
 
     a > 0 exactly where the rectifier's input is > 0, -0.0, denormals and
     infinities included; a NaN input (whose activation is NaN) gets the
     slope, as np.where(h > 0, 1.0, LEAKY_SLOPE) gives it.  The derivative
-    is built without branches in ``scratch`` (d's shape), each entry
-    exactly 1.0 or LEAKY_SLOPE: a masked multiply or np.where runs
-    several times slower on mixed signs.
+    is built without branches, each entry exactly 1.0 or LEAKY_SLOPE: a
+    masked multiply or np.where runs several times slower on mixed signs.
+    Reading it before dL/d(activations) exists lets that gradient
+    overwrite the activations.
     """
-    np.multiply(a > 0, 1.0 - LEAKY_SLOPE, out=scratch)
-    scratch += LEAKY_SLOPE
-    d *= scratch
+    np.multiply(a > 0, 1.0 - LEAKY_SLOPE, out=out)
+    out += LEAKY_SLOPE
 
 
 class _Workspace:
@@ -200,9 +204,16 @@ class _Workspace:
     ``x`` holds each layer's ``_stacked`` input: the image's (real, imag)
     planes, then the two hidden activations, each written into block 0
     by the layer before, from flat offset ``region.start``.  Blocks 1
-    and 2 of a buffer are free until a reader fills them, so a layer
-    keeps its products in those of the buffer it writes, and the last
-    layer its products and output in those of the first buffer.
+    and 2 of a buffer are free until its reader fills them, so a layer
+    keeps its products in those of the buffer it writes.  ``out`` is a
+    2-channel ``_stacked`` buffer: the last layer keeps its products and
+    output in its blocks 1 and 2, and ``backward`` stacks dL/d(out) in it.
+    So after a pass every buffer of ``x`` holds its layer's input with
+    the shifts that layer read, until the next pass.
+
+    ``generation`` counts the passes run in the buffers, and a model
+    bumps it once more when it replaces the workspace; a
+    ``ForwardCache`` is valid while it reads the same count.
     """
 
     def __init__(self, h: int, wd: int, dtype):
@@ -210,6 +221,29 @@ class _Workspace:
         self.dtype = np.dtype(dtype)
         self.region = slice(wd + 3, wd + 3 + h * (wd + 2))  # padded pixel (1, 1) onwards, H rows of W+2
         self.x = [_stacked(c, h, wd, dtype) for c in (2, HIDDEN, HIDDEN)]
+        self.out = _stacked(2, h, wd, dtype)
+        self.generation = 0
+
+
+@dataclass(frozen=True)
+class ForwardCache:
+    """What ``backward`` needs of one ``forward`` pass: its time features and the workspace it ran in.
+
+    The workspace's buffers hold the pass's layer inputs only until the
+    model's next ``forward``, ``recover`` or ``backward``, or until the
+    model replaces its workspace; each of these moves the workspace's
+    generation past the cache's.
+    """
+
+    feat: np.ndarray
+    workspace: _Workspace
+    generation: int
+
+    def fresh_workspace(self) -> _Workspace:
+        """The workspace, while it still holds this pass; ValueError once a later pass overwrote it."""
+        if self.workspace.generation != self.generation:
+            raise ValueError("stale forward cache: the model ran another pass since; run forward again")
+        return self.workspace
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,6 +308,8 @@ class TinyRegressor:
         """The model's one workspace, replaced when the shape or the dtype changes."""
         ws = self._workspace
         if ws is None or ws.shape != shape or ws.dtype != dtype:
+            if ws is not None:
+                ws.generation += 1  # its caches go stale with it
             ws = self._workspace = _Workspace(*shape, dtype)
         return ws
 
@@ -285,73 +321,78 @@ class TinyRegressor:
         loop under value-based and NEP 50 casting alike; at float64 the
         casts are no-ops.
         """
+        ws.generation += 1
         p = {n: a.astype(ws.dtype, copy=False) for n, a in self.params.items() if n != "time_w"}
         (h, wd), r = ws.shape, ws.region
         x1, x2, x3 = ws.x
         biases = (p["conv1_b"], (self.params["time_w"] @ feat).astype(ws.dtype, copy=False))
         _conv_layer(x1, _rows(p["conv1_w"]), biases, x2[:HIDDEN, r], x2[HIDDEN : 2 * HIDDEN, r], wd, True)
         _conv_layer(x2, _rows(p["conv2_w"]), (p["conv2_b"],), x3[:HIDDEN, r], x3[HIDDEN : 2 * HIDDEN, r], wd, True)
-        out = x1[4:, r]
-        _conv_layer(x3, _rows(p["conv3_w"]), (p["conv3_b"],), out, x1[2:4, r], wd, False)
+        out = ws.out[4:, r]
+        _conv_layer(x3, _rows(p["conv3_w"]), (p["conv3_b"],), out, ws.out[2:4, r], wd, False)
         return out.reshape(2, h, wd + 2)[:, :, :wd]
 
-    def forward(self, chan_in: np.ndarray, t: int):
+    def forward(self, chan_in: np.ndarray, t: int) -> tuple[np.ndarray, ForwardCache]:
         """Forward pass on a (2, H, W) channel stack; returns (out, cache).
 
-        Runs in the model's workspace.  The cache is (time features,
-        padded input of each layer), copied out of the workspace as
-        block 0 of each ``_stacked`` buffer, so later calls leave it
-        alone; the padded inputs of layers 2 and 3 hold the rectified
-        activations.
+        Runs in the model's workspace.  ``out`` is a fresh array; the
+        cache refers to the workspace, whose buffers keep each layer's
+        stacked input (the rectified activations for layers 2 and 3), so
+        it holds no copies and is valid only until the model's next
+        ``forward``, ``recover`` or ``backward``.
         """
         feat = time_features(t, self.t_f)
         ws = self._workspace_for(chan_in.shape[1:], np.float64)
         _interior(ws.x[0], *ws.shape)[...] = chan_in
         out = np.ascontiguousarray(self._layers(ws, feat))
-        return out, (feat, *(x[: x.shape[0] // 3].copy() for x in ws.x))
+        return out, ForwardCache(feat, ws, ws.generation)
 
-    def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache: ForwardCache, dout: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for the cached forward pass given dL/d(out).
 
-        Runs in the model's workspace for dout's shape, over whatever it
-        held, with h1 and h2 the outputs of layers 1 and 2 before their
-        rectifiers: ``x[0]`` takes the stacked dL/d(out), then layer 1's
-        input; ``x[1]`` dL/dh2; ``x[2]`` the inputs of layers 3 and 2,
-        then dL/dh1.  A layer's input gradient is the layer run on its
-        stacked dL/d(out) with the ``_flipped`` kernel, written into
-        block 0 of the buffer the next gradient reads.
+        The cache must be fresh (else ValueError), and this pass spends it:
+        with h1 and h2 the outputs of layers 1 and 2 before their
+        rectifiers, it reads each layer's stacked input in place for that
+        layer's weight gradient and the rectifier slopes, then overwrites
+        the buffers.  dL/d(out) is stacked in ``out``.  dL/dh2 replaces
+        layer 3's input in ``x[2]`` once its weight gradient and the slope
+        are read, and is stacked there; dL/dh1 goes to block 1 of ``x[1]``
+        once layer 2's weight gradient and slope are read.  A layer's input
+        gradient is the layer run on its stacked dL/d(out) with the
+        ``_flipped`` kernel.
         """
+        ws = cache.fresh_workspace()
+        if dout.shape != (2, *ws.shape):
+            raise ValueError(f"dout of shape {dout.shape} for a forward pass at {ws.shape}")
+        ws.generation += 1
         p = self.params
-        feat, xp1, xp2, xp3 = cache
-        h, wd = dout.shape[1:]
-        ws = self._workspace_for((h, wd), np.float64)
-        r = ws.region
+        (h, wd), r = ws.shape, ws.region
         x1, x2, x3 = ws.x
+        d = ws.out
         grads: dict[str, np.ndarray] = {}
 
-        _interior(x1, h, wd)[...] = dout
-        x3[:HIDDEN] = xp3
-        grads["conv3_w"] = _weight_grad(x1[:2, r], x3, wd)
+        _interior(d, h, wd)[...] = dout
+        grads["conv3_w"] = _weight_grad(d[:2, r], x3, wd)
         grads["conv3_b"] = dout.sum(axis=(1, 2))
-        dh2 = x2[:HIDDEN, r]
-        scratch = x2[HIDDEN : 2 * HIDDEN, r]
-        _conv_layer(x1, _rows(_flipped(p["conv3_w"])), (), dh2, scratch, wd, False)
-        _leaky_backward(dh2, xp3[:, r], scratch)
+        slope = x3[2 * HIDDEN :, r]
+        _leaky_slope(x3[:HIDDEN, r], slope)
+        dh2 = x3[:HIDDEN, r]
+        _conv_layer(d, _rows(_flipped(p["conv3_w"])), (), dh2, x3[HIDDEN : 2 * HIDDEN, r], wd, False)
+        dh2 *= slope
         _zero_wrapped(dh2, wd)
 
-        x3[:HIDDEN] = xp2
-        grads["conv2_w"] = _weight_grad(dh2, x3, wd)
+        grads["conv2_w"] = _weight_grad(dh2, x2, wd)
         # bias gradients sum a contiguous copy: a strided (C, H, W) sum adds in another order once H*W > 8192
-        grads["conv2_b"] = np.ascontiguousarray(_interior(x2, h, wd)).sum(axis=(1, 2))
-        dh1 = x3[:HIDDEN, r]
-        scratch = x3[HIDDEN : 2 * HIDDEN, r]
-        _conv_layer(x2, _rows(_flipped(p["conv2_w"])), (), dh1, scratch, wd, False)
-        _leaky_backward(dh1, xp2[:, r], scratch)
+        grads["conv2_b"] = np.ascontiguousarray(_interior(x3, h, wd)).sum(axis=(1, 2))
+        slope = x2[2 * HIDDEN :, r]
+        _leaky_slope(x2[:HIDDEN, r], slope)
+        dh1 = x2[HIDDEN : 2 * HIDDEN, r]
+        _conv_layer(x3, _rows(_flipped(p["conv2_w"])), (), dh1, x2[:HIDDEN, r], wd, False)
+        dh1 *= slope
         _zero_wrapped(dh1, wd)
 
-        db1 = np.ascontiguousarray(_interior(x3, h, wd)).sum(axis=(1, 2))
-        grads["time_w"] = np.outer(db1, feat)
-        x1[:2] = xp1
+        db1 = np.ascontiguousarray(dh1.reshape(HIDDEN, h, wd + 2)[:, :, :wd]).sum(axis=(1, 2))
+        grads["time_w"] = np.outer(db1, cache.feat)
         grads["conv1_w"] = _weight_grad(dh1, x1, wd)
         grads["conv1_b"] = db1
         return grads
@@ -459,7 +500,8 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     frequency-removal bridge (or its averaging ablation), or a
     DdpmSchedule for the noise baseline.  Returns the trained model and
     the per-epoch mean loss trace.  Deterministic given (cfg.seed, data
-    order).
+    order).  Each sample's ``backward`` reads its ``forward``'s buffers in
+    place, and the model leaves with no workspace.
     """
     images = [as_image(x) for x in images]
     if len(images) < 2:
@@ -497,6 +539,7 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             epoch_losses.append(loss)
             opt.step(model.params, grads)
         trace.append(float(np.mean(epoch_losses)))
+    model._workspace = None  # no cache of training's float64 buffers is left, and recover allocates its own
     return model, trace
 
 
@@ -514,9 +557,11 @@ def save_checkpoint(path, model: TinyRegressor, epochs: int = 0) -> None:
 def load_checkpoint(path) -> tuple[TinyRegressor, dict]:
     """A checkpoint's model and header.
 
-    A file that is not a checkpoint, a header that does not parse, an
-    architecture other than ours (the error names the first key that
-    differs) and a parameter block of another size raise ConfigError.
+    A file that is not a checkpoint, a header that does not parse or is
+    not a JSON object, an architecture other than ours (the error names
+    the first key that differs), a ``T_f`` or ``seed`` that is missing or
+    not an integer, and a parameter block of another size raise
+    ConfigError.
     """
     raw = Path(path).read_bytes()
     if raw[:6] != CKPT_MAGIC:
@@ -526,11 +571,17 @@ def load_checkpoint(path) -> tuple[TinyRegressor, dict]:
         header = json.loads(raw[10 : 10 + head_len].decode())
     except (struct.error, ValueError) as exc:
         raise ConfigError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    stated = header.get("architecture", {})
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path}: checkpoint header is not a JSON object")
+    stated = header.get("architecture")
+    stated = stated if isinstance(stated, dict) else {}
     for key, value in ARCHITECTURE.items():
         if stated.get(key) != value:
             raise ConfigError(f"{path}: architecture {key}={stated.get(key)!r}, but the model has {key}={value!r}")
-    model = TinyRegressor(t_f=int(header["T_f"]), seed=int(header["seed"]))
+    for key in ("T_f", "seed"):
+        if type(header.get(key)) is not int:  # bool is an int subclass, and no count or seed
+            raise ConfigError(f"{path}: checkpoint header {key}={header.get(key)!r}, expected an integer")
+    model = TinyRegressor(t_f=header["T_f"], seed=header["seed"])
     block = raw[10 + head_len :]
     expected = model.flat_params().nbytes
     if len(block) != expected:

@@ -27,14 +27,21 @@ def constant_schedule(t_f, value):
     return CorrectionSchedule(weights=np.full(t_f, value), provenance="constant")
 
 
+def with_header(raw: bytes, edit) -> bytes:
+    """A checkpoint's bytes with its JSON header replaced by ``edit(header)``; the parameters stay."""
+    (head_len,) = struct.unpack("<I", raw[6:10])
+    head = json.dumps(edit(json.loads(raw[10 : 10 + head_len])), sort_keys=True).encode()
+    return raw[:6] + struct.pack("<I", len(head)) + head + raw[10 + head_len :]
+
+
 def edit_checkpoint_architecture(path, edit):
     """Rewrite a checkpoint's header after ``edit`` changes its architecture dict in place; the parameters stay."""
-    raw = path.read_bytes()
-    (head_len,) = struct.unpack("<I", raw[6:10])
-    header = json.loads(raw[10 : 10 + head_len])
-    edit(header["architecture"])
-    head = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(raw[:6] + struct.pack("<I", len(head)) + head + raw[10 + head_len :])
+
+    def on_header(header):
+        edit(header["architecture"])
+        return header
+
+    path.write_bytes(with_header(path.read_bytes(), on_header))
 
 
 @pytest.fixture

@@ -8,9 +8,14 @@ from fdbridge.rng import substream
 
 
 def _rectifier_pattern(cache) -> list[np.ndarray]:
-    # cache[2] and cache[3] are the padded inputs of layers 2 and 3: the rectified
-    # activations, whose signs are those of the rectifiers' inputs (the padding stays 0)
-    return [np.sign(cache[2]), np.sign(cache[3])]
+    """Signs of the rectified activations, read in place while ``cache`` is fresh.
+
+    Block 0 of the workspace's second and third stacked buffers holds the
+    padded inputs of layers 2 and 3: the rectified activations, whose signs
+    are those of the rectifiers' inputs (the padding stays 0).  np.sign
+    copies them out before the next pass overwrites the buffers.
+    """
+    return [np.sign(x[: x.shape[0] // 3]) for x in cache.fresh_workspace().x[1:]]
 
 
 def grad_check(
@@ -65,6 +70,11 @@ def grad_check(
                     loss_plus, pattern_plus = loss_s, pattern
                 else:
                     loss_minus, pattern_minus = loss_s, pattern
+            # each pattern is its own copy, so the kink check never compares a buffer with itself
+            patterns = pattern_plus + pattern_minus
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(patterns) for b in patterns[i + 1 :])
+            workspace = (*model._workspace.x, model._workspace.out)
+            assert not any(np.shares_memory(a, buf) for a in patterns for buf in workspace)
             if not all(np.array_equal(a, b) for a, b in zip(pattern_plus, pattern_minus)):
                 continue  # rectifier region flipped; redraw
             fd = (loss_plus - loss_minus) / (2.0 * step)

@@ -18,7 +18,7 @@ from fdbridge.metrics import psnr, ssim
 from fdbridge.recovery import TinyRegressor, load_checkpoint, save_checkpoint
 from fdbridge.rng import child_seed
 
-from conftest import constant_schedule, edit_checkpoint_architecture
+from conftest import constant_schedule, edit_checkpoint_architecture, with_header
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -335,6 +335,9 @@ class TestTrainReconstruct:
         "checkpoint_architecture",
         "checkpoint_not_a_checkpoint",
         "checkpoint_short_block",
+        "checkpoint_header_not_object",
+        "checkpoint_header_no_T_f",
+        "checkpoint_header_seed_string",
         "learned_correction_without_schedule",
         "ddpm_train_steps",
         "ddpm_reconstruct_steps",
@@ -353,6 +356,15 @@ class TestTrainReconstruct:
         short = tmp_path / "short.ckpt"  # the config's T_f, one parameter short
         save_checkpoint(short, TinyRegressor(t_f=8, seed=0))
         short.write_bytes(short.read_bytes()[:-8])
+        headers = {  # the config's T_f and a whole parameter block under a malformed header
+            "checkpoint_header_not_object": lambda h: [h],
+            "checkpoint_header_no_T_f": lambda h: {k: v for k, v in h.items() if k != "T_f"},
+            "checkpoint_header_seed_string": lambda h: {**h, "seed": "zero"},
+        }
+        header = tmp_path / "header.ckpt"
+        save_checkpoint(header, TinyRegressor(t_f=8, seed=0))
+        if case in headers:
+            header.write_bytes(with_header(header.read_bytes(), headers[case]))
         save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
         power_law = tmp_path / "power_law"  # not a schedule provenance
         save_schedule(power_law, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
@@ -370,6 +382,8 @@ class TestTrainReconstruct:
                                             "--schedule", str(tmp_path / "schedule.csv")],
             "checkpoint_short_block": ["reconstruct", "--checkpoint", str(short),
                                        "--schedule", str(tmp_path / "schedule.csv")],
+            **{name: ["reconstruct", "--checkpoint", str(header), "--schedule", str(tmp_path / "schedule.csv")]
+               for name in headers},
             "learned_correction_without_schedule": ["reconstruct"],
             # T <= beta_max = 20 would put beta_T at or above 1
             "ddpm_train_steps": ["train", "--corruption", "ddpm", "--ddpm-steps", "10"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fdbridge.recovery import (
     _conv_layer,
     _flipped,
     _interior,
-    _leaky_backward,
+    _leaky_slope,
     _loss_residual,
     _rows,
     _stacked,
@@ -27,7 +29,7 @@ from fdbridge.recovery import (
     train,
 )
 
-from conftest import edit_checkpoint_architecture, rand_image
+from conftest import edit_checkpoint_architecture, rand_image, with_header
 from gradcheck import grad_check
 
 
@@ -152,12 +154,29 @@ class TestTinyRegressor:
         b = TinyRegressor(t_f=16, seed=3).flat_params()
         assert np.array_equal(a, b)
 
-    def test_forward_cache_is_small(self):
-        # the cache holds the padded input of each layer (the rectified activations included): about 1.2 MB at 64^2
+    def test_workspace_bounds_training_memory(self):
+        # three stacked layer inputs (2, 16, 16 channels) and the 2-channel output buffer:
+        # 108 rows of 66 * 66 + 2 float64 values, 3,765,312 bytes at 64^2
         model = TinyRegressor(t_f=64, seed=4)
-        _, cache = model.forward(np.stack([rand_image(64, 64, seed=5).real] * 2), 3)
-        held = sum(a.nbytes for a in cache if isinstance(a, np.ndarray))
-        assert held <= 3_000_000
+        x = rand_image(64, 64, seed=5)
+        chan, dout = np.stack([x.real, x.imag]), np.stack([x.imag, x.real])
+        _, cache = model.forward(chan, 3)
+        ws = cache.fresh_workspace()
+        assert ws is model._workspace and ws.dtype == np.float64
+        assert sum(b.nbytes for b in (*ws.x, ws.out)) <= 3_800_000
+        assert cache.feat.nbytes == 64  # the cache's only array of its own: 8 time features
+        model.backward(cache, dout)
+        # a later sample reuses the workspace: its forward and backward together hold under 1 MB
+        # of new arrays at once, where a copy of the layer inputs alone is about 1.2 MB
+        tracemalloc.start()
+        try:
+            _, cache = model.forward(chan, 3)
+            model.backward(cache, dout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model._workspace is ws
+        assert peak <= 1_000_000
 
 
 def _conv_reference(x, w):
@@ -335,9 +354,9 @@ class TestLayerWorkspace:
         h = np.array([-2.0, -1e-320, -0.0, 0.0, 1e-320, 3.0, np.inf, -np.inf, np.nan])
         a = np.maximum(h, 0.1 * h)
         d = np.random.default_rng(5).standard_normal(h.shape)
-        got = d.copy()
-        _leaky_backward(got, a, np.empty_like(d))
-        assert got.tobytes() == (d * np.where(h > 0, 1.0, 0.1)).tobytes()
+        slope = np.empty_like(d)
+        _leaky_slope(a, slope)
+        assert (d * slope).tobytes() == (d * np.where(h > 0, 1.0, 0.1)).tobytes()
         assert a.tobytes() == np.where(h > 0, h, 0.1 * h).tobytes()
 
     # largest |recover - forward| / max |forward| measured over SHAPES: 3.3e-7, under 3 float32 epsilons
@@ -365,26 +384,36 @@ class TestLayerWorkspace:
             assert not np.shares_memory(first, second)
             assert first.tobytes() == second.tobytes()
 
-    @pytest.mark.parametrize("later", [(24, 40), (33, 31)])
-    def test_forward_cache_survives_later_calls(self, later):
-        """forward and backward share the model's workspace with recover: a cache holds copies, not views."""
+    @pytest.mark.parametrize("later", ["forward", "forward_other_shape", "recover", "backward"])
+    def test_stale_cache_is_rejected(self, later):
+        """A cache refers to the workspace: after any later pass backward on it raises; a fresh one matches the oracle."""
         model = self._model()
         x = rand_image(24, 40, seed=14)
         chan = np.stack([x.real, x.imag])
         dout = np.stack([rand_image(24, 40, seed=15).real, rand_image(24, 40, seed=16).imag])
         _, cache = model.forward(chan, 5)
-        for a in cache:
-            for buf in model._workspace.x:
-                assert not np.shares_memory(a, buf)
+        y = rand_image(*((33, 31) if later == "forward_other_shape" else (24, 40)), seed=17)
+        if later == "recover":
+            model.recover(y, 11)
+        elif later == "backward":  # backward overwrites the buffers it read, so a cache serves once
+            model.backward(cache, dout)
+        else:
+            model.forward(np.stack([y.imag, y.real]), 9)
+        with pytest.raises(ValueError, match="stale forward cache"):
+            model.backward(cache, dout)
+        with pytest.raises(ValueError, match="stale forward cache"):
+            cache.fresh_workspace()
         _, fresh = model.forward(chan, 5)
-        expected = model.backward(fresh, dout)  # right after its forward, which reran the first one
-        y = rand_image(*later, seed=17)
-        model.forward(np.stack([y.imag, y.real]), 9)
-        model.recover(y, 11)
-        model.forward(np.stack([y.real, y.imag]), 12)
-        grads = model.backward(cache, dout)
-        for name, ref in expected.items():
+        grads = model.backward(fresh, dout)
+        _, ref_cache = _forward_oracle(model, chan, 5)
+        for name, ref in _backward_oracle(model, ref_cache, dout).items():
             assert grads[name].tobytes() == ref.tobytes(), name
+
+    def test_backward_rejects_dout_of_another_shape(self):
+        model = self._model()
+        _, cache = model.forward(np.zeros((2, 6, 7)), 3)
+        with pytest.raises(ValueError, match="dout of shape"):
+            model.backward(cache, np.ones((2, 1, 1)))  # would broadcast into the (6, 7) buffer
 
     def test_recover_validates_its_input(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -425,7 +454,28 @@ class TestGradCheck:
             assert np.allclose(2.0 * g1[name], g2[name], rtol=1e-12, atol=0)
 
 
+class _OracleRegressor(TinyRegressor):
+    """The model with its passes run by the layer-by-layer oracles, each pass in fresh buffers."""
+
+    def forward(self, chan_in, t):
+        return _forward_oracle(self, chan_in, t)
+
+    def backward(self, cache, dout):
+        return _backward_oracle(self, cache, dout)
+
+
 class TestTrain:
+    @pytest.mark.parametrize("loss_mode", LOSS_MODES)
+    def test_matches_oracle_passes(self, loss_mode):
+        """train through the workspace's in-place passes gives the oracle passes' parameters and trace bit for bit."""
+        images, cfg, _, _ = _toy_setup()
+        tc = TrainConfig(learning_rate=0.01, epochs=2, batch=2, loss_mode=loss_mode, seed=3)
+        model, trace = train(TinyRegressor(t_f=8, seed=9), images, cfg, tc)
+        oracle, oracle_trace = train(_OracleRegressor(t_f=8, seed=9), images, cfg, tc)
+        assert model.flat_params().tobytes() == oracle.flat_params().tobytes()
+        assert trace == oracle_trace and len(trace) == 2
+        assert model._workspace is None  # training's float64 buffers are released with its last sample
+
     def test_zero_learning_rate_leaves_parameters(self):
         images, cfg, _, _ = _toy_setup()
         model = TinyRegressor(t_f=8, seed=4)
@@ -509,7 +559,14 @@ class TestCheckpoint:
         (lambda raw: raw[:-8], "parameter block of"),  # one parameter short
         (lambda raw: raw[:-3], "parameter block of"),  # not a whole number of float64 values
         (lambda raw: raw + bytes(8), "parameter block of"),
-    ], ids=["text", "cut_length", "cut_header", "short", "ragged", "long"])
+        (lambda raw: with_header(raw, lambda h: [h]), "not a JSON object"),
+        (lambda raw: with_header(raw, lambda h: {**h, "architecture": 5}), "architecture in_channels=None"),
+        (lambda raw: with_header(raw, lambda h: {k: v for k, v in h.items() if k != "T_f"}), "T_f=None"),
+        (lambda raw: with_header(raw, lambda h: {k: v for k, v in h.items() if k != "seed"}), "seed=None"),
+        (lambda raw: with_header(raw, lambda h: {**h, "T_f": "24"}), "T_f='24', expected an integer"),
+        (lambda raw: with_header(raw, lambda h: {**h, "seed": 12.5}), "seed=12.5, expected an integer"),
+    ], ids=["text", "cut_length", "cut_header", "short", "ragged", "long",
+            "header_list", "architecture_number", "no_T_f", "no_seed", "T_f_string", "seed_float"])
     def test_bad_file_is_a_config_error(self, tmp_path, edit, match):
         save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12))
         (tmp_path / "m.ckpt").write_bytes(edit((tmp_path / "m.ckpt").read_bytes()))

@@ -130,7 +130,31 @@ class _NeverCalled:
         raise AssertionError("reconstruct sampled before rejecting its config")
 
 
+class _FixedEstimate:
+    def __init__(self, est):
+        self.est = est
+
+    def recover(self, x, t):
+        return self.est
+
+
 class TestReconstruct:
+    def test_estimate_is_validated_as_an_image(self):
+        # reconstruct takes any object with recover: a single-precision estimate is widened
+        # to complex128 before the step, and an estimate that is not 2D is rejected
+        _, proc, traj, x0 = _matched_setup(seed=9)
+        sys_ = unit_system(traj.keep_mask(proc.t_f))
+        y = forward(sys_, x0)
+        cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=2.0, correction="none", ct_mode="fixed", seed=0)
+        sched = constant_schedule(proc.t_f, 0.5)
+        narrow = x0.astype(np.complex64)
+        got = reconstruct(y, sys_, _FixedEstimate(narrow), proc, sched, cfg).image
+        wide = reconstruct(y, sys_, _FixedEstimate(narrow.astype(np.complex128)), proc, sched, cfg).image
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, wide)
+        with pytest.raises(ValueError, match="must be 2D"):
+            reconstruct(y, sys_, _FixedEstimate(narrow[None]), proc, sched, cfg)
+
     def test_oracle_round_trip_both_modes(self):
         # measured on the components the process keeps, the driver starts at C_{T_f} x0
         _, proc, traj, x0 = _matched_setup(seed=9)

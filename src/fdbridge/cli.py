@@ -9,7 +9,8 @@ final name only once it is complete, and the manifest's ``outputs`` are
 read off the disk: the files under --out that are new or have a new
 inode.  A run that fails writes no ``run_manifest.json``, and a config
 error writes nothing, not even --out itself.  Exit codes: 0 success, 1
-config error, 2 runtime failure.
+config error (a missing or malformed input file among them), 2 runtime
+failure.
 
 ``reconstruct``, ``ddpm-reconstruct`` and ``ablate`` share one path:
 simulate the acquisition of a reference image (sampling mask, coil maps,
@@ -49,7 +50,7 @@ from .imaging import (
     synth_coil_maps,
 )
 from .metrics import psnr, ssim
-from .phantoms import PhantomSpec, generate_dataset, load_dataset, save_dataset, seeded_phantom
+from .phantoms import PhantomSpec, dataset_ids, generate_dataset, load_dataset, save_dataset, seeded_phantom
 from .recovery import (
     OracleRecovery,
     TinyRegressor,
@@ -148,7 +149,7 @@ def _training_images(cfg: dict, args) -> list[np.ndarray]:
         data = cfg["data"]
         return generate_dataset(data["count"], data["dims"], data["dims"], data["contrast"], cfg["seed"])
     path = Path(args.dataset)
-    return load_dataset(path) if path.is_dir() else [read_cimg(path)]
+    return _read_input(load_dataset, path) if path.is_dir() else [_read_input(read_cimg, path)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def cmd_forward(cfg, args, out: Path) -> None:
     data = cfg["data"]
     grid = KSpaceGrid(data["dims"], data["dims"])
     if args.image:
-        x0 = read_cimg(args.image)
+        x0 = _read_input(read_cimg, args.image)
         if x0.shape != grid.shape:
             raise ConfigError(f"image shape {x0.shape} does not match configured dims {data['dims']}")
     else:
@@ -291,7 +292,7 @@ def cmd_train(cfg, args, out: Path) -> None:
 def _load_operator(args, reference, horizon: int):
     """The recovery operator: --checkpoint, which must be trained on ``horizon`` steps, else --recovery."""
     if args.checkpoint:
-        model, _ = load_checkpoint(args.checkpoint)
+        model, _ = _read_input(load_checkpoint, args.checkpoint)
         if model.t_f != horizon:
             raise ConfigError(
                 f"checkpoint {args.checkpoint} was trained with T_f={model.t_f}, "
@@ -344,7 +345,7 @@ def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps
     """
     seed, data = cfg["seed"], cfg["data"]
     if args.image:
-        reference = read_cimg(args.image)
+        reference = _read_input(read_cimg, args.image)
     else:
         reference = seeded_phantom(data["dims"], data["dims"], data["contrast"], seed, "eval-image", 0)
     seeds = [child_seed(seed, tag) for tag in ("mask", "coils", "measurement")]
@@ -375,7 +376,7 @@ def cmd_reconstruct(cfg, args, out: Path) -> None:
     scfg = _sampler_config(cfg, proc)
     if scfg.correction == "learned" and not args.schedule:
         raise ConfigError("correction='learned' requires --schedule")
-    schedule = load_schedule(args.schedule, proc) if args.schedule else None
+    schedule = _read_input(load_schedule, args.schedule, proc) if args.schedule else None
 
     def sample(y, system, operator, reference):
         return reconstruct(y, system, operator, proc, schedule, scfg, reference=reference)
@@ -454,9 +455,9 @@ def _metric_pairs(ref_path: Path, test_path: Path) -> list[tuple[str, str, Path,
         raise ConfigError("--ref and --test must both be files or both be dataset directories")
     if not ref_path.is_dir():
         return [(ref_path.name, test_path.name, ref_path, test_path)]
-    ref_manifest = read_json(ref_path / "manifest.json")
-    test_manifest = read_json(test_path / "manifest.json")
-    shared = [name for name in ref_manifest["ids"] if name in set(test_manifest["ids"])]
+    ref_ids = _read_input(dataset_ids, ref_path)
+    test_ids = set(_read_input(dataset_ids, test_path))
+    shared = [name for name in ref_ids if name in test_ids]
     if not shared:
         raise ConfigError("datasets share no image ids")
     return [
@@ -467,20 +468,28 @@ def _metric_pairs(ref_path: Path, test_path: Path) -> list[tuple[str, str, Path,
 def cmd_metrics(cfg, args, out: Path) -> None:
     rows = []
     for ref_id, test_id, ref_path, test_path in _metric_pairs(Path(args.ref), Path(args.test)):
-        rows.append((ref_id, test_id, *_score(read_cimg(ref_path), read_cimg(test_path))))
+        ref, test = _read_input(read_cimg, ref_path), _read_input(read_cimg, test_path)
+        rows.append((ref_id, test_id, *_score(ref, test)))
     write_csv(out / "metrics.csv", ["ref", "test", "psnr_db", "ssim"], rows)
 
 
-def _read_config(path):
-    """The JSON document at ``path``; a file that is missing or is not JSON raises a ConfigError naming it."""
+def _read_input(read, path, *args):
+    """``read(path, *args)`` on an input file named on the command line.
+
+    A file that is missing or malformed (``read`` raises OSError or
+    ValueError) raises a ConfigError naming it, so the run exits 1 before
+    anything is written.
+    """
     try:
-        return read_json(path)
+        return read(path, *args)
+    except ConfigError:
+        raise
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_replay(args) -> int:
-    manifest = _read_config(args.manifest)
+    manifest = _read_input(read_json, args.manifest)
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("command"), str)
@@ -670,7 +679,7 @@ def _run(argv, config_dict=None) -> int:
         return cmd_replay(args)
 
     if config_dict is None:
-        config_dict = _read_config(args.config) if args.config else {}
+        config_dict = _read_input(read_json, args.config) if args.config else {}
     cfg = validate_config(config_dict)
     if args.seed is not None:
         cfg["seed"] = args.seed

@@ -56,7 +56,7 @@ class CorrectionSchedule:
             raise ConfigError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise ScheduleError(f"schedule needs a non-empty 1-D array of weights, got shape {self.weights.shape}")
-        if np.any(self.weights < 0) or np.any(self.weights > 1):
+        if not np.all((self.weights >= 0) & (self.weights <= 1)):  # NaN lies in no interval
             raise ValueError("weights must lie in [0, 1]")
         if self.provenance == "monte_carlo":
             rises = np.diff(self.weights)
@@ -210,14 +210,20 @@ def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
     header, rows = read_csv(csv_path)
     if header[:2] != ["t", "w"]:
         raise ValueError(f"{csv_path}: expected header t,w")
+    if not rows:
+        raise ValueError(f"{csv_path}: no weight rows")
     for i, row in enumerate(rows, start=1):
         if row[0] != str(i):
             raise ValueError(f"{csv_path}: row {i} has t={row[0]}, expected t={i}")
+        if len(row) < 2:
+            raise ValueError(f"{csv_path}: row {i} holds no weight")
     weights = np.array([float(r[1]) for r in rows])
     meta_path = Path(csv_path).with_suffix(".json")
     if not meta_path.exists():
         return CorrectionSchedule(weights=weights, provenance="constant")
     meta = read_json(meta_path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: schedule metadata is not a JSON object")
     estimated_for = (meta.get("R_prime"), meta.get("T_f"))
     if estimated_for != (process.r_prime, process.t_f):
         raise ConfigError(

@@ -52,7 +52,7 @@ def write_cimg(path, img: np.ndarray) -> None:
 
 def read_cimg(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if raw[:6] != CIMG_MAGIC:
+    if raw[:6] != CIMG_MAGIC or len(raw) < 14:
         raise ValueError(f"{path}: not a CIMG1 file")
     h, w = struct.unpack("<II", raw[6:14])
     expected = 14 + h * w * 16

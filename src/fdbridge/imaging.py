@@ -277,7 +277,10 @@ def native_dc(native: NativeSystem, x: np.ndarray, y: np.ndarray) -> tuple[np.nd
 
 
 def dc_projection(system: ImagingSystem, x: np.ndarray, y: Measurement) -> tuple[np.ndarray, float]:
-    """:func:`native_dc` of a centered image and centered data, the image shifted back."""
+    """:func:`native_dc` of a centered image and centered data, the image shifted back.
+
+    A projection onto the measured data only at one coil; at C > 1 the update is one Landweber step.
+    """
     x = to_native(_check_image(system, x))
     image, norm = native_dc(native_system(system), x, native_measurement(system, y))
     return to_centered(image), norm

@@ -124,7 +124,15 @@ def save_dataset(out_dir, images: list[np.ndarray], contrast: str, seed: int) ->
     write_json(out_dir / "manifest.json", {"ids": ids, "contrast": contrast, "seed": seed, "count": len(images)})
 
 
+def dataset_ids(in_dir) -> list[str]:
+    """The image ids a dataset directory's manifest lists; ValueError if it holds no list of ids."""
+    manifest = read_json(Path(in_dir) / "manifest.json")
+    ids = manifest.get("ids") if isinstance(manifest, dict) else None
+    if not (isinstance(ids, list) and all(isinstance(name, str) for name in ids)):
+        raise ValueError(f"{in_dir}: manifest.json lists no image ids")
+    return ids
+
+
 def load_dataset(in_dir) -> list[np.ndarray]:
     in_dir = Path(in_dir)
-    manifest = read_json(in_dir / "manifest.json")
-    return [read_cimg(in_dir / "images" / name) for name in manifest["ids"]]
+    return [read_cimg(in_dir / "images" / name) for name in dataset_ids(in_dir)]

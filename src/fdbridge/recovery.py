@@ -1,17 +1,20 @@
 """Recovery operators: oracle/passthrough references and a small trainable
 convolutional regressor with hand-rolled backpropagation.
 
-The regressor maps the (real, imag) planes of a degraded image to an
-estimate of the clean image through three 3x3 convolutions
-(2 -> 16 -> 16 -> 2) with leaky rectifiers (slope 0.1) between layers.
-The step index conditions the network through an 8-dimensional sinusoidal
-embedding, linearly projected to a per-channel bias added after the first
-convolution.  Parameters, ``forward``, ``backward``, training and
-checkpoints are double precision; ``recover``, the inference pass the
-sampler calls once per reverse step, runs the layers in
-``INFERENCE_DTYPE`` (float32) and returns the estimate widened, exactly,
-to complex128.  Its estimate differs from ``forward``'s by float32
-rounding, about 1e-7 relative.  Everything is deterministic.
+The regressor maps a complex degraded image to a complex estimate of the
+clean image, running on its (real, imag) planes through three 3x3
+convolutions (2 -> 16 -> 16 -> 2) with leaky rectifiers (slope 0.1)
+between layers.  The step index conditions the network through an
+8-dimensional sinusoidal embedding, linearly projected to a per-channel
+bias added after the first convolution.  ``forward``, ``backward`` and
+``recover`` take and return complex (H, W) images (``backward`` takes
+dL/d(estimate)), and one pass body, ``TinyRegressor._pass``, converts
+between images and planes.  Parameters, ``forward``, ``backward``,
+training and checkpoints are double precision; ``recover``, the inference
+pass the sampler calls once per reverse step, runs that body in
+``INFERENCE_DTYPE`` (float32) and widens the estimate, exactly, to
+complex128.  Its estimate differs from ``forward``'s by float32 rounding,
+about 1e-7 relative.  Everything is deterministic.
 
 Each convolution is a sum of three matrix products, one per kernel row,
 over a zero-padded, flattened copy of its input held three times, each
@@ -49,7 +52,17 @@ LEAKY_SLOPE = 0.1
 EMB_DIM = 8
 HIDDEN = 16
 INFERENCE_DTYPE = np.float32  # the dtype recover runs the layers in
-PARAM_ORDER = ("conv1_w", "conv1_b", "time_w", "conv2_w", "conv2_b", "conv3_w", "conv3_b")
+# each parameter's shape, in the order ``params`` and a checkpoint's parameter block hold them
+PARAM_SHAPES = {
+    "conv1_w": (HIDDEN, 2, 3, 3),
+    "conv1_b": (HIDDEN,),
+    "time_w": (HIDDEN, EMB_DIM),
+    "conv2_w": (HIDDEN, HIDDEN, 3, 3),
+    "conv2_b": (HIDDEN,),
+    "conv3_w": (2, HIDDEN, 3, 3),
+    "conv3_b": (2,),
+}
+PARAM_ORDER = tuple(PARAM_SHAPES)
 # the layout a checkpoint's parameter block is written in, stated in its header
 ARCHITECTURE = {
     "in_channels": 2,
@@ -79,14 +92,6 @@ class ZeroFillRecovery:
 
     def recover(self, x_t: np.ndarray, t: int) -> np.ndarray:
         return as_image(x_t).copy()
-
-
-def _complex_to_channels(img: np.ndarray) -> np.ndarray:
-    return np.stack([img.real, img.imag]).astype(np.float64, copy=False)
-
-
-def _channels_to_complex(chan: np.ndarray) -> np.ndarray:
-    return (chan[0] + 1j * chan[1]).astype(np.complex128, copy=False)
 
 
 def _stacked(c: int, h: int, wd: int, dtype) -> np.ndarray:
@@ -207,7 +212,8 @@ class _Workspace:
     and 2 of a buffer are free until its reader fills them, so a layer
     keeps its products in those of the buffer it writes.  ``out`` is a
     2-channel ``_stacked`` buffer: the last layer keeps its products and
-    output in its blocks 1 and 2, and ``backward`` stacks dL/d(out) in it.
+    output in its blocks 1 and 2, and ``backward`` stacks dL/d(estimate)'s
+    planes in it.
     So after a pass every buffer of ``x`` holds its layer's input with
     the shifts that layer read, until the next pass.
 
@@ -272,17 +278,7 @@ class TinyRegressor:
         self._init_params()
 
     def _init_params(self) -> None:
-        shapes = {
-            "conv1_w": (HIDDEN, 2, 3, 3),
-            "conv1_b": (HIDDEN,),
-            "time_w": (HIDDEN, EMB_DIM),
-            "conv2_w": (HIDDEN, HIDDEN, 3, 3),
-            "conv2_b": (HIDDEN,),
-            "conv3_w": (2, HIDDEN, 3, 3),
-            "conv3_b": (2,),
-        }
-        for name in PARAM_ORDER:
-            shape = shapes[name]
+        for name, shape in PARAM_SHAPES.items():
             if name.endswith("_b"):
                 self.params[name] = np.zeros(shape)
             else:
@@ -313,56 +309,65 @@ class TinyRegressor:
             ws = self._workspace = _Workspace(*shape, dtype)
         return ws
 
-    def _layers(self, ws: _Workspace, feat: np.ndarray) -> np.ndarray:
-        """Run the three layers on the input planes in ``ws.x[0]``; returns a (2, H, W) view of the output.
+    def _pass(self, x_t: np.ndarray, t: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Run the layers on the complex image ``x_t`` in the ``dtype`` workspace; returns (estimate, time features).
 
-        Every operand is cast to the workspace's dtype, the time bias after
-        its float64 product, so each add and product runs that dtype's
-        loop under value-based and NEP 50 casting alike; at float64 the
-        casts are no-ops.
+        ``x_t`` is validated and its (real, imag) planes written into
+        ``ws.x[0]``, rounded to ``dtype``; the output planes are widened,
+        exactly, into a fresh complex128 estimate.  Every operand is cast
+        to the workspace's dtype, the time bias after its float64 product,
+        so each add and product runs that dtype's loop under value-based
+        and NEP 50 casting alike; at float64 the casts are no-ops.
         """
+        x_t = as_image(x_t)
+        feat = time_features(t, self.t_f)
+        ws = self._workspace_for(x_t.shape, dtype)
         ws.generation += 1
         p = {n: a.astype(ws.dtype, copy=False) for n, a in self.params.items() if n != "time_w"}
         (h, wd), r = ws.shape, ws.region
         x1, x2, x3 = ws.x
+        planes = _interior(x1, h, wd)
+        planes[0] = x_t.real
+        planes[1] = x_t.imag
         biases = (p["conv1_b"], (self.params["time_w"] @ feat).astype(ws.dtype, copy=False))
         _conv_layer(x1, _rows(p["conv1_w"]), biases, x2[:HIDDEN, r], x2[HIDDEN : 2 * HIDDEN, r], wd, True)
         _conv_layer(x2, _rows(p["conv2_w"]), (p["conv2_b"],), x3[:HIDDEN, r], x3[HIDDEN : 2 * HIDDEN, r], wd, True)
         out = ws.out[4:, r]
         _conv_layer(x3, _rows(p["conv3_w"]), (p["conv3_b"],), out, ws.out[2:4, r], wd, False)
-        return out.reshape(2, h, wd + 2)[:, :, :wd]
+        planes = out.reshape(2, h, wd + 2)[:, :, :wd]
+        estimate = np.empty(x_t.shape, dtype=np.complex128)
+        estimate.real = planes[0]
+        estimate.imag = planes[1]
+        return estimate, feat
 
-    def forward(self, chan_in: np.ndarray, t: int) -> tuple[np.ndarray, ForwardCache]:
-        """Forward pass on a (2, H, W) channel stack; returns (out, cache).
+    def forward(self, x_t: np.ndarray, t: int) -> tuple[np.ndarray, ForwardCache]:
+        """Float64 pass on the complex (H, W) image ``x_t``; returns (estimate, cache).
 
-        Runs in the model's workspace.  ``out`` is a fresh array; the
-        cache refers to the workspace, whose buffers keep each layer's
-        stacked input (the rectified activations for layers 2 and 3), so
-        it holds no copies and is valid only until the model's next
+        Runs in the model's workspace.  The estimate is a fresh complex128
+        array; the cache refers to the workspace, whose buffers keep each
+        layer's stacked input (the rectified activations for layers 2 and
+        3), so it holds no copies and is valid only until the model's next
         ``forward``, ``recover`` or ``backward``.
         """
-        feat = time_features(t, self.t_f)
-        ws = self._workspace_for(chan_in.shape[1:], np.float64)
-        _interior(ws.x[0], *ws.shape)[...] = chan_in
-        out = np.ascontiguousarray(self._layers(ws, feat))
-        return out, ForwardCache(feat, ws, ws.generation)
+        estimate, feat = self._pass(x_t, t, np.float64)
+        return estimate, ForwardCache(feat, self._workspace, self._workspace.generation)
 
     def backward(self, cache: ForwardCache, dout: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for the cached forward pass given dL/d(out).
+        """Parameter gradients for the cached forward pass given ``dout``, dL/d(estimate) as a complex (H, W) image.
 
         The cache must be fresh (else ValueError), and this pass spends it:
         with h1 and h2 the outputs of layers 1 and 2 before their
         rectifiers, it reads each layer's stacked input in place for that
         layer's weight gradient and the rectifier slopes, then overwrites
-        the buffers.  dL/d(out) is stacked in ``out``.  dL/dh2 replaces
-        layer 3's input in ``x[2]`` once its weight gradient and the slope
-        are read, and is stacked there; dL/dh1 goes to block 1 of ``x[1]``
-        once layer 2's weight gradient and slope are read.  A layer's input
-        gradient is the layer run on its stacked dL/d(out) with the
-        ``_flipped`` kernel.
+        the buffers.  ``dout``'s planes are stacked in ``out``.  dL/dh2
+        replaces layer 3's input in ``x[2]`` once its weight gradient and
+        the slope are read, and is stacked there; dL/dh1 goes to block 1 of
+        ``x[1]`` once layer 2's weight gradient and slope are read.  A
+        layer's input gradient is the layer run on its stacked dL/d(out)
+        with the ``_flipped`` kernel.
         """
         ws = cache.fresh_workspace()
-        if dout.shape != (2, *ws.shape):
+        if dout.shape != ws.shape:
             raise ValueError(f"dout of shape {dout.shape} for a forward pass at {ws.shape}")
         ws.generation += 1
         p = self.params
@@ -371,9 +376,12 @@ class TinyRegressor:
         d = ws.out
         grads: dict[str, np.ndarray] = {}
 
-        _interior(d, h, wd)[...] = dout
+        planes = _interior(d, h, wd)
+        planes[0] = dout.real
+        planes[1] = dout.imag
         grads["conv3_w"] = _weight_grad(d[:2, r], x3, wd)
-        grads["conv3_b"] = dout.sum(axis=(1, 2))
+        # bias gradients sum a contiguous copy: a strided (C, H, W) sum adds in another order once H*W > 8192
+        grads["conv3_b"] = np.ascontiguousarray(planes).sum(axis=(1, 2))
         slope = x3[2 * HIDDEN :, r]
         _leaky_slope(x3[:HIDDEN, r], slope)
         dh2 = x3[:HIDDEN, r]
@@ -382,7 +390,6 @@ class TinyRegressor:
         _zero_wrapped(dh2, wd)
 
         grads["conv2_w"] = _weight_grad(dh2, x2, wd)
-        # bias gradients sum a contiguous copy: a strided (C, H, W) sum adds in another order once H*W > 8192
         grads["conv2_b"] = np.ascontiguousarray(_interior(x3, h, wd)).sum(axis=(1, 2))
         slope = x2[2 * HIDDEN :, r]
         _leaky_slope(x2[:HIDDEN, r], slope)
@@ -398,26 +405,17 @@ class TinyRegressor:
         return grads
 
     def recover(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        """Clean-image estimate from x_t, computed in an ``INFERENCE_DTYPE`` workspace.
+        """Clean-image estimate from x_t: the pass body in an ``INFERENCE_DTYPE`` workspace, with no cache.
 
         The layers run in float32 on x_t rounded to float32; the estimate
         comes back as a fresh complex128 array, each plane widened
-        exactly.  It differs from ``forward``'s float64 output by float32
+        exactly.  It differs from ``forward``'s float64 estimate by float32
         rounding.  A pass that overflows float32 returns non-finite
         components, which the sampler's finiteness check reports.  The
         workspace makes this method, ``forward`` and ``backward``
         non-reentrant: one model must not run them on two threads at once.
         """
-        x_t = as_image(x_t)
-        ws = self._workspace_for(x_t.shape, INFERENCE_DTYPE)
-        planes = _interior(ws.x[0], *ws.shape)
-        planes[0] = x_t.real
-        planes[1] = x_t.imag
-        out = self._layers(ws, time_features(t, self.t_f))
-        est = np.empty(x_t.shape, dtype=np.complex128)
-        est.real = out[0]
-        est.imag = out[1]
-        return est
+        return self._pass(x_t, t, INFERENCE_DTYPE)[0]
 
 
 def _energy(r: np.ndarray) -> float:
@@ -525,11 +523,12 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             loss = 0.0
             for i, x0 in enumerate(batch):
                 x_t, t, traj = _draw_corrupted(x0, grids[x0.shape], process, (cfg.seed, epoch, step_idx, i))
-                out, cache = model.forward(_complex_to_channels(x_t), t)
-                residual, energy = _loss_residual(_channels_to_complex(out), x0, traj, t, cfg.loss_mode)
+                estimate, cache = model.forward(x_t, t)
+                residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
                 loss += energy
-                dout = _complex_to_channels(residual) * (2.0 / len(batch))
-                for n, g in model.backward(cache, dout).items():
+                residual.real *= 2.0 / len(batch)  # dL/d(estimate), each part scaled as a real plane
+                residual.imag *= 2.0 / len(batch)
+                for n, g in model.backward(cache, residual).items():
                     grads[n] += g
             loss /= len(batch)
             if not math.isfinite(loss):

@@ -7,9 +7,12 @@ estimate and the current iterate with weight w_t (soft dealiasing); a
 zero weight is the standard step.  The driver starts from the
 least-squares reconstruction of a measurement, draws a T_r-step
 trajectory from the bridge's process, runs T_r corrected steps
-interleaved with data-consistency projections, and records per-step
-diagnostics.  A DDPM baseline with the same driver structure is included
-for comparison runs.
+interleaved with data-consistency updates x + A^H (y - A x), and records
+per-step diagnostics.  The update is a projection onto the measured data
+only at one coil; at C > 1 it is one Landweber step, which leaves part of
+the residual (12.8-16.3% at 2-8 coils, measured at 64² under an R = 4
+normal2d mask).  A DDPM baseline with the same driver structure is
+included for comparison runs.
 
 The loop runs in FFT-native layout (``grid``).  ``reconstruct`` shifts
 the system, the measurement, the zero-filled start and, through
@@ -129,7 +132,8 @@ class ReconstructionResult:
 
     image: np.ndarray
     # rows (t, residual, psnr_db): residual is ||y - A x|| of the step's update before its DC
-    # projection; psnr_db is that of the step's final iterate
+    # update (a projection at one coil, one Landweber step at more); psnr_db is that of the
+    # step's final iterate
     diagnostics: list[tuple]
     # steps of the reverse trajectory whose threshold was relaxed; None without a trajectory (DDPM)
     relaxed_steps: int | None = None
@@ -154,7 +158,9 @@ def reconstruct(
     Initializes at the least-squares reconstruction of ``y``, resamples
     the correction schedule, which must hold T_f weights, to T_r steps,
     and per step estimates the clean image, applies the corrected reverse
-    step, then (optionally) the data-consistency projection.  The trajectory of T_r steps is
+    step, then (optionally) the data-consistency update x + A^H (y - A x):
+    a projection onto the measured data at one coil, one Landweber step at
+    C > 1, which leaves part of the residual.  The trajectory of T_r steps is
     drawn from ``process``, whose T_f and R' must be the sampler's: ct_mode
     "fixed" draws the process's own trajectory, so every call with that
     process walks the same one; "independent" draws a fresh one from

@@ -3,7 +3,7 @@
 import numpy as np
 
 from fdbridge.grid import as_image
-from fdbridge.recovery import PARAM_ORDER, TinyRegressor, _channels_to_complex, _complex_to_channels, _energy
+from fdbridge.recovery import PARAM_ORDER, TinyRegressor, _energy
 from fdbridge.rng import substream
 
 
@@ -36,20 +36,17 @@ def grad_check(
     are exact there and meaningless across the kink.
     """
     sample = as_image(sample)
-    chan_in = _complex_to_channels(sample)
-    target_c = np.zeros_like(sample) if target is None else as_image(target)
+    target = np.zeros_like(sample) if target is None else as_image(target)
 
     def loss_and_state(params_flat=None):
         if params_flat is not None:
             model.set_flat_params(params_flat)
-        out, cache = model.forward(chan_in, t)
-        residual = _channels_to_complex(out) - target_c
-        return _energy(residual), cache, out
+        estimate, cache = model.forward(sample, t)
+        return _energy(estimate - target), cache, estimate
 
     base_flat = model.flat_params()
-    loss0, cache, out = loss_and_state()
-    residual = _channels_to_complex(out) - target_c
-    grads = model.backward(cache, _complex_to_channels(residual) * 2.0)
+    loss0, cache, estimate = loss_and_state()
+    grads = model.backward(cache, 2.0 * (estimate - target))
     grad_flat = np.concatenate([grads[n].ravel() for n in PARAM_ORDER])
 
     rng = substream(seed, "grad-check")

@@ -15,6 +15,7 @@ from fdbridge.errors import ConfigError
 from fdbridge.fileio import read_cimg, read_csv, read_json, read_kmsk, write_cimg
 from fdbridge.grid import radius_map
 from fdbridge.metrics import psnr, ssim
+from fdbridge.phantoms import save_dataset
 from fdbridge.recovery import TinyRegressor, load_checkpoint, save_checkpoint
 from fdbridge.rng import child_seed
 
@@ -175,10 +176,77 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["run_manifest.json"]
 
     def test_runtime_failure_is_two(self, tmp_path):
-        assert (
-            run("metrics", "--out", str(tmp_path / "m"), "--ref", "missing.cimg", "--test", "missing.cimg")
-            == 2
-        )
+        # readable inputs on which the metric fails: a reference with no signal has no PSNR peak
+        blank = tmp_path / "blank.cimg"
+        write_cimg(blank, np.zeros((8, 8), dtype=np.complex128))
+        out = tmp_path / "m"
+        assert run("metrics", "--out", str(out), "--ref", str(blank), "--test", str(blank)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", [
+        "schedule_missing",
+        "schedule_header",
+        "schedule_weight_not_a_number",
+        "schedule_weight_above_one",
+        "schedule_weight_nan",
+        "schedule_row_without_weight",
+        "schedule_without_rows",
+        "schedule_sidecar_list",
+        "image_not_cimg",
+        "image_header_cut",
+        "forward_image_not_cimg",
+        "checkpoint_missing",
+        "dataset_manifest_without_ids",
+        "dataset_file_not_cimg",
+        "metrics_ref_not_cimg",
+        "metrics_test_not_cimg",
+        "metrics_dataset_without_ids",
+    ])
+    def test_bad_input_file_is_one(self, tmp_path, config_path, capsys, case):
+        """A missing or malformed input file is a config error that names the file and writes nothing."""
+        save_schedule(tmp_path / "good", constant_schedule(8, 0.5), r_prime=2.0, seed=0)  # the config's process
+        schedule = tmp_path / "schedule.csv"
+        (tmp_path / "schedule.json").write_text(json.dumps({"R_prime": 2.0, "T_f": 8}))
+        rows = "".join(f"{t},0.5\n" for t in range(2, 9))
+        schedule.write_text({
+            "schedule_header": "step,weight\n1,1.0\n" + rows,
+            "schedule_weight_not_a_number": "t,w\n1,one\n" + rows,
+            "schedule_weight_above_one": "t,w\n1,1.5\n" + rows,
+            "schedule_weight_nan": "t,w\n1,nan\n" + rows,
+            "schedule_row_without_weight": "t,w\n1\n" + rows,
+            "schedule_without_rows": "t,w\n",
+        }.get(case, "t,w\n1,1.0\n" + rows))
+        if case == "schedule_sidecar_list":
+            (tmp_path / "schedule.json").write_text("[2.0, 8]")
+        text = tmp_path / "text.cimg"
+        text.write_text("not an image\n")
+        cut = tmp_path / "cut.cimg"
+        cut.write_bytes(b"CIMG1\x00\x20\x00")  # the magic, then half the height
+        image = tmp_path / "image.cimg"
+        write_cimg(image, np.ones((32, 32), dtype=np.complex128))
+        dataset = tmp_path / "ds"
+        save_dataset(dataset, [np.ones((32, 32), dtype=np.complex128)] * 2, "t1_like", 0)
+        (dataset / "manifest.json").write_text(json.dumps({"count": 2}))
+        good = ["--schedule", str(tmp_path / "good" / "schedule.csv")]
+        missing = tmp_path / "missing"
+        bad_file, argv = {
+            "schedule_missing": (missing, ["reconstruct", "--schedule", str(missing)]),
+            "schedule_sidecar_list": (tmp_path / "schedule.json", ["reconstruct", "--schedule", str(schedule)]),
+            "image_not_cimg": (text, ["reconstruct", *good, "--image", str(text)]),
+            "image_header_cut": (cut, ["reconstruct", *good, "--image", str(cut)]),
+            "forward_image_not_cimg": (text, ["forward", "--image", str(text)]),
+            "checkpoint_missing": (missing, ["reconstruct", *good, "--checkpoint", str(missing)]),
+            "dataset_manifest_without_ids": (dataset, ["train", "--dataset", str(dataset)]),
+            "dataset_file_not_cimg": (text, ["train", "--dataset", str(text)]),
+            "metrics_ref_not_cimg": (text, ["metrics", "--ref", str(text), "--test", str(image)]),
+            "metrics_test_not_cimg": (text, ["metrics", "--ref", str(image), "--test", str(text)]),
+            "metrics_dataset_without_ids": (dataset, ["metrics", "--ref", str(dataset), "--test", str(dataset)]),
+        }.get(case, (schedule, ["reconstruct", "--schedule", str(schedule)]))
+        out = tmp_path / "out"
+        assert run(*argv, "--config", config_path, "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read") and str(bad_file) in err
 
     def test_success_is_zero(self, tmp_path, config_path):
         assert run("phantom", "--config", config_path, "--out", str(tmp_path / "ds")) == 0
@@ -438,7 +506,7 @@ class TestTrainReconstruct:
         lines[1], lines[2] = lines[2], lines[1]  # t = 2, 1, 3, ...
         csv.write_text("\n".join(lines) + "\n")
         out = tmp_path / "r"
-        assert run("reconstruct", "--config", config_path, "--out", str(out), "--schedule", str(csv)) == 2
+        assert run("reconstruct", "--config", config_path, "--out", str(out), "--schedule", str(csv)) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fdbridge.recovery import (
     time_features,
     train,
 )
+from fdbridge.sampler import ddpm_schedule
 
 from conftest import edit_checkpoint_architecture, rand_image, with_header
 from gradcheck import grad_check
@@ -159,8 +161,8 @@ class TestTinyRegressor:
         # 108 rows of 66 * 66 + 2 float64 values, 3,765,312 bytes at 64^2
         model = TinyRegressor(t_f=64, seed=4)
         x = rand_image(64, 64, seed=5)
-        chan, dout = np.stack([x.real, x.imag]), np.stack([x.imag, x.real])
-        _, cache = model.forward(chan, 3)
+        dout = x.imag + 1j * x.real
+        _, cache = model.forward(x, 3)
         ws = cache.fresh_workspace()
         assert ws is model._workspace and ws.dtype == np.float64
         assert sum(b.nbytes for b in (*ws.x, ws.out)) <= 3_800_000
@@ -170,7 +172,7 @@ class TestTinyRegressor:
         # of new arrays at once, where a copy of the layer inputs alone is about 1.2 MB
         tracemalloc.start()
         try:
-            _, cache = model.forward(chan, 3)
+            _, cache = model.forward(x, 3)
             model.backward(cache, dout)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -283,6 +285,18 @@ class TestConv3x3:
                     self._close(_conv3x3_weight_grad(dout, xp), dw_ref)
 
 
+def _planes(img):
+    """The (2, H, W) stack of a complex image's real and imaginary planes, the layout the oracles take."""
+    return np.stack([img.real, img.imag])
+
+
+def _image(planes):
+    """The complex128 image whose real and imaginary parts are the two planes, each copied exactly."""
+    img = np.empty(planes.shape[1:], dtype=np.complex128)
+    img.real, img.imag = planes
+    return img
+
+
 def _forward_oracle(model, chan, t, dtype=np.float64):
     """Forward pass as separate layers in ``dtype``: fresh-buffer convs, np.where rectifiers, crop and re-pad between.
 
@@ -341,13 +355,13 @@ class TestLayerWorkspace:
     def test_forward_and_backward_match_oracle(self, shape):
         model = self._model()
         x = rand_image(*shape, seed=6)
-        chan = np.stack([x.real, x.imag])
-        out, cache = model.forward(chan, 7)
-        ref_out, ref_cache = _forward_oracle(model, chan, 7)
-        assert out.tobytes() == ref_out.tobytes()
-        dout = np.stack([rand_image(*shape, seed=8).real, rand_image(*shape, seed=9).imag])
+        estimate, cache = model.forward(x, 7)
+        ref_out, ref_cache = _forward_oracle(model, _planes(x), 7)
+        assert estimate.dtype == np.complex128 and estimate.flags.c_contiguous
+        assert estimate.tobytes() == _image(ref_out).tobytes()
+        dout = rand_image(*shape, seed=8).real + 1j * rand_image(*shape, seed=9).imag
         grads = model.backward(cache, dout)
-        for name, ref in _backward_oracle(model, ref_cache, dout).items():
+        for name, ref in _backward_oracle(model, ref_cache, _planes(dout)).items():
             assert grads[name].tobytes() == ref.tobytes(), name
 
     def test_leaky_grad_from_activations_matches_pre_activations(self):
@@ -369,14 +383,11 @@ class TestLayerWorkspace:
         for rep in range(2):
             for i, shape in enumerate(self.SHAPES):
                 x = rand_image(*shape, seed=10 + i)
-                chan = np.stack([x.real, x.imag])
                 got = model.recover(x, 2 + i)
                 assert got.dtype == np.complex128
-                ref, _ = _forward_oracle(model, chan, 2 + i, np.float32)
-                assert got.real.tobytes() == ref[0].astype(np.float64).tobytes()
-                assert got.imag.tobytes() == ref[1].astype(np.float64).tobytes()
-                out, _ = model.forward(chan, 2 + i)
-                wide = out[0] + 1j * out[1]
+                ref, _ = _forward_oracle(model, _planes(x), 2 + i, np.float32)
+                assert got.tobytes() == _image(ref.astype(np.float64)).tobytes()
+                wide, _ = model.forward(x, 2 + i)
                 assert np.max(np.abs(got - wide)) <= self.RECOVER_VS_FORWARD_RTOL * np.max(np.abs(wide))
                 results.setdefault(shape, []).append(got)
         # each call returns a fresh array: later calls on the same workspace leave earlier results alone
@@ -389,31 +400,30 @@ class TestLayerWorkspace:
         """A cache refers to the workspace: after any later pass backward on it raises; a fresh one matches the oracle."""
         model = self._model()
         x = rand_image(24, 40, seed=14)
-        chan = np.stack([x.real, x.imag])
-        dout = np.stack([rand_image(24, 40, seed=15).real, rand_image(24, 40, seed=16).imag])
-        _, cache = model.forward(chan, 5)
+        dout = rand_image(24, 40, seed=15).real + 1j * rand_image(24, 40, seed=16).imag
+        _, cache = model.forward(x, 5)
         y = rand_image(*((33, 31) if later == "forward_other_shape" else (24, 40)), seed=17)
         if later == "recover":
             model.recover(y, 11)
         elif later == "backward":  # backward overwrites the buffers it read, so a cache serves once
             model.backward(cache, dout)
         else:
-            model.forward(np.stack([y.imag, y.real]), 9)
+            model.forward(y.imag + 1j * y.real, 9)
         with pytest.raises(ValueError, match="stale forward cache"):
             model.backward(cache, dout)
         with pytest.raises(ValueError, match="stale forward cache"):
             cache.fresh_workspace()
-        _, fresh = model.forward(chan, 5)
+        _, fresh = model.forward(x, 5)
         grads = model.backward(fresh, dout)
-        _, ref_cache = _forward_oracle(model, chan, 5)
-        for name, ref in _backward_oracle(model, ref_cache, dout).items():
+        _, ref_cache = _forward_oracle(model, _planes(x), 5)
+        for name, ref in _backward_oracle(model, ref_cache, _planes(dout)).items():
             assert grads[name].tobytes() == ref.tobytes(), name
 
     def test_backward_rejects_dout_of_another_shape(self):
         model = self._model()
-        _, cache = model.forward(np.zeros((2, 6, 7)), 3)
+        _, cache = model.forward(np.zeros((6, 7)), 3)
         with pytest.raises(ValueError, match="dout of shape"):
-            model.backward(cache, np.ones((2, 1, 1)))  # would broadcast into the (6, 7) buffer
+            model.backward(cache, np.ones((1, 1), dtype=complex))  # would broadcast into the (6, 7) planes
 
     def test_recover_validates_its_input(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -437,41 +447,56 @@ class TestGradCheck:
 
     def test_zero_input_conv1_weight_grads_vanish(self):
         model = TinyRegressor(t_f=16, seed=1)
-        zero = np.zeros((16, 16), dtype=complex)
-        out, cache = model.forward(np.zeros((2, 16, 16)), 3)
+        out, cache = model.forward(np.zeros((16, 16), dtype=complex), 3)
         grads = model.backward(cache, 2.0 * out)
         assert np.max(np.abs(grads["conv1_w"])) == 0.0
         assert np.max(np.abs(grads["conv1_b"])) > 0.0
 
     def test_gradients_scale_linearly_with_loss(self):
         model = TinyRegressor(t_f=16, seed=2)
-        chan = np.stack([rand_image(16, 16, seed=3).real, rand_image(16, 16, seed=3).imag])
-        out, cache = model.forward(chan, 2)
+        x = rand_image(16, 16, seed=3)
+        out, cache = model.forward(x, 2)
         g1 = model.backward(cache, out)
-        out2, cache2 = model.forward(chan, 2)
+        out2, cache2 = model.forward(x, 2)
         g2 = model.backward(cache2, 2.0 * out2)
         for name in g1:
             assert np.allclose(2.0 * g1[name], g2[name], rtol=1e-12, atol=0)
 
 
 class _OracleRegressor(TinyRegressor):
-    """The model with its passes run by the layer-by-layer oracles, each pass in fresh buffers."""
+    """The model with its passes run by the layer-by-layer oracles, each pass in fresh buffers.
 
-    def forward(self, chan_in, t):
-        return _forward_oracle(self, chan_in, t)
+    The complex images the passes take and return are converted to and
+    from the oracles' plane stacks here.
+    """
+
+    def forward(self, x_t, t):
+        out, cache = _forward_oracle(self, _planes(x_t), t)
+        return _image(out), cache
 
     def backward(self, cache, dout):
-        return _backward_oracle(self, cache, dout)
+        return _backward_oracle(self, cache, _planes(dout))
 
 
 class TestTrain:
-    @pytest.mark.parametrize("loss_mode", LOSS_MODES)
-    def test_matches_oracle_passes(self, loss_mode):
-        """train through the workspace's in-place passes gives the oracle passes' parameters and trace bit for bit."""
+    @pytest.mark.parametrize("source,loss_mode", [
+        ("frequency_removal", "upper_bound"),
+        ("frequency_removal", "weighted"),
+        ("averaging_constraint", "upper_bound"),
+        ("ddpm", "upper_bound"),
+    ], ids=["upper_bound", "weighted", "averaging", "ddpm"])
+    def test_matches_oracle_passes(self, source, loss_mode):
+        """train through the workspace's in-place passes gives the oracle passes' parameters and trace bit for bit.
+
+        One case per corruption source that reaches the passes: the
+        frequency-removal bridge under both losses, its averaging ablation
+        and the noise baseline.
+        """
         images, cfg, _, _ = _toy_setup()
+        process = ddpm_schedule(30) if source == "ddpm" else replace(cfg, process_kind=source)
         tc = TrainConfig(learning_rate=0.01, epochs=2, batch=2, loss_mode=loss_mode, seed=3)
-        model, trace = train(TinyRegressor(t_f=8, seed=9), images, cfg, tc)
-        oracle, oracle_trace = train(_OracleRegressor(t_f=8, seed=9), images, cfg, tc)
+        model, trace = train(TinyRegressor(t_f=process.t_f, seed=9), images, process, tc)
+        oracle, oracle_trace = train(_OracleRegressor(t_f=process.t_f, seed=9), images, process, tc)
         assert model.flat_params().tobytes() == oracle.flat_params().tobytes()
         assert trace == oracle_trace and len(trace) == 2
         assert model._workspace is None  # training's float64 buffers are released with its last sample
@@ -517,8 +542,6 @@ class TestTrain:
                   TrainConfig(learning_rate=0.01, epochs=1, batch=1, seed=0))
 
     def test_ddpm_source_requires_upper_bound(self):
-        from fdbridge.sampler import ddpm_schedule
-
         images, _, _, _ = _toy_setup()
         sched = ddpm_schedule(50)
         with pytest.raises(ConfigError):

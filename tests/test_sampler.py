@@ -355,8 +355,7 @@ class _Float64Recover:
         self.model = model
 
     def recover(self, x, t):
-        out, _ = self.model.forward(np.stack([x.real, x.imag]), t)
-        return out[0] + 1j * out[1]
+        return self.model.forward(x, t)[0]
 
 
 class TestFloat32Recover:

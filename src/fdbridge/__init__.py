@@ -7,9 +7,9 @@ from .correction import (
     resample_weights,
 )
 from .degradation import (
+    AveragingProcess,
     DegradationTrajectory,
     ProcessConfig,
-    averaging_corrupt,
     corrupt,
     per_step_count,
     radius_threshold,
@@ -48,7 +48,6 @@ from .sampler import (
     DdpmSchedule,
     ReconstructionResult,
     SamplerConfig,
-    ddpm_forward_sample,
     ddpm_reconstruct,
     ddpm_schedule,
     reconstruct,

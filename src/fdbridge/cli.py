@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .correction import estimate_weights, load_schedule, save_schedule
-from .degradation import ProcessConfig, corrupt, export_trajectory, sample_trajectory
+from .degradation import AveragingProcess, ProcessConfig, corrupt, export_trajectory, sample_trajectory
 from .errors import ConfigError
 from .fileio import atomic_write_bytes, read_cimg, read_json, write_cimg, write_csv, write_json, write_kmsk
 from .grid import KSpaceGrid
@@ -253,17 +253,14 @@ def cmd_estimate_w(cfg, args, out: Path) -> None:
         _plot_schedule(out, schedule.weights)
 
 
-def _train_model(cfg, images, process, *tags):
-    """Train a fresh recovery operator on ``process`` (a ProcessConfig or DdpmSchedule).
+def _train_model(cfg, images, source, *tags, upper_bound: bool = False):
+    """Train a fresh recovery operator on the corruption ``source``, on the upper bound if asked.
 
     ``tags`` name the run among several (an ablation variant), so each
-    gets its own initialization and training seeds.  The averaging
-    ablation has no removal masks and so trains on the upper bound.
+    gets its own initialization and training seeds.
     """
-    averaging = isinstance(process, ProcessConfig) and process.process_kind == "averaging_constraint"
-    train_cfg = _train_config(cfg, *tags, upper_bound=averaging)
-    model = TinyRegressor(t_f=process.t_f, seed=child_seed(cfg["seed"], "model-init", *tags))
-    return train(model, images, process, train_cfg)
+    model = TinyRegressor(t_f=source.t_f, seed=child_seed(cfg["seed"], "model-init", *tags))
+    return train(model, images, source, _train_config(cfg, *tags, upper_bound=upper_bound))
 
 
 def _train_config(cfg, *tags, upper_bound: bool = False) -> TrainConfig:
@@ -394,18 +391,25 @@ def cmd_ddpm_reconstruct(cfg, args, out: Path) -> None:
     _measure_reconstruct_score(cfg, args, out, schedule.t_f, sample, "T")
 
 
+def _bridge(process: ProcessConfig) -> ProcessConfig:
+    """A bridge variant's corruption source: the process it samples, as it is."""
+    return process
+
+
 # Each ablation variant, in row order: the changes to fdb's process that
-# it trains its own model on (None: it samples fdb's model and process),
-# and the sampler settings it overrides.  Every row otherwise samples with
-# learned correction and ct_mode "independent", whatever the config says.
+# it samples (None: fdb's model and process), the corruption source it
+# makes of that process to train its own model on (on the upper bound if
+# the source has no removal masks), and the sampler settings it overrides.
+# Each process samples with its own schedule, which xt_averaging shares with
+# fdb, and with learned correction and ct_mode "independent", not the config's.
 ABLATION_VARIANTS = {
-    "fdb": ({}, {}),
-    "ct_uniform": ({"density": "uniform"}, {}),
-    "n_log_schedule": ({"step_count_schedule": "log"}, {}),
-    "xt_averaging": ({"process_kind": "averaging_constraint"}, {}),
-    "ct_fixed": (None, {"ct_mode": "fixed"}),
-    "no_correction": (None, {"correction": "none"}),
-    "wt_linear": (None, {"correction": "linear"}),
+    "fdb": ({}, _bridge, {}),
+    "ct_uniform": ({"density": "uniform"}, _bridge, {}),
+    "n_log_schedule": ({"step_count_schedule": "log"}, _bridge, {}),
+    "xt_averaging": ({}, AveragingProcess, {}),
+    "ct_fixed": (None, None, {"ct_mode": "fixed"}),
+    "no_correction": (None, None, {"correction": "none"}),
+    "wt_linear": (None, None, {"correction": "linear"}),
 }
 
 
@@ -422,26 +426,25 @@ def cmd_ablate(cfg, args, out: Path) -> None:
         acquisitions.append(_acquire(cfg, args, reference, *seeds))
 
     base_proc = _process_config(cfg, seed=child_seed(seed, "process"))
-    trained = {}  # variant -> (model, process, schedule)
-    for name, (changes, _) in ABLATION_VARIANTS.items():
+    trained, schedules = {}, {}  # variant -> (model, process); process -> schedule
+    for name, (changes, make_source, _) in ABLATION_VARIANTS.items():
         if changes is None:
             continue
         proc = replace(base_proc, **changes)
-        model, _ = _train_model(cfg, train_images, proc, name)
-        if proc.process_kind == "frequency_removal":
-            schedule = estimate_weights(train_images, proc, args.mc_samples, seed=child_seed(seed, "mc", name))
-        else:  # a process that removes no frequencies samples with fdb's schedule
-            schedule = trained["fdb"][2]
-        trained[name] = (model, proc, schedule)
+        source = make_source(proc)
+        model, _ = _train_model(cfg, train_images, source, name, upper_bound=not source.loss_masks)
+        trained[name] = (model, proc)
+        if proc not in schedules:
+            schedules[proc] = estimate_weights(train_images, proc, args.mc_samples, seed=child_seed(seed, "mc", name))
 
     rows = []
-    for variant, (changes, overrides) in ABLATION_VARIANTS.items():
-        model, proc, schedule = trained["fdb" if changes is None else variant]
+    for variant, (changes, _, overrides) in ABLATION_VARIANTS.items():
+        model, proc = trained["fdb" if changes is None else variant]
         settings = {"correction": "learned", "ct_mode": "independent", **overrides}
         scores = []
         for i, (reference, (system, y)) in enumerate(zip(eval_images, acquisitions)):
             scfg = _sampler_config(cfg, proc, variant, i, **settings)
-            result = reconstruct(y, system, model, proc, schedule, scfg, reference=reference)
+            result = reconstruct(y, system, model, proc, schedules[proc], scfg, reference=reference)
             scores.append(_score(reference, result.image))
         ps, ss = np.array(scores).T
         rows.append((variant, float(ps.mean()), float(ps.std()), float(ss.mean()), float(ss.std())))

@@ -202,10 +202,9 @@ def save_schedule(out_dir, schedule: CorrectionSchedule, r_prime: float, seed: i
 def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
     """Read a schedule CSV (header t,w; t counting 1, 2, ...) and its sibling ``.json`` metadata.
 
-    Without metadata the schedule is a given one (provenance "constant").
-    With it, the metadata must describe ``process``: its R_prime and T_f
-    must be the process's, and its T_f the CSV's row count; otherwise a
-    ConfigError names the values.
+    The CSV must hold ``process``'s T_f rows, and the metadata, if any,
+    state its R_prime and T_f; a mismatch raises a ConfigError naming the
+    values.  Without metadata the schedule is a given one (provenance "constant").
     """
     header, rows = read_csv(csv_path)
     if header[:2] != ["t", "w"]:
@@ -218,6 +217,8 @@ def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
         if len(row) < 2:
             raise ValueError(f"{csv_path}: row {i} holds no weight")
     weights = np.array([float(r[1]) for r in rows])
+    if weights.size != process.t_f:
+        raise ConfigError(f"{csv_path} holds {weights.size} rows, but the process has T_f={process.t_f}")
     meta_path = Path(csv_path).with_suffix(".json")
     if not meta_path.exists():
         return CorrectionSchedule(weights=weights, provenance="constant")
@@ -230,8 +231,6 @@ def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
             f"{meta_path} describes R_prime={estimated_for[0]}, T_f={estimated_for[1]}, "
             f"but the process has R_prime={process.r_prime}, T_f={process.t_f}"
         )
-    if meta["T_f"] != weights.size:
-        raise ConfigError(f"{meta_path} says T_f={meta['T_f']}, but {csv_path} holds {weights.size} rows")
     return CorrectionSchedule(
         weights=weights, provenance=meta.get("provenance", "constant"), mc_samples=int(meta.get("mc_samples", 0))
     )

@@ -30,11 +30,10 @@ import numpy as np
 from .errors import ConfigError, TrajectoryError
 from .fileio import write_json, write_kmsk
 from .grid import KSpaceGrid, as_image, dft2, idft2, to_centered, to_native
-from .rng import substream
+from .rng import child_seed, substream
 
 DENSITIES = ("radius_scheduled", "uniform")
 STEP_COUNT_SCHEDULES = ("constant", "log")
-PROCESS_KINDS = ("frequency_removal", "averaging_constraint")
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,15 @@ class ProcessConfig:
 
     ``r_prime`` is the degradation level reached at step ``t_f`` (the
     kept fraction there is 1/r_prime), analogous to an acceleration rate.
+    As a training source it is the bridge.
     """
 
     r_prime: float
     t_f: int
     density: str = "radius_scheduled"
     step_count_schedule: str = "constant"
-    process_kind: str = "frequency_removal"
     seed: int = 0
+    loss_masks = True  # a draw returns the trajectory whose masks the weighted loss reads
 
     def __post_init__(self):
         if not self.r_prime > 1.0:
@@ -64,8 +64,11 @@ class ProcessConfig:
                 f"step_count_schedule must be one of {STEP_COUNT_SCHEDULES}, "
                 f"got {self.step_count_schedule!r}"
             )
-        if self.process_kind not in PROCESS_KINDS:
-            raise ConfigError(f"process_kind must be one of {PROCESS_KINDS}, got {self.process_kind!r}")
+
+    def draw(self, x0, grid: KSpaceGrid, t: int, seed: int, *tags):
+        """(x_t, traj): x0 corrupted at step t by a t-step trajectory seeded from (seed, "train-traj", *tags)."""
+        traj = sample_trajectory(grid, replace(self, seed=child_seed(seed, "train-traj", *tags)), t_total=t)
+        return corrupt(x0, traj, t), traj
 
 
 def radius_threshold(t: int, t_f: int, r_prime: float, r_anchor: float) -> float:
@@ -278,14 +281,26 @@ def corrupt(x0: np.ndarray, traj: DegradationTrajectory, t: int) -> np.ndarray:
     return to_centered(idft2(spectrum, native=True))
 
 
-def averaging_corrupt(x0: np.ndarray, x_start: np.ndarray, t: int, t_f: int) -> np.ndarray:
-    """Ablation process: linear blend (1 - t/t_f) * x0 + (t/t_f) * x_start."""
-    x0 = as_image(x0)
-    x_start = as_image(x_start)
-    if x0.shape != x_start.shape:
-        raise ValueError(f"shape mismatch: {x0.shape} vs {x_start.shape}")
-    lam = t / t_f
-    return (1.0 - lam) * x0 + lam * x_start
+@dataclass(frozen=True)
+class AveragingProcess:
+    """Training source of the averaging ablation: x_t = (1 - t/T_f) x0 + (t/T_f) x_start, with no masks.
+
+    x_start is ``process``'s draw at T_f under the same seed and tags.
+    """
+
+    process: ProcessConfig
+    loss_masks = False
+
+    @property
+    def t_f(self) -> int:
+        return self.process.t_f
+
+    def draw(self, x0, grid: KSpaceGrid, t: int, seed: int, *tags):
+        """(x_t, None): the blend at step t."""
+        x0 = as_image(x0)
+        x_start = self.process.draw(x0, grid, self.t_f, seed, *tags)[0]
+        lam = t / self.t_f
+        return (1.0 - lam) * x0 + lam * x_start, None
 
 
 def export_trajectory(traj: DegradationTrajectory, out_dir, steps) -> None:

@@ -36,17 +36,16 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .degradation import ProcessConfig, averaging_corrupt, corrupt, sample_trajectory
+from .degradation import corrupt
 from .errors import ConfigError, TrainingError
 from .fileio import atomic_write_bytes, write_csv
 from .grid import KSpaceGrid, as_image
-from .rng import child_seed, substream
-from .sampler import DdpmSchedule, ddpm_forward_sample
+from .rng import substream
 
 LEAKY_SLOPE = 0.1
 EMB_DIM = 8
@@ -473,39 +472,20 @@ class _Adam:
             params[n] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _draw_corrupted(x0, grid, process, seed_tags):
-    """Draw (x_t, t, traj) from the configured corruption source; traj, x_t's removal trajectory, may be None."""
-    rng_t = substream(seed_tags[0], "step-draw", *seed_tags[1:])
-    if isinstance(process, ProcessConfig):
-        t = int(rng_t.integers(1, process.t_f + 1))
-        traj_cfg = replace(process, seed=child_seed(seed_tags[0], "train-traj", *seed_tags[1:]))
-        if process.process_kind == "averaging_constraint":
-            x_start = corrupt(x0, sample_trajectory(grid, traj_cfg, t_total=process.t_f), process.t_f)
-            return averaging_corrupt(x0, x_start, t, process.t_f), t, None
-        traj = sample_trajectory(grid, traj_cfg, t_total=t)
-        return corrupt(x0, traj, t), t, traj
-    if isinstance(process, DdpmSchedule):
-        t = int(rng_t.integers(1, process.t_f + 1))
-        noise_seed = child_seed(seed_tags[0], "train-noise", *seed_tags[1:])
-        return ddpm_forward_sample(x0, t, process, seed=noise_seed), t, None
-    raise ConfigError(f"unsupported corruption source: {type(process).__name__}")
-
-
 def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     """Minibatch adaptive-moment training of the recovery loss.
 
-    ``process`` selects the corruption source: a ProcessConfig for the
-    frequency-removal bridge (or its averaging ablation), or a
-    DdpmSchedule for the noise baseline.  Returns the trained model and
-    the per-epoch mean loss trace.  Deterministic given (cfg.seed, data
-    order).  Each sample's ``backward`` reads its ``forward``'s buffers in
-    place, and the model leaves with no workspace.
+    ``process`` is the corruption source (ProcessConfig, AveragingProcess
+    or DdpmSchedule): each sample draws t in 1..T_f and takes x_t from
+    ``process.draw``.  Returns the trained model and the per-epoch mean
+    loss trace.  Deterministic given (cfg.seed, data order).  Each
+    sample's ``backward`` reads its ``forward``'s buffers in place, and
+    the model leaves with no workspace.
     """
     images = [as_image(x) for x in images]
     if len(images) < 2:
         raise ConfigError(f"dataset must hold >= 2 images, got {len(images)}")
-    removes_frequencies = isinstance(process, ProcessConfig) and process.process_kind == "frequency_removal"
-    if cfg.loss_mode == "weighted" and not removes_frequencies:
+    if cfg.loss_mode == "weighted" and not process.loss_masks:
         raise ConfigError(
             "weighted loss requires removal masks; use upper_bound with a DDPM source or the averaging ablation"
         )
@@ -522,7 +502,8 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
             grads = {n: np.zeros_like(p) for n, p in model.params.items()}
             loss = 0.0
             for i, x0 in enumerate(batch):
-                x_t, t, traj = _draw_corrupted(x0, grids[x0.shape], process, (cfg.seed, epoch, step_idx, i))
+                t = int(substream(cfg.seed, "step-draw", epoch, step_idx, i).integers(1, process.t_f + 1))
+                x_t, traj = process.draw(x0, grids[x0.shape], t, cfg.seed, epoch, step_idx, i)
                 estimate, cache = model.forward(x_t, t)
                 residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
                 loss += energy

@@ -11,20 +11,20 @@ interleaved with data-consistency updates x + A^H (y - A x), and records
 per-step diagnostics.  The update is a projection onto the measured data
 only at one coil; at C > 1 it is one Landweber step, which leaves part of
 the residual (12.8-16.3% at 2-8 coils, measured at 64² under an R = 4
-normal2d mask).  A DDPM baseline with the same driver structure is
-included for comparison runs.
+normal2d mask).  The DDPM baseline ``ddpm_reconstruct`` starts from
+noise and takes ancestral steps (``DdpmSchedule.reverse``) instead.
 
-The loop runs in FFT-native layout (``grid``).  ``reconstruct`` shifts
-the system, the measurement, the zero-filled start and, through
-``degradation.native_trajectory``, the trajectory once; ``reverse_step``
-and the data-consistency step then take native arrays.  Each step shifts
-the iterate to centered layout, for the recovery operator and the PSNR,
-and the operator's estimate back.  The DDPM iterate stays centered and is
-shifted in and out around its data-consistency step.
+Both run one loop, ``_reverse_loop``, in FFT-native layout (``grid``).
+They shift the system, the measurement, the start and (``reconstruct``,
+through ``degradation.native_trajectory``) the trajectory once; the
+steps and the data-consistency update then take native arrays.  Each
+step shifts the iterate to centered layout, for the recovery operator
+and the PSNR, and the operator's estimate back.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -179,38 +179,40 @@ def reconstruct(
     native = native_system(system)
     y = native_measurement(system, y)
     x = native_adjoint(native, y.copy())  # the zero-filled start; the adjoint overwrites its data
-    centered = to_centered(x)
     traj_seed = process.seed if cfg.ct_mode == "fixed" else child_seed(cfg.seed, "test-trajectory")
     traj = sample_trajectory(system.grid, replace(process, seed=traj_seed), t_total=t_r)
     traj_native = native_trajectory(traj)
 
-    diagnostics: list[tuple] = []
-    for t in range(t_r, 0, -1):
-        x0_est = operator.recover(centered, t)
-        if not np.all(np.isfinite(x0_est)):  # a network pass that overflowed; reverse_step would raise ValueError
-            raise SamplingError(f"non-finite estimate at step {t}")
-        x0_est = to_native(x0_est)
-        x = reverse_step(x, t, traj_native, x0_est, weight=float(weights[t - 1]))
-        x, centered = _finish_step(x, t, native, y, cfg.dc_every_step, reference, diagnostics)
+    def step(x, t, x0_est):
+        return reverse_step(x, t, traj_native, x0_est, weight=float(weights[t - 1]))
 
-    return ReconstructionResult(image=centered, diagnostics=diagnostics, relaxed_steps=traj.relaxation_count)
+    image, diagnostics = _reverse_loop(x, t_r, operator, step, native, y, cfg.dc_every_step, reference)
+    return ReconstructionResult(image=image, diagnostics=diagnostics, relaxed_steps=traj.relaxation_count)
 
 
-def _finish_step(x, t: int, native, y, dc: bool, reference, diagnostics: list) -> tuple[np.ndarray, np.ndarray]:
-    """Tail of reverse step t: data consistency (or only its residual), finiteness, diagnostics row.
+def _reverse_loop(x, t_total: int, operator, step, native, y, dc: bool, reference) -> tuple[np.ndarray, list]:
+    """Steps t_total..1 from the native ``x``: (final centered image, diagnostics rows).
 
-    ``x`` and ``y`` are native; returns the native iterate and its centered copy.
+    Step t recovers from the centered iterate, takes ``step(x, t, x0_est)``
+    natively, then data consistency (or only its residual) against ``y``.
     """
-    if dc:
-        x, res = native_dc(native, x, y)
-    else:
-        res = native_residual(native, x, y)
-    if not np.all(np.isfinite(x)):
-        raise SamplingError(f"non-finite iterate at step {t}")
     centered = to_centered(x)
-    quality = psnr(reference, centered) if reference is not None else float("nan")
-    diagnostics.append((t, res, quality))
-    return x, centered
+    diagnostics: list[tuple] = []
+    for t in range(t_total, 0, -1):
+        x0_est = operator.recover(centered, t)
+        if not np.all(np.isfinite(x0_est)):  # a network pass that overflowed; a step would raise ValueError
+            raise SamplingError(f"non-finite estimate at step {t}")
+        x = step(x, t, to_native(x0_est))
+        if dc:
+            x, res = native_dc(native, x, y)
+        else:
+            res = native_residual(native, x, y)
+        if not np.all(np.isfinite(x)):
+            raise SamplingError(f"non-finite iterate at step {t}")
+        centered = to_centered(x)
+        quality = psnr(reference, centered) if reference is not None else float("nan")
+        diagnostics.append((t, res, quality))
+    return centered, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +221,12 @@ def _finish_step(x, t: int, native, y, dc: bool, reference, diagnostics: list) -
 
 @dataclass
 class DdpmSchedule:
-    """Noise schedule: beta_t in (0, 1), gamma = 1 - beta, gamma_bar running products."""
+    """Noise schedule: beta_t in (0, 1), gamma = 1 - beta, gamma_bar running products; a training source."""
 
     beta: np.ndarray
     gamma: np.ndarray = field(init=False)
     gamma_bar: np.ndarray = field(init=False)
+    loss_masks = False
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=np.float64)
@@ -243,6 +246,26 @@ class DdpmSchedule:
 
     def gamma_bar_prev(self, t: int) -> float:
         return 1.0 if t == 1 else float(self.gamma_bar[t - 2])
+
+    def draw(self, x0, grid, t: int, seed: int, *tags):
+        """(x_t, None): sqrt(gamma_bar_t) x0 + sqrt(1 - gamma_bar_t) z, z from (seed, "train-noise", *tags)."""
+        x0 = as_image(x0)
+        if not 1 <= t <= self.t_f:
+            raise ValueError(f"t must be in [1, {self.t_f}], got {t}")
+        gb = float(self.gamma_bar[t - 1])
+        z = _complex_noise(x0.shape, substream(child_seed(seed, "train-noise", *tags), "ddpm-forward", t))
+        return math.sqrt(gb) * x0 + math.sqrt(1.0 - gb) * z, None
+
+    def reverse(self, x: np.ndarray, t: int, x0_est: np.ndarray, seed: int) -> np.ndarray:
+        """Ancestral step t -> t-1 in native layout; its noise is drawn centered from (seed, "ddpm-reverse", t)."""
+        beta = float(self.beta[t - 1])
+        gb_t = float(self.gamma_bar[t - 1])
+        gb_prev = self.gamma_bar_prev(t)
+        coef_x = math.sqrt(float(self.gamma[t - 1])) * (1.0 - gb_prev) / (1.0 - gb_t)
+        coef_est = beta * math.sqrt(gb_prev) / (1.0 - gb_t)
+        noise_sd = math.sqrt((1.0 - gb_prev) / (1.0 - gb_t) * beta)
+        z = to_native(_complex_noise(x.shape, substream(seed, "ddpm-reverse", t))) if t > 1 else 0.0
+        return coef_x * x + coef_est * x0_est + noise_sd * z
 
 
 BETA_MIN = 0.1  # continuous noise rate at t = 0
@@ -267,16 +290,6 @@ def _complex_noise(shape, rng) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def ddpm_forward_sample(x0: np.ndarray, t: int, schedule: DdpmSchedule, seed: int = 0) -> np.ndarray:
-    """Closed-form forward draw: sqrt(gamma_bar_t) x0 + sqrt(1 - gamma_bar_t) z."""
-    x0 = as_image(x0)
-    if not 1 <= t <= schedule.t_f:
-        raise ValueError(f"t must be in [1, {schedule.t_f}], got {t}")
-    gb = float(schedule.gamma_bar[t - 1])
-    z = _complex_noise(x0.shape, substream(seed, "ddpm-forward", t))
-    return math.sqrt(gb) * x0 + math.sqrt(1.0 - gb) * z
-
-
 def ddpm_reconstruct(
     y: Measurement,
     system: ImagingSystem,
@@ -285,22 +298,10 @@ def ddpm_reconstruct(
     seed: int = 0,
     reference: np.ndarray | None = None,
 ) -> ReconstructionResult:
-    """Noise-diffusion baseline: ancestral steps interleaved with data consistency."""
+    """Noise-diffusion baseline: from noise, ancestral steps interleaved with data consistency."""
     native = native_system(system)
     y = native_measurement(system, y)
-    rng_init = substream(seed, "ddpm-init")
-    x = _complex_noise(system.grid.shape, rng_init)
-    diagnostics: list[tuple] = []
-    for t in range(schedule.t_f, 0, -1):
-        x0_est = operator.recover(x, t)
-        beta = float(schedule.beta[t - 1])
-        gamma = float(schedule.gamma[t - 1])
-        gb_t = float(schedule.gamma_bar[t - 1])
-        gb_prev = schedule.gamma_bar_prev(t)
-        coef_x = math.sqrt(gamma) * (1.0 - gb_prev) / (1.0 - gb_t)
-        coef_est = beta * math.sqrt(gb_prev) / (1.0 - gb_t)
-        noise_sd = math.sqrt((1.0 - gb_prev) / (1.0 - gb_t) * beta)
-        z = _complex_noise(x.shape, substream(seed, "ddpm-reverse", t)) if t > 1 else 0.0
-        x = coef_x * x + coef_est * x0_est + noise_sd * z
-        _, x = _finish_step(to_native(x), t, native, y, True, reference, diagnostics)
-    return ReconstructionResult(image=x, diagnostics=diagnostics)
+    x = to_native(_complex_noise(system.grid.shape, substream(seed, "ddpm-init")))
+    step = functools.partial(schedule.reverse, seed=seed)
+    image, diagnostics = _reverse_loop(x, schedule.t_f, operator, step, native, y, True, reference)
+    return ReconstructionResult(image=image, diagnostics=diagnostics)

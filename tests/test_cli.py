@@ -462,14 +462,15 @@ class TestTrainReconstruct:
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
         assert not out.exists()
 
-    def test_short_schedule_writes_nothing(self, tmp_path, config_path):
-        # a CSV-only schedule of any length but T_f (8) is a runtime failure that leaves --out empty
+    def test_short_schedule_writes_nothing(self, tmp_path, config_path, capsys):
+        # a CSV-only schedule of any length but T_f (8) is a config error, found before --out is made
         for rows in (4, 16):
             save_schedule(tmp_path, constant_schedule(rows, 0.5), r_prime=2.0, seed=0)
-            (tmp_path / "schedule.json").unlink()  # its T_f would be rejected as a config error first
+            (tmp_path / "schedule.json").unlink()  # the row count is checked without metadata too
             out = tmp_path / f"r{rows}"
             assert run("reconstruct", "--config", config_path, "--out", str(out),
-                       "--schedule", str(tmp_path / "schedule.csv")) == 2, rows
+                       "--schedule", str(tmp_path / "schedule.csv")) == 1, rows
+            assert f"holds {rows} rows, but the process has T_f=8" in capsys.readouterr().err
             assert not out.exists(), rows
 
     @pytest.mark.parametrize("case,code", [

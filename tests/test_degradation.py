@@ -5,8 +5,8 @@ import pytest
 
 from fdbridge import degradation
 from fdbridge.degradation import (
+    AveragingProcess,
     ProcessConfig,
-    averaging_corrupt,
     corrupt,
     export_trajectory,
     per_step_count,
@@ -405,17 +405,24 @@ class TestCorrupt:
 
 
 class TestAveragingCorrupt:
+    """``AveragingProcess.draw``: x0 blended with the bridge's draw at T_f under the same seed and tags."""
+
     def test_endpoints_and_midpoint(self):
         x0 = rand_image(8, 8, seed=1)
-        xs = rand_image(8, 8, seed=2)
-        assert np.array_equal(averaging_corrupt(x0, xs, 0, 10), x0)
-        assert np.array_equal(averaging_corrupt(x0, xs, 10, 10), xs)
-        mid = averaging_corrupt(x0, xs, 5, 10)
+        grid = radius_map(8, 8)
+        bridge = ProcessConfig(r_prime=2.0, t_f=10, seed=0)
+        xs, _ = bridge.draw(x0, grid, 10, 2, 7)
+        averaging = AveragingProcess(bridge)
+        assert averaging.t_f == 10
+        assert np.array_equal(averaging.draw(x0, grid, 0, 2, 7)[0], x0)
+        end, traj = averaging.draw(x0, grid, 10, 2, 7)
+        assert np.array_equal(end, xs) and traj is None
+        mid = averaging.draw(x0, grid, 5, 2, 7)[0]
         assert np.allclose(mid, 0.5 * x0 + 0.5 * xs)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            averaging_corrupt(rand_image(8, 8, 1), rand_image(8, 9, 2), 1, 4)
+            AveragingProcess(ProcessConfig(r_prime=2.0, t_f=4)).draw(rand_image(8, 9, 1), radius_map(8, 8), 1, 0)
 
 
 def test_export_trajectory(tmp_path):

@@ -1,10 +1,9 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fdbridge.degradation import ProcessConfig, corrupt, sample_trajectory
+from fdbridge.degradation import AveragingProcess, ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, TrainingError
 from fdbridge.fileio import read_csv
 from fdbridge.grid import as_image, radius_map
@@ -29,9 +28,11 @@ from fdbridge.recovery import (
     time_features,
     train,
 )
+from fdbridge.rng import substream
 from fdbridge.sampler import ddpm_schedule
 
 from conftest import edit_checkpoint_architecture, rand_image, with_header
+from draw_oracle import draw_corrupted, step_draw
 from gradcheck import grad_check
 
 
@@ -480,9 +481,9 @@ class _OracleRegressor(TinyRegressor):
 
 class TestTrain:
     @pytest.mark.parametrize("source,loss_mode", [
-        ("frequency_removal", "upper_bound"),
-        ("frequency_removal", "weighted"),
-        ("averaging_constraint", "upper_bound"),
+        ("bridge", "upper_bound"),
+        ("bridge", "weighted"),
+        ("averaging", "upper_bound"),
         ("ddpm", "upper_bound"),
     ], ids=["upper_bound", "weighted", "averaging", "ddpm"])
     def test_matches_oracle_passes(self, source, loss_mode):
@@ -493,7 +494,7 @@ class TestTrain:
         and the noise baseline.
         """
         images, cfg, _, _ = _toy_setup()
-        process = ddpm_schedule(30) if source == "ddpm" else replace(cfg, process_kind=source)
+        process = {"bridge": cfg, "averaging": AveragingProcess(cfg), "ddpm": ddpm_schedule(30)}[source]
         tc = TrainConfig(learning_rate=0.01, epochs=2, batch=2, loss_mode=loss_mode, seed=3)
         model, trace = train(TinyRegressor(t_f=process.t_f, seed=9), images, process, tc)
         oracle, oracle_trace = train(_OracleRegressor(t_f=process.t_f, seed=9), images, process, tc)
@@ -550,6 +551,49 @@ class TestTrain:
         _, trace = train(TinyRegressor(t_f=50, seed=0), images, sched,
                          TrainConfig(learning_rate=0.01, epochs=1, batch=2, seed=0))
         assert len(trace) == 1
+
+
+class TestDraw:
+    """Each source's ``draw`` gives tests/draw_oracle.py's x_t, and the bridge its trajectory, bit for bit."""
+
+    TAGS = [(0, 0, 0, 0), (3, 1, 2, 1), (2026, 7, 0, 3), (2**62 + 5, 39, 4, 9)]
+
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)])
+    @pytest.mark.parametrize("source", ["bridge", "averaging", "ddpm"])
+    def test_matches_reference(self, shape, source):
+        bridge = ProcessConfig(r_prime=2.0, t_f=16, seed=4)
+        process = {"bridge": bridge, "averaging": AveragingProcess(bridge), "ddpm": ddpm_schedule(30)}[source]
+        grid = radius_map(*shape)
+        x0 = rand_image(*shape, seed=5)
+        for seed, *tags in self.TAGS:
+            for t in (1, process.t_f // 2, process.t_f):
+                x_t, traj = process.draw(x0, grid, t, seed, *tags)
+                want, want_traj = draw_corrupted(x0, grid, process, t, (seed, *tags))
+                assert x_t.tobytes() == want.tobytes(), (seed, tags, t)
+                assert (traj is None) == (want_traj is None) == (source != "bridge")
+                if traj is not None:
+                    assert traj.removed_at.tobytes() == want_traj.removed_at.tobytes()
+                    assert traj.counts.tobytes() == want_traj.counts.tobytes()
+
+    def test_train_draws_the_reference_step(self):
+        # a zero learning rate leaves the model, so the loss trace is each sample's reference draw, in order
+        images, cfg, _, _ = _toy_setup(count=4)
+        tc = TrainConfig(learning_rate=0.0, epochs=2, batch=2, seed=11)
+        model = TinyRegressor(t_f=8, seed=12)
+        _, trace = train(model, images, cfg, tc)
+        grid = radius_map(32, 32)
+        for epoch, mean in enumerate(trace):
+            order = substream(tc.seed, "shuffle", epoch).permutation(len(images))
+            losses = []
+            for step_idx in range(2):
+                loss = 0.0
+                for i, k in enumerate(order[2 * step_idx : 2 * step_idx + 2]):
+                    tags = (tc.seed, epoch, step_idx, i)
+                    t = step_draw(tags, cfg.t_f)
+                    x_t, _ = draw_corrupted(images[k], grid, cfg, t, tags)
+                    loss += float(np.sum(np.abs(model.forward(x_t, t)[0] - images[k]) ** 2))
+                losses.append(loss / 2)
+            assert mean == pytest.approx(float(np.mean(losses)), rel=1e-12)
 
 
 class TestCheckpoint:

@@ -21,7 +21,6 @@ from fdbridge.recovery import OracleRecovery, TinyRegressor, ZeroFillRecovery
 from fdbridge.sampler import (
     DdpmSchedule,
     SamplerConfig,
-    ddpm_forward_sample,
     ddpm_reconstruct,
     ddpm_schedule,
     reconstruct,
@@ -393,6 +392,9 @@ class TestFloat32Recover:
         assert not np.all(np.isfinite(model.recover(reference, 12)))
         with pytest.raises(SamplingError, match="non-finite estimate at step 12$"):
             reconstruct(*data, model, *setup, reference=reference)
+        # the DDPM baseline runs the same loop, so its first step fails the same way
+        with pytest.raises(SamplingError, match="non-finite estimate at step 30$"):
+            ddpm_reconstruct(*data, model, ddpm_schedule(30), seed=68, reference=reference)
 
 
 class TestDdpmSchedule:
@@ -422,10 +424,13 @@ class TestDdpmSchedule:
 
 
 class TestDdpmForwardSample:
+    """``DdpmSchedule.draw``, training's closed-form forward sample."""
+
     def test_tiny_t_close_to_x0(self):
         x0 = make_phantom(PhantomSpec(32, 32, seed=30))
         sched = ddpm_schedule(5000)
-        out = ddpm_forward_sample(x0, 1, sched, seed=0)
+        out, traj = sched.draw(x0, radius_map(32, 32), 1, 0)
+        assert traj is None
         assert np.linalg.norm(out - x0) / np.linalg.norm(x0) < 0.02
 
     def test_two_step_composition_matches_closed_form_moments(self):
@@ -458,9 +463,7 @@ class TestDdpmForwardSample:
     def test_pure_noise_variance(self):
         sched = ddpm_schedule(100)
         t = 60
-        draws = [
-            ddpm_forward_sample(np.zeros((16, 16), complex), t, sched, seed=s) for s in range(40)
-        ]
+        draws = [sched.draw(np.zeros((16, 16), complex), radius_map(16, 16), t, s)[0] for s in range(40)]
         stack = np.stack(draws)
         var = 0.5 * (stack.real.var() + stack.imag.var())
         expected = 1 - sched.gamma_bar[t - 1]
@@ -468,8 +471,9 @@ class TestDdpmForwardSample:
 
     def test_out_of_range_t(self):
         sched = ddpm_schedule(30)
-        with pytest.raises(ValueError):
-            ddpm_forward_sample(np.zeros((8, 8), complex), 31, sched, seed=0)
+        for t in (0, 31):
+            with pytest.raises(ValueError):
+                sched.draw(np.zeros((8, 8), complex), radius_map(8, 8), t, 0)
 
 
 class TestDdpmReconstruct:

@@ -660,15 +660,18 @@ def _file_stamps(root: Path) -> dict[str, tuple[int, int]]:
 
 
 def _peak_rss_mb() -> float | None:
-    """Peak resident set size of this process so far, in MiB, or None where ``resource`` is missing (Windows).
+    """Peak resident set size of the run so far, in MiB, or None where ``resource`` is missing (Windows).
 
+    The larger of this process's peak and that of its largest finished
+    child, so training's forked workers (``recovery.train``), which the
+    process has joined by the time the manifest is written, are counted.
     ru_maxrss is KiB on Linux and bytes on macOS.
     """
     try:
         import resource
     except ImportError:
         return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 

@@ -28,14 +28,32 @@ same.  ``forward``'s cache is a reference to them, not a copy: ``backward``
 reads each layer's stacked input as ``forward`` left it and overwrites
 them with the gradients, so a cache serves one ``backward``, and only
 until the model's next pass (``ForwardCache``).
+
+``train`` splits each batch between this process and workers forked once
+per call, one per further usable CPU: sample i runs in share i mod k.
+OpenBLAS is pinned to one thread before the fork, since each process
+then runs its own products on its own core, and restored afterwards.
+The parent adds the samples' losses and gradients in sample order, as
+one process would, so the trained bytes do not depend on k.  Training
+runs in one process on one usable CPU, at batch 1, without the fork
+start method, while another thread runs, or where OpenBLAS's thread count
+cannot be set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import struct
+import sys
+import threading
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -472,6 +490,171 @@ class _Adam:
             params[n] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def _run_share(model: TinyRegressor, batch, grids, process, cfg: TrainConfig, epoch: int, step_idx: int,
+               share: int, k: int) -> list:
+    """(energy, gradients) of samples share, share + k, ... of one batch, in that order.
+
+    Sample i draws t in 1..T_f from ``(cfg.seed, "step-draw", epoch,
+    step_idx, i)`` and x_t from ``process.draw``; its gradients are those
+    of its energy over the batch size, and its ``backward`` reads its
+    ``forward``'s buffers in place.
+    """
+    out = []
+    for i in range(share, len(batch), k):
+        x0 = batch[i]
+        t = int(substream(cfg.seed, "step-draw", epoch, step_idx, i).integers(1, process.t_f + 1))
+        x_t, traj = process.draw(x0, grids[x0.shape], t, cfg.seed, epoch, step_idx, i)
+        estimate, cache = model.forward(x_t, t)
+        residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
+        residual.real *= 2.0 / len(batch)  # dL/d(estimate), each part scaled as a real plane
+        residual.imag *= 2.0 / len(batch)
+        out.append((energy, model.backward(cache, residual)))
+    return out
+
+
+# OpenBLAS's thread-count getters, by the names numpy's wheels have exported them under;
+# each setter's name has "set" for "get"
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel bundles, or None where none is found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_GETTERS:
+            get, put = getattr(lib, name, None), getattr(lib, name.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _share_count(batch: int) -> int:
+    """How many processes run each batch's samples: the usable CPUs, at most ``batch``.
+
+    1, so no worker, where workers cannot start safely and fast: without
+    the fork start method (which hands them the model and the data
+    without pickling) or ``os.sched_getaffinity``, while another Python
+    thread runs (fork copies only the calling thread, and a lock another
+    holds stays held in the child), or where OpenBLAS's thread count
+    cannot be set (each process must run one BLAS thread).
+    """
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+        or _blas_thread_calls() is None
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), batch)
+
+
+def _portable(exc: Exception, text: str) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a TrainingError carrying the worker's traceback ``text``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # pickling and unpickling raise whatever the exception's own methods raise
+        return TrainingError(f"a training worker failed:\n{text}")
+    return exc
+
+
+def _serve(conn, inherited, share: int, k: int, model, images, grids, process, cfg) -> None:
+    """A worker's loop: run share ``share`` of each batch it is sent, until the parent closes its end.
+
+    A job is (flat parameters, epoch, step, the batch's image indices);
+    the reply is ("ok", the share's (energy, gradients) list) or ("error",
+    the exception the share raised, made ``_portable``).  ``inherited``
+    holds the parent's ends of this and earlier workers' pipes, which the
+    fork copied; closing them lets each pipe's EOF reach its worker.
+    """
+    for c in inherited:
+        c.close()
+    while True:
+        try:
+            flat, epoch, step_idx, indices = conn.recv()
+        except EOFError:  # training is over
+            return
+        try:
+            model.set_flat_params(flat)
+            batch = [images[j] for j in indices]
+            reply = ("ok", _run_share(model, batch, grids, process, cfg, epoch, step_idx, share, k))
+        except Exception as exc:  # the parent raises it as its own
+            reply = ("error", _portable(exc, traceback.format_exc()))
+        conn.send(reply)
+
+
+class _Workers:
+    """Forked processes that run shares 1..k-1 of each batch while the caller runs share 0.
+
+    OpenBLAS is pinned to one thread before the first fork, so each
+    worker starts with one thread and no pool to rebuild, and its count
+    is restored once the workers are gone.  Leaving the context closes
+    the pipes, which stops each worker, and joins them; after an
+    exception each is terminated first.  With k = 1 there is no worker,
+    BLAS is left alone and ``send``/``receive`` do nothing.
+    """
+
+    def __init__(self, k: int, *state):
+        self.k, self.state = k, state
+        self.conns: list = []
+        self.procs: list = []
+
+    def __enter__(self):
+        if self.k == 1:
+            return self
+        get, put = _blas_thread_calls()
+        self.threads = get()
+        put(1)
+        try:
+            ctx = multiprocessing.get_context("fork")
+            for share in range(1, self.k):
+                ours, theirs = ctx.Pipe()
+                args = (theirs, [ours, *self.conns], share, self.k, *self.state)
+                proc = ctx.Process(target=_serve, args=args, daemon=True)
+                self.conns.append(ours)
+                proc.start()
+                self.procs.append(proc)
+                theirs.close()
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if exc_type is not None:
+                proc.terminate()
+            proc.join()
+        if self.k > 1:
+            _blas_thread_calls()[1](self.threads)
+
+    def send(self, *job) -> None:
+        """Hand every worker one batch: (flat parameters, epoch, step, image indices)."""
+        for share, conn in enumerate(self.conns, 1):
+            try:
+                conn.send(job)
+            except BrokenPipeError:
+                raise TrainingError(f"training worker {share} exited") from None
+
+    def receive(self) -> list:
+        """Each worker's share of the batch, in share order; a worker's exception is raised here."""
+        shares = []
+        for share, conn in enumerate(self.conns, 1):
+            try:
+                kind, value = conn.recv()
+            except EOFError:
+                raise TrainingError(f"training worker {share} exited without answering") from None
+            if kind == "error":
+                raise value
+            shares.append(value)
+        return shares
+
+
 def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     """Minibatch adaptive-moment training of the recovery loss.
 
@@ -481,6 +664,21 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     loss trace.  Deterministic given (cfg.seed, data order).  Each
     sample's ``backward`` reads its ``forward``'s buffers in place, and
     the model leaves with no workspace.
+
+    Each batch's samples are dealt round-robin into k shares (sample i to
+    share i mod k), k being the usable CPUs, at most ``cfg.batch``
+    (``_share_count``).  This process runs share 0; shares 1..k-1 run in
+    workers forked once per call, which inherit the model, the images,
+    the grids and the source, and are sent the parameters with each
+    batch.  OpenBLAS is pinned to one thread before the fork, so every
+    process runs one, and its count is restored when the workers are gone.
+    The losses and gradients are summed here in sample order 0..n-1, as
+    one process would sum them, so parameters, loss trace and checkpoint
+    are the same bytes for every k.  k is 1, and no worker starts, on one
+    usable CPU, at batch 1, without fork, while another thread runs or
+    where OpenBLAS's thread count cannot be set.  A worker's exception is
+    raised here; one that cannot be pickled, or a worker that dies, is a
+    TrainingError.  Every exit joins the workers.
     """
     images = [as_image(x) for x in images]
     if len(images) < 2:
@@ -493,32 +691,33 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     grids = {x.shape: KSpaceGrid(*x.shape) for x in images}  # one per shape, so the radius order is sorted once
     opt = _Adam(model.params, cfg.learning_rate)
     trace: list[float] = []
+    k = _share_count(cfg.batch)
 
-    for epoch in range(cfg.epochs):
-        order = substream(cfg.seed, "shuffle", epoch).permutation(len(images))
-        epoch_losses: list[float] = []
-        for step_idx, start in enumerate(range(0, len(images), cfg.batch)):
-            batch = [images[i] for i in order[start : start + cfg.batch]]
-            grads = {n: np.zeros_like(p) for n, p in model.params.items()}
-            loss = 0.0
-            for i, x0 in enumerate(batch):
-                t = int(substream(cfg.seed, "step-draw", epoch, step_idx, i).integers(1, process.t_f + 1))
-                x_t, traj = process.draw(x0, grids[x0.shape], t, cfg.seed, epoch, step_idx, i)
-                estimate, cache = model.forward(x_t, t)
-                residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
-                loss += energy
-                residual.real *= 2.0 / len(batch)  # dL/d(estimate), each part scaled as a real plane
-                residual.imag *= 2.0 / len(batch)
-                for n, g in model.backward(cache, residual).items():
-                    grads[n] += g
-            loss /= len(batch)
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, step {step_idx}; lower the learning rate"
-                )
-            epoch_losses.append(loss)
-            opt.step(model.params, grads)
-        trace.append(float(np.mean(epoch_losses)))
+    with _Workers(k, model, images, grids, process, cfg) as workers:
+        for epoch in range(cfg.epochs):
+            order = substream(cfg.seed, "shuffle", epoch).permutation(len(images))
+            epoch_losses: list[float] = []
+            for step_idx, start in enumerate(range(0, len(images), cfg.batch)):
+                indices = order[start : start + cfg.batch]
+                workers.send(model.flat_params(), epoch, step_idx, indices)
+                batch = [images[i] for i in indices]
+                shares = [_run_share(model, batch, grids, process, cfg, epoch, step_idx, 0, k)]
+                shares += workers.receive()
+                grads = {n: np.zeros_like(p) for n, p in model.params.items()}
+                loss = 0.0
+                for i in range(len(batch)):
+                    energy, sample_grads = shares[i % k][i // k]
+                    loss += energy
+                    for n, g in sample_grads.items():
+                        grads[n] += g
+                loss /= len(batch)
+                if not math.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, step {step_idx}; lower the learning rate"
+                    )
+                epoch_losses.append(loss)
+                opt.step(model.params, grads)
+            trace.append(float(np.mean(epoch_losses)))
     model._workspace = None  # no cache of training's float64 buffers is left, and recover allocates its own
     return model, trace
 

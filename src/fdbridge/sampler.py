@@ -114,6 +114,13 @@ def reverse_step(
     return x_t + idft2(update, native=True)
 
 
+def _check_horizon(operator, horizon: int) -> None:
+    """ConfigError when ``operator`` states a training horizon ``t_f`` other than the ``horizon`` it is queried on."""
+    t_f = getattr(operator, "t_f", None)  # reference operators (oracle, zero-fill) have none
+    if t_f is not None and t_f != horizon:
+        raise ConfigError(f"the operator was trained with T_f={t_f}, but this run queries it on {horizon} steps")
+
+
 def _resolve_schedule(cfg: SamplerConfig, schedule: CorrectionSchedule | None, t_r: int) -> np.ndarray:
     if cfg.correction == "none":
         return np.zeros(t_r)
@@ -167,6 +174,8 @@ def reconstruct(
     ``cfg.seed``.  The native forms of the system, ``y`` and the
     trajectory are locals of this call, so ``system`` is left as it was.
     A non-finite estimate or iterate raises SamplingError naming the step.
+    An operator trained on another horizon than ``process.t_f`` is a
+    ConfigError.
     """
     for name, ours, theirs in (("T_f", cfg.t_f, process.t_f), ("R_prime", cfg.r_prime, process.r_prime)):
         if ours != theirs:
@@ -174,6 +183,7 @@ def reconstruct(
     t_r = reconstruction_steps(cfg.t_f, cfg.r, cfg.r_prime)
     if t_r < 1:
         raise ConfigError(f"T_r={t_r}; R={cfg.r} leaves nothing to reconstruct")
+    _check_horizon(operator, process.t_f)
     weights = _resolve_schedule(cfg, schedule, t_r)
 
     native = native_system(system)
@@ -298,7 +308,11 @@ def ddpm_reconstruct(
     seed: int = 0,
     reference: np.ndarray | None = None,
 ) -> ReconstructionResult:
-    """Noise-diffusion baseline: from noise, ancestral steps interleaved with data consistency."""
+    """Noise-diffusion baseline: from noise, ancestral steps interleaved with data consistency.
+
+    An operator trained on another horizon than ``schedule.t_f`` is a ConfigError.
+    """
+    _check_horizon(operator, schedule.t_f)
     native = native_system(system)
     y = native_measurement(system, y)
     x = to_native(_complex_noise(system.grid.shape, substream(seed, "ddpm-init")))

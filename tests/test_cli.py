@@ -646,6 +646,16 @@ class TestRunManifest:
         assert manifest["peak_rss_mb"] > 0.0
         assert manifest["wall_time_s"] >= 0.0
 
+    def test_peak_memory_counts_the_largest_child(self, monkeypatch):
+        # a joined worker that peaked above the process is the run's peak, and the process's own peak otherwise
+        import resource
+
+        for own, child in ((1024, 4096), (4096, 1024)):
+            peaks = {resource.RUSAGE_SELF: own, resource.RUSAGE_CHILDREN: child}
+            monkeypatch.setattr(resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=peaks[who]))
+            unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+            assert cli._peak_rss_mb() == 4096 / unit
+
     def test_peak_memory_is_null_without_resource_module(self, tmp_path, config_path, monkeypatch):
         # a None entry in sys.modules makes ``import resource`` raise ImportError, as on Windows
         monkeypatch.setitem(sys.modules, "resource", None)

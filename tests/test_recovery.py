@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from fdbridge.errors import ConfigError, TrainingError
 from fdbridge.fileio import read_csv
 from fdbridge.grid import as_image, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
+from fdbridge import recovery
 from fdbridge.recovery import (
     LOSS_MODES,
     OracleRecovery,
@@ -551,6 +554,138 @@ class TestTrain:
         _, trace = train(TinyRegressor(t_f=50, seed=0), images, sched,
                          TrainConfig(learning_rate=0.01, epochs=1, batch=2, seed=0))
         assert len(trace) == 1
+
+
+class _Unpicklable(Exception):
+    """An exception that pickles but does not unpickle: its __init__ needs two arguments, its args hold one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
+
+
+class _FailingSource:
+    """The bridge, except that sample ``at``'s draw runs ``fail`` (a worker's when k = 2 and ``at`` is odd)."""
+
+    loss_masks = True
+
+    def __init__(self, process, at, fail):
+        self.process, self.at, self.fail = process, at, fail
+        self.t_f = process.t_f
+
+    def draw(self, x0, grid, t, seed, *tags):
+        if tags[-1] == self.at:
+            self.fail()
+        return self.process.draw(x0, grid, t, seed, *tags)
+
+
+def _die():
+    if multiprocessing.parent_process() is not None:  # only ever a worker
+        os._exit(3)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+
+    return fail
+
+
+def _raise_unpicklable():
+    raise _Unpicklable("a", "b")
+
+
+needs_workers = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or recovery._blas_thread_calls() is None,
+    reason="training workers need fork and a settable OpenBLAS thread count",
+)
+
+
+@needs_workers
+class TestTrainShares:
+    """Training with its batches dealt to k processes gives the serial run's bytes, and leaves no process behind."""
+
+    @staticmethod
+    def _train(monkeypatch, k, process, images, tc, seed=9):
+        monkeypatch.setattr(recovery, "_share_count", lambda batch: k)
+        model, trace = train(TinyRegressor(t_f=process.t_f, seed=seed), images, process, tc)
+        assert multiprocessing.active_children() == []
+        assert model._workspace is None
+        return model.flat_params().tobytes(), trace
+
+    @pytest.mark.parametrize("source,loss_mode", [
+        ("bridge", "upper_bound"),
+        ("bridge", "weighted"),
+        ("averaging", "upper_bound"),
+        ("ddpm", "upper_bound"),
+    ], ids=["upper_bound", "weighted", "averaging", "ddpm"])
+    def test_sources_and_losses_match_serial(self, monkeypatch, source, loss_mode):
+        images, cfg, _, _ = _toy_setup(count=5)
+        process = {"bridge": cfg, "averaging": AveragingProcess(cfg), "ddpm": ddpm_schedule(30)}[source]
+        tc = TrainConfig(learning_rate=0.01, epochs=2, batch=4, loss_mode=loss_mode, seed=3)
+        serial = self._train(monkeypatch, 1, process, images, tc)
+        for k in (2, 3):
+            assert self._train(monkeypatch, k, process, images, tc) == serial, k
+
+    @pytest.mark.parametrize("batch,count,dims", [(1, 3, 32), (2, 5, 32), (8, 5, 32), (3, 4, 33)],
+                             ids=["batch1", "uneven", "batch-above-dataset", "33x31"])
+    def test_batches_and_shapes_match_serial(self, monkeypatch, batch, count, dims):
+        images, cfg, _, _ = _toy_setup(count=count, dims=dims)
+        if dims == 33:
+            images = [x[:, :31] for x in images]  # the odd, non-square shape
+        tc = TrainConfig(learning_rate=0.01, epochs=2, batch=batch, loss_mode="weighted", seed=4)
+        serial = self._train(monkeypatch, 1, cfg, images, tc)
+        assert len(serial[1]) == 2 and all(np.isfinite(serial[1]))
+        for k in (2, 3):
+            assert self._train(monkeypatch, k, cfg, images, tc) == serial, k
+
+    @pytest.mark.parametrize("at,fail,error,match", [
+        (1, _raise(ValueError("sample one")), ValueError, "^sample one$"),
+        (1, _raise_unpicklable, TrainingError, "(?s)a training worker failed:.*_Unpicklable: a-b"),
+        (1, _die, TrainingError, "training worker 1 exited without answering"),
+        (0, _raise(ValueError("sample zero")), ValueError, "^sample zero$"),
+    ], ids=["worker", "unpicklable", "worker-died", "parent"])
+    def test_failure_reaches_the_caller_and_joins_the_workers(self, monkeypatch, at, fail, error, match):
+        images, cfg, _, _ = _toy_setup()
+        monkeypatch.setattr(recovery, "_share_count", lambda batch: 2)
+        source = _FailingSource(cfg, at, fail)
+        with pytest.raises(error, match=match):
+            train(TinyRegressor(t_f=8, seed=0), images, source, TrainConfig(learning_rate=0.01, epochs=1, batch=4))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_joins_the_workers(self, monkeypatch):
+        images, cfg, _, _ = _toy_setup()
+        monkeypatch.setattr(recovery, "_share_count", lambda batch: 2)
+        model = TinyRegressor(t_f=8, seed=8)
+        model.set_flat_params(np.full(model.flat_params().size, 1e200))
+        with pytest.raises(TrainingError, match="learning rate"):
+            train(model, images, cfg, TrainConfig(learning_rate=0.01, epochs=1, batch=2, seed=0))
+        assert multiprocessing.active_children() == []
+
+    def test_blas_runs_one_thread_while_workers_live_and_is_restored(self, monkeypatch):
+        get, put = recovery._blas_thread_calls()
+        before = get()
+        seen = []
+        images, cfg, _, _ = _toy_setup()
+        source = _FailingSource(cfg, 0, lambda: seen.append(get()))  # sample 0 of each batch runs here
+        monkeypatch.setattr(recovery, "_share_count", lambda batch: 2)
+        try:
+            put(2)
+            train(TinyRegressor(t_f=8, seed=0), images, source, TrainConfig(learning_rate=0.01, epochs=2, batch=2))
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen == [1] * 4
+
+    def test_share_count(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert recovery._share_count(1) == 1
+        assert recovery._share_count(64) == min(cpus, 64)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert recovery._share_count(64) == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(recovery, "_blas_thread_calls", lambda: None)
+        assert recovery._share_count(64) == 1
 
 
 class TestDraw:

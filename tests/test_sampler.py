@@ -382,19 +382,35 @@ class TestFloat32Recover:
         assert np.max(np.abs(got - wide)) <= self.IMAGE_RTOL * np.max(np.abs(wide))
         assert abs(psnr(reference, got) - psnr(reference, wide)) <= self.PSNR_ATOL_DB
 
+    @staticmethod
+    def _overflowing(t_f: int) -> TinyRegressor:
+        model = TinyRegressor(t_f=t_f, seed=67)
+        for name in ("conv1_w", "conv2_w", "conv3_w"):  # a gain of 1e45 overflows float32, not float64
+            model.params[name] *= 1e15
+        return model
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_float32_overflow_fails_the_step(self):
         data, setup, reference = self._case(1, "learned")
-        model = TinyRegressor(t_f=8, seed=67)
-        for name in ("conv1_w", "conv2_w", "conv3_w"):  # a gain of 1e45 overflows float32, not float64
-            model.params[name] *= 1e15
+        model = self._overflowing(8)
         assert np.all(np.isfinite(_Float64Recover(model).recover(reference, 12)))
         assert not np.all(np.isfinite(model.recover(reference, 12)))
         with pytest.raises(SamplingError, match="non-finite estimate at step 12$"):
             reconstruct(*data, model, *setup, reference=reference)
-        # the DDPM baseline runs the same loop, so its first step fails the same way
+        # the DDPM baseline runs the same loop, so its first step fails the same way, on a model of its horizon
+        ddpm_model = self._overflowing(30)
+        assert not np.all(np.isfinite(ddpm_model.recover(reference, 30)))
         with pytest.raises(SamplingError, match="non-finite estimate at step 30$"):
-            ddpm_reconstruct(*data, model, ddpm_schedule(30), seed=68, reference=reference)
+            ddpm_reconstruct(*data, ddpm_model, ddpm_schedule(30), seed=68, reference=reference)
+
+    def test_operator_of_another_horizon_is_a_config_error(self):
+        data, setup, reference = self._case(1, "learned")
+        with pytest.raises(ConfigError, match="trained with T_f=16, but this run queries it on 8 steps"):
+            reconstruct(*data, TinyRegressor(t_f=16, seed=67), *setup, reference=reference)
+        with pytest.raises(ConfigError, match="trained with T_f=8, but this run queries it on 30 steps"):
+            ddpm_reconstruct(*data, TinyRegressor(t_f=8, seed=67), ddpm_schedule(30), seed=68, reference=reference)
+        # reference operators state no horizon and run on any
+        assert reconstruct(*data, ZeroFillRecovery(), *setup, reference=reference).t_r == 12
 
 
 class TestDdpmSchedule:

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fdbridge import recovery
 from fdbridge.degradation import AveragingProcess, ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, TrainingError
 from fdbridge.fileio import read_csv
 from fdbridge.grid import as_image, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
-from fdbridge import recovery
 from fdbridge.recovery import (
     LOSS_MODES,
     OracleRecovery,
@@ -590,24 +590,17 @@ def _raise(exc):
     return fail
 
 
-def _raise_unpicklable():
-    raise _Unpicklable("a", "b")
-
-
-needs_workers = pytest.mark.skipif(
+@pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods() or recovery._blas_thread_calls() is None,
     reason="training workers need fork and a settable OpenBLAS thread count",
 )
-
-
-@needs_workers
 class TestTrainShares:
     """Training with its batches dealt to k processes gives the serial run's bytes, and leaves no process behind."""
 
     @staticmethod
-    def _train(monkeypatch, k, process, images, tc, seed=9):
+    def _train(monkeypatch, k, process, images, tc):
         monkeypatch.setattr(recovery, "_share_count", lambda batch: k)
-        model, trace = train(TinyRegressor(t_f=process.t_f, seed=seed), images, process, tc)
+        model, trace = train(TinyRegressor(t_f=process.t_f, seed=9), images, process, tc)
         assert multiprocessing.active_children() == []
         assert model._workspace is None
         return model.flat_params().tobytes(), trace
@@ -640,7 +633,7 @@ class TestTrainShares:
 
     @pytest.mark.parametrize("at,fail,error,match", [
         (1, _raise(ValueError("sample one")), ValueError, "^sample one$"),
-        (1, _raise_unpicklable, TrainingError, "(?s)a training worker failed:.*_Unpicklable: a-b"),
+        (1, _raise(_Unpicklable("a", "b")), TrainingError, "(?s)a training worker failed:.*_Unpicklable: a-b"),
         (1, _die, TrainingError, "training worker 1 exited without answering"),
         (0, _raise(ValueError("sample zero")), ValueError, "^sample zero$"),
     ], ids=["worker", "unpicklable", "worker-died", "parent"])

@@ -22,6 +22,7 @@ from .errors import (
     ScheduleError,
     TrainingError,
     TrajectoryError,
+    WorkerError,
 )
 from .grid import KSpaceGrid, as_image, dft2, idft2, radius_map
 from .imaging import (

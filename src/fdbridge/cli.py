@@ -7,10 +7,11 @@ replay <manifest>``), with path flags resolved as they are parsed.  Each
 file is written to a temporary name and renamed, so it appears under its
 final name only once it is complete, and the manifest's ``outputs`` are
 read off the disk: the files under --out that are new or have a new
-inode.  A run that fails writes no ``run_manifest.json``, and a config
-error writes nothing, not even --out itself.  Exit codes: 0 success, 1
-config error (a missing or malformed input file among them), 2 runtime
-failure.
+inode.  The manifest's ``status`` is "ok", or "failed" for a run that
+failed at run time, whose ``error`` says why and whose ``outputs`` are
+what it wrote before it failed.  A config error writes nothing, not even
+--out itself.  Exit codes: 0 success, 1 config error (a missing or
+malformed input file among them), 2 runtime failure.
 
 ``reconstruct``, ``ddpm-reconstruct`` and ``ablate`` share one path:
 simulate the acquisition of a reference image (sampling mask, coil maps,
@@ -282,18 +283,23 @@ def cmd_train(cfg, args, out: Path) -> None:
     else:
         process = _process_config(cfg, seed=child_seed(cfg["seed"], "train-process"))
     model, trace = _train_model(cfg, images, process)
-    save_checkpoint(out / "checkpoint.ckpt", model, epochs=cfg["train"]["epochs"])
+    save_checkpoint(out / "checkpoint.ckpt", model, process, epochs=cfg["train"]["epochs"])
     save_loss_trace(out / "loss_trace.csv", trace)
 
 
-def _load_operator(args, reference, horizon: int):
-    """The recovery operator: --checkpoint, which must be trained on ``horizon`` steps, else --recovery."""
+def _load_operator(args, reference, source):
+    """The recovery operator: --checkpoint, which must be trained on ``source``'s kind and horizon, else --recovery."""
     if args.checkpoint:
-        model, _ = _read_input(load_checkpoint, args.checkpoint)
-        if model.t_f != horizon:
+        model, header = _read_input(load_checkpoint, args.checkpoint)
+        if header.get("source") != source.kind:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} was trained on source={header.get('source')!r}, "
+                f"but this run samples the {source.kind!r} source"
+            )
+        if model.t_f != source.t_f:
             raise ConfigError(
                 f"checkpoint {args.checkpoint} was trained with T_f={model.t_f}, "
-                f"but this run queries it on {horizon} steps"
+                f"but this run queries it on {source.t_f} steps"
             )
         return model
     if args.recovery == "oracle":
@@ -331,14 +337,15 @@ def _score(reference, image) -> tuple[float, float]:
     return psnr(reference, image), ssim(reference, image)
 
 
-def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps_key: str) -> None:
+def _measure_reconstruct_score(cfg, args, out: Path, source, sample, steps_key: str) -> None:
     """The path of ``reconstruct`` and ``ddpm-reconstruct``.
 
     Simulates the acquisition of --image (or of a generated held-out
-    phantom), loads the operator, runs ``sample(y, system, operator,
-    reference)``, and scores the result and the zero-filled baseline.
-    Nothing is written until the reconstruction succeeded, so a run that
-    fails on its inputs or while sampling leaves ``out`` without files.
+    phantom), loads the operator that ``source`` samples with, runs
+    ``sample(y, system, operator, reference)``, and scores the result and
+    the zero-filled baseline.  Nothing is written until the reconstruction
+    succeeded, so a run that fails on its inputs or while sampling leaves
+    no output in ``out`` (a failure while sampling leaves its manifest).
     """
     seed, data = cfg["seed"], cfg["data"]
     if args.image:
@@ -347,7 +354,7 @@ def _measure_reconstruct_score(cfg, args, out: Path, horizon: int, sample, steps
         reference = seeded_phantom(data["dims"], data["dims"], data["contrast"], seed, "eval-image", 0)
     seeds = [child_seed(seed, tag) for tag in ("mask", "coils", "measurement")]
     system, y = _acquire(cfg, args, reference, *seeds)
-    operator = _load_operator(args, reference, horizon)
+    operator = _load_operator(args, reference, source)
     result = sample(y, system, operator, reference)
     zero_fill = adjoint(system, y)
 
@@ -378,7 +385,7 @@ def cmd_reconstruct(cfg, args, out: Path) -> None:
     def sample(y, system, operator, reference):
         return reconstruct(y, system, operator, proc, schedule, scfg, reference=reference)
 
-    _measure_reconstruct_score(cfg, args, out, proc.t_f, sample, "T_r")
+    _measure_reconstruct_score(cfg, args, out, proc, sample, "T_r")
 
 
 def cmd_ddpm_reconstruct(cfg, args, out: Path) -> None:
@@ -388,7 +395,7 @@ def cmd_ddpm_reconstruct(cfg, args, out: Path) -> None:
     def sample(y, system, operator, reference):
         return ddpm_reconstruct(y, system, operator, schedule, seed=seed, reference=reference)
 
-    _measure_reconstruct_score(cfg, args, out, schedule.t_f, sample, "T")
+    _measure_reconstruct_score(cfg, args, out, schedule, sample, "T")
 
 
 def _bridge(process: ProcessConfig) -> ProcessConfig:
@@ -663,8 +670,9 @@ def _peak_rss_mb() -> float | None:
     """Peak resident set size of the run so far, in MiB, or None where ``resource`` is missing (Windows).
 
     The larger of this process's peak and that of its largest finished
-    child, so training's forked workers (``recovery.train``), which the
-    process has joined by the time the manifest is written, are counted.
+    child, so the forked workers of training and of the Monte-Carlo
+    schedule (``parallel.Workers``), which the process has joined by the
+    time the manifest is written, are counted.
     ru_maxrss is KiB on Linux and bytes on macOS.
     """
     try:
@@ -693,23 +701,35 @@ def _run(argv, config_dict=None) -> int:
     out = Path(args.out)
     before = _file_stamps(out)
     started = time.monotonic()
-    _HANDLERS[args.command](cfg, args, out)
-    wall = time.monotonic() - started
-    # every writer replaces a file by rename, so a rewritten file has a new inode
-    written = [name for name, stamp in _file_stamps(out).items() if before.get(name) != stamp]
-    write_json(
-        out / "run_manifest.json",
-        {
-            "command": args.command,
-            "config": cfg,
-            "flags": _flag_dict(args),
-            "out": str(out.resolve()),
-            "outputs": sorted(name for name in written if name != "run_manifest.json"),
-            "wall_time_s": wall,
-            "peak_rss_mb": _peak_rss_mb(),
-            "tool": {"name": "fdbridge", "version": __version__},
-        },
-    )
+
+    def write_manifest(error: Exception | None) -> None:
+        wall = time.monotonic() - started
+        # every writer replaces a file by rename, so a rewritten file has a new inode
+        written = [name for name, stamp in _file_stamps(out).items() if before.get(name) != stamp]
+        write_json(
+            out / "run_manifest.json",
+            {
+                "command": args.command,
+                "config": cfg,
+                "flags": _flag_dict(args),
+                "out": str(out.resolve()),
+                "status": "ok" if error is None else "failed",
+                "error": None if error is None else f"{type(error).__name__}: {error}",
+                "outputs": sorted(name for name in written if name != "run_manifest.json"),
+                "wall_time_s": wall,
+                "peak_rss_mb": _peak_rss_mb(),
+                "tool": {"name": "fdbridge", "version": __version__},
+            },
+        )
+
+    try:
+        _HANDLERS[args.command](cfg, args, out)
+    except ConfigError:  # found before anything is written
+        raise
+    except Exception as exc:  # a runtime failure, recorded and then reported as exit 2
+        write_manifest(exc)
+        raise
+    write_manifest(None)
     return 0
 
 

@@ -8,7 +8,12 @@ E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2.  The weights come from this
 difference form, a ratio of sums of non-negative terms; the
 energy-balance form subtracts nearly equal energies and serves only as a
 cross-check.  A draw's removed energies for every t are one O(N) pass,
-its trajectory's ``removed_sums``.  A linear ablation schedule is also provided.
+its trajectory's ``removed_sums``.  The draws are independent, so they
+run as ``parallel`` shares on every usable CPU (draw i in share i mod
+k), and each draw's removed energies are added into the running sums in
+draw order as they arrive: the schedule is the same bytes for every k,
+and no more than a few draws are held at once.  A linear ablation
+schedule is also provided.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .degradation import ProcessConfig, sample_trajectory
 from .errors import ConfigError, ScheduleError
 from .fileio import read_csv, read_json, write_csv, write_json
@@ -80,7 +86,16 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     """Monte-Carlo estimate of the learned schedule over the given dataset.
 
     Draw i pairs image ``i mod len(images)`` with a fresh trajectory, whose
-    ``removed_sums`` of the spectral energy are ||X_{t-1} - X_t||^2.  w_t
+    ``removed_sums`` of the spectral energy are ||X_{t-1} - X_t||^2.  The
+    draws are dealt round-robin into k shares (draw i to share i mod k),
+    k being the usable CPUs, at most ``mc_samples``
+    (``parallel.share_count``).  This process runs share 0 and forked
+    ``parallel.Workers`` run the others, each sending back its draws'
+    removed sums one by one; they are added into the running sums here in
+    draw order 0..n-1 as they arrive, so the weights and energy fractions
+    are the same bytes for every k, and the n draws are never held at
+    once.  A worker's exception is raised here; one that cannot be
+    pickled, or a worker that dies, is a WorkerError.  w_t
     is the removed-energy ratio E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2,
     which lies in [0, 1] by construction.  The energy-balance ratio is
     accumulated through an independent arithmetic path and must agree to
@@ -99,22 +114,27 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     if any(x.shape != grid.shape for x in images):
         raise ValueError("all dataset images must share one shape")
     energies = [np.abs(dft2(x).ravel()) ** 2 for x in images]
+    totals = [float(energy.sum()) for energy in energies]  # ||X_0||^2 of each image
+
+    def removed_sums(share, k):
+        """Each of draws share, share + k, ...: its ||X_{t-1} - X_t||^2 for t = 1..T_f, in draw order."""
+        for i in range(share, mc_samples, k):
+            traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
+            yield sample_trajectory(grid, traj_cfg, t_total=t_f).removed_sums(energies[i % len(images)])
 
     sum_et = np.zeros(t_f + 1)            # running sums of ||X_t||^2, t = 0..t_f
     sum_removed = np.zeros(t_f)           # running sums of ||X_{t-1} - X_t||^2
     sum_deficit = np.zeros(t_f)           # running sums of ||X_0 - X_t||^2
 
-    for i in range(mc_samples):
-        energy = energies[i % len(images)]
-        traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
-        traj = sample_trajectory(grid, traj_cfg, t_total=t_f)
-        e0 = float(energy.sum())
-        removed = traj.removed_sums(energy)
-        deficit = np.cumsum(removed)
-        sum_et[0] += e0
-        sum_et[1:] += e0 - deficit
-        sum_removed += removed
-        sum_deficit += deficit
+    k = parallel.share_count(mc_samples)
+    with parallel.Workers(k, removed_sums, "Monte-Carlo") as workers:
+        for i, removed in enumerate(workers.ordered(mc_samples, removed_sums(0, k))):
+            e0 = totals[i % len(images)]
+            deficit = np.cumsum(removed)
+            sum_et[0] += e0
+            sum_et[1:] += e0 - deficit
+            sum_removed += removed
+            sum_deficit += deficit
 
     mean_et = sum_et / mc_samples
     mean_e0 = mean_et[0]

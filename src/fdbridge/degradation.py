@@ -50,6 +50,7 @@ class ProcessConfig:
     density: str = "radius_scheduled"
     step_count_schedule: str = "constant"
     seed: int = 0
+    kind = "bridge"  # the source a checkpoint records, which the reverse loop must match
     loss_masks = True  # a draw returns the trajectory whose masks the weighted loss reads
 
     def __post_init__(self):
@@ -289,6 +290,7 @@ class AveragingProcess:
     """
 
     process: ProcessConfig
+    kind = "averaging"
     loss_masks = False
 
     @property

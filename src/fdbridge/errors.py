@@ -23,3 +23,7 @@ class TrainingError(RuntimeError):
 
 class SamplingError(RuntimeError):
     """Reverse sampling produced a non-finite iterate."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker died, or failed with an exception that cannot be sent back."""

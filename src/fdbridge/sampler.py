@@ -236,6 +236,7 @@ class DdpmSchedule:
     beta: np.ndarray
     gamma: np.ndarray = field(init=False)
     gamma_bar: np.ndarray = field(init=False)
+    kind = "ddpm"
     loss_masks = False
 
     def __post_init__(self):

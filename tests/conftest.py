@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from fdbridge import parallel
 from fdbridge.correction import CorrectionSchedule
 from fdbridge.grid import KSpaceGrid
 from fdbridge.imaging import ImagingSystem
@@ -42,6 +45,32 @@ def edit_checkpoint_architecture(path, edit):
         return header
 
     path.write_bytes(with_header(path.read_bytes(), on_header))
+
+
+# the tests that fork parallel.Workers; elsewhere every job runs in one process
+needs_workers = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or parallel.blas_thread_calls() is None,
+    reason="workers need fork and a settable OpenBLAS thread count",
+)
+
+
+class _Unpicklable(Exception):
+    """An exception that pickles but does not unpickle: its __init__ needs two arguments, its args hold one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
+
+
+def die():
+    if multiprocessing.parent_process() is not None:  # only ever a worker
+        os._exit(3)
+
+
+def raising(exc):
+    def fail():
+        raise exc
+
+    return fail
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import sys
@@ -7,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from fdbridge import cli
+from fdbridge import cli, correction, parallel
 from fdbridge.cli import DEFAULT_CONFIG, main, validate_config
 from fdbridge.correction import save_schedule
 from fdbridge.degradation import ProcessConfig, sample_trajectory
@@ -18,8 +19,9 @@ from fdbridge.metrics import psnr, ssim
 from fdbridge.phantoms import save_dataset
 from fdbridge.recovery import TinyRegressor, load_checkpoint, save_checkpoint
 from fdbridge.rng import child_seed
+from fdbridge.sampler import ddpm_schedule
 
-from conftest import constant_schedule, edit_checkpoint_architecture, with_header
+from conftest import constant_schedule, die, edit_checkpoint_architecture, needs_workers, raising, with_header
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -181,7 +183,12 @@ class TestExitCodes:
         write_cimg(blank, np.zeros((8, 8), dtype=np.complex128))
         out = tmp_path / "m"
         assert run("metrics", "--out", str(out), "--ref", str(blank), "--test", str(blank)) == 2
-        assert not out.exists()
+        # the failure is recorded, and nothing else is written
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+        manifest = read_json(out / "run_manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "ValueError: reference peak must be > 0, got 0.0"
+        assert manifest["outputs"] == []
 
     @pytest.mark.parametrize("case", [
         "schedule_missing",
@@ -406,31 +413,42 @@ class TestTrainReconstruct:
         "checkpoint_header_not_object",
         "checkpoint_header_no_T_f",
         "checkpoint_header_seed_string",
+        "checkpoint_header_no_source",
+        "reconstruct_ddpm_checkpoint",
+        "ddpm_reconstruct_bridge_checkpoint",
         "learned_correction_without_schedule",
         "ddpm_train_steps",
         "ddpm_reconstruct_steps",
         "power_law_schedule",
     ])
-    def test_config_error_leaves_out_empty(self, tmp_path, config_path, case):
+    def test_config_error_leaves_out_empty(self, tmp_path, config_path, capsys, case):
         image = tmp_path / "image.cimg"
         write_cimg(image, np.ones((48, 48), dtype=np.complex128))  # the config's dims are 32
+        bridge = ProcessConfig(r_prime=2.0, t_f=8)  # the config's process
         checkpoint = tmp_path / "model.ckpt"
-        save_checkpoint(checkpoint, TinyRegressor(t_f=4, seed=0))  # the config's T_f is 8
+        save_checkpoint(checkpoint, TinyRegressor(t_f=4, seed=0), bridge)  # the config's T_f is 8
+        ddpm21 = tmp_path / "ddpm21.ckpt"  # a DDPM checkpoint of 21 steps
+        save_checkpoint(ddpm21, TinyRegressor(t_f=21, seed=0), ddpm_schedule(21))
+        ddpm8 = tmp_path / "ddpm8.ckpt"  # the config's T_f, trained on the DDPM source
+        save_checkpoint(ddpm8, TinyRegressor(t_f=8, seed=0), ddpm_schedule(30))
+        bridge30 = tmp_path / "bridge30.ckpt"  # a bridge checkpoint on the DDPM run's 30 steps
+        save_checkpoint(bridge30, TinyRegressor(t_f=30, seed=0), ProcessConfig(r_prime=2.0, t_f=30))
         narrow = tmp_path / "narrow.ckpt"  # the config's T_f, but a header stating 8 hidden channels
-        save_checkpoint(narrow, TinyRegressor(t_f=8, seed=0))
+        save_checkpoint(narrow, TinyRegressor(t_f=8, seed=0), bridge)
         edit_checkpoint_architecture(narrow, lambda arch: arch.update(hidden=8))
         text = tmp_path / "text.ckpt"
         text.write_text("not a checkpoint\n")
         short = tmp_path / "short.ckpt"  # the config's T_f, one parameter short
-        save_checkpoint(short, TinyRegressor(t_f=8, seed=0))
+        save_checkpoint(short, TinyRegressor(t_f=8, seed=0), bridge)
         short.write_bytes(short.read_bytes()[:-8])
         headers = {  # the config's T_f and a whole parameter block under a malformed header
             "checkpoint_header_not_object": lambda h: [h],
             "checkpoint_header_no_T_f": lambda h: {k: v for k, v in h.items() if k != "T_f"},
             "checkpoint_header_seed_string": lambda h: {**h, "seed": "zero"},
+            "checkpoint_header_no_source": lambda h: {k: v for k, v in h.items() if k != "source"},
         }
         header = tmp_path / "header.ckpt"
-        save_checkpoint(header, TinyRegressor(t_f=8, seed=0))
+        save_checkpoint(header, TinyRegressor(t_f=8, seed=0), bridge)
         if case in headers:
             header.write_bytes(with_header(header.read_bytes(), headers[case]))
         save_schedule(tmp_path, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
@@ -442,8 +460,12 @@ class TestTrainReconstruct:
             "forward_image_shape": ["forward", "--image", str(image)],
             "reconstruct_checkpoint_horizon": ["reconstruct", "--checkpoint", str(checkpoint),
                                                "--schedule", str(tmp_path / "schedule.csv")],
-            "ddpm_checkpoint_horizon": ["ddpm-reconstruct", "--checkpoint", str(checkpoint),
+            "ddpm_checkpoint_horizon": ["ddpm-reconstruct", "--checkpoint", str(ddpm21),
                                         "--ddpm-steps", "30"],
+            "reconstruct_ddpm_checkpoint": ["reconstruct", "--checkpoint", str(ddpm8),
+                                            "--schedule", str(tmp_path / "schedule.csv")],
+            "ddpm_reconstruct_bridge_checkpoint": ["ddpm-reconstruct", "--checkpoint", str(bridge30),
+                                                   "--ddpm-steps", "30"],
             "checkpoint_architecture": ["reconstruct", "--checkpoint", str(narrow),
                                         "--schedule", str(tmp_path / "schedule.csv")],
             "checkpoint_not_a_checkpoint": ["reconstruct", "--checkpoint", str(text),
@@ -461,6 +483,14 @@ class TestTrainReconstruct:
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
         assert not out.exists()
+        reason = {  # the checkpoint's refusal names what does not match
+            "reconstruct_checkpoint_horizon": "trained with T_f=4, but this run queries it on 8 steps",
+            "ddpm_checkpoint_horizon": "trained with T_f=21, but this run queries it on 30 steps",
+            "checkpoint_header_no_source": "trained on source=None, but this run samples the 'bridge' source",
+            "reconstruct_ddpm_checkpoint": "trained on source='ddpm', but this run samples the 'bridge' source",
+            "ddpm_reconstruct_bridge_checkpoint": "trained on source='bridge', but this run samples the 'ddpm' source",
+        }.get(case, "")
+        assert reason in capsys.readouterr().err
 
     def test_short_schedule_writes_nothing(self, tmp_path, config_path, capsys):
         # a CSV-only schedule of any length but T_f (8) is a config error, found before --out is made
@@ -642,9 +672,31 @@ class TestRunManifest:
         out = tmp_path / command
         assert run(command, "--config", config_path, "--out", str(out)) == 0
         manifest = read_json(out / "run_manifest.json")
+        assert manifest["status"] == "ok" and manifest["error"] is None
         assert isinstance(manifest["peak_rss_mb"], float)
         assert manifest["peak_rss_mb"] > 0.0
         assert manifest["wall_time_s"] >= 0.0
+
+    @needs_workers
+    @pytest.mark.parametrize("fail,error", [
+        (die, "WorkerError: Monte-Carlo worker 1 exited without answering"),
+        (raising(ValueError("draw one")), "ValueError: draw one"),
+    ], ids=["worker-died", "worker-raised"])
+    def test_worker_failure_is_recorded(self, tmp_path, config_path, monkeypatch, capsys, fail, error):
+        def draw(grid, process, t_total):
+            if multiprocessing.parent_process() is not None:  # draws 1, 3, ..., in the worker
+                fail()
+            return sample_trajectory(grid, process, t_total=t_total)
+
+        monkeypatch.setattr(parallel, "share_count", lambda n: 2)
+        monkeypatch.setattr(correction, "sample_trajectory", draw)
+        out = tmp_path / "west"
+        assert run("estimate-w", "--config", config_path, "--out", str(out), "--mc-samples", "20") == 2
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == f"error: {error}\n"
+        manifest = read_json(out / "run_manifest.json")
+        assert (manifest["status"], manifest["error"], manifest["outputs"]) == ("failed", error, [])
+        assert manifest["command"] == "estimate-w" and manifest["wall_time_s"] > 0.0
 
     def test_peak_memory_counts_the_largest_child(self, monkeypatch):
         # a joined worker that peaked above the process is the run's peak, and the process's own peak otherwise

@@ -1,11 +1,10 @@
 import multiprocessing
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fdbridge import recovery
+from fdbridge import parallel
 from fdbridge.degradation import AveragingProcess, ProcessConfig, corrupt, sample_trajectory
 from fdbridge.errors import ConfigError, TrainingError
 from fdbridge.fileio import read_csv
@@ -34,7 +33,7 @@ from fdbridge.recovery import (
 from fdbridge.rng import substream
 from fdbridge.sampler import ddpm_schedule
 
-from conftest import edit_checkpoint_architecture, rand_image, with_header
+from conftest import _Unpicklable, die, edit_checkpoint_architecture, needs_workers, raising, rand_image, with_header
 from draw_oracle import draw_corrupted, step_draw
 from gradcheck import grad_check
 
@@ -556,13 +555,6 @@ class TestTrain:
         assert len(trace) == 1
 
 
-class _Unpicklable(Exception):
-    """An exception that pickles but does not unpickle: its __init__ needs two arguments, its args hold one."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a}-{b}")
-
-
 class _FailingSource:
     """The bridge, except that sample ``at``'s draw runs ``fail`` (a worker's when k = 2 and ``at`` is odd)."""
 
@@ -578,28 +570,13 @@ class _FailingSource:
         return self.process.draw(x0, grid, t, seed, *tags)
 
 
-def _die():
-    if multiprocessing.parent_process() is not None:  # only ever a worker
-        os._exit(3)
-
-
-def _raise(exc):
-    def fail():
-        raise exc
-
-    return fail
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods() or recovery._blas_thread_calls() is None,
-    reason="training workers need fork and a settable OpenBLAS thread count",
-)
+@needs_workers
 class TestTrainShares:
     """Training with its batches dealt to k processes gives the serial run's bytes, and leaves no process behind."""
 
     @staticmethod
     def _train(monkeypatch, k, process, images, tc):
-        monkeypatch.setattr(recovery, "_share_count", lambda batch: k)
+        monkeypatch.setattr(parallel, "share_count", lambda n: k)
         model, trace = train(TinyRegressor(t_f=process.t_f, seed=9), images, process, tc)
         assert multiprocessing.active_children() == []
         assert model._workspace is None
@@ -632,14 +609,14 @@ class TestTrainShares:
             assert self._train(monkeypatch, k, cfg, images, tc) == serial, k
 
     @pytest.mark.parametrize("at,fail,error,match", [
-        (1, _raise(ValueError("sample one")), ValueError, "^sample one$"),
-        (1, _raise(_Unpicklable("a", "b")), TrainingError, "(?s)a training worker failed:.*_Unpicklable: a-b"),
-        (1, _die, TrainingError, "training worker 1 exited without answering"),
-        (0, _raise(ValueError("sample zero")), ValueError, "^sample zero$"),
+        (1, raising(ValueError("sample one")), ValueError, "^sample one$"),
+        (1, raising(_Unpicklable("a", "b")), TrainingError, "(?s)a training worker failed:.*_Unpicklable: a-b"),
+        (1, die, TrainingError, "training worker 1 exited without answering"),
+        (0, raising(ValueError("sample zero")), ValueError, "^sample zero$"),
     ], ids=["worker", "unpicklable", "worker-died", "parent"])
     def test_failure_reaches_the_caller_and_joins_the_workers(self, monkeypatch, at, fail, error, match):
         images, cfg, _, _ = _toy_setup()
-        monkeypatch.setattr(recovery, "_share_count", lambda batch: 2)
+        monkeypatch.setattr(parallel, "share_count", lambda n: 2)
         source = _FailingSource(cfg, at, fail)
         with pytest.raises(error, match=match):
             train(TinyRegressor(t_f=8, seed=0), images, source, TrainConfig(learning_rate=0.01, epochs=1, batch=4))
@@ -648,7 +625,7 @@ class TestTrainShares:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_joins_the_workers(self, monkeypatch):
         images, cfg, _, _ = _toy_setup()
-        monkeypatch.setattr(recovery, "_share_count", lambda batch: 2)
+        monkeypatch.setattr(parallel, "share_count", lambda n: 2)
         model = TinyRegressor(t_f=8, seed=8)
         model.set_flat_params(np.full(model.flat_params().size, 1e200))
         with pytest.raises(TrainingError, match="learning rate"):
@@ -656,12 +633,12 @@ class TestTrainShares:
         assert multiprocessing.active_children() == []
 
     def test_blas_runs_one_thread_while_workers_live_and_is_restored(self, monkeypatch):
-        get, put = recovery._blas_thread_calls()
+        get, put = parallel.blas_thread_calls()
         before = get()
         seen = []
         images, cfg, _, _ = _toy_setup()
         source = _FailingSource(cfg, 0, lambda: seen.append(get()))  # sample 0 of each batch runs here
-        monkeypatch.setattr(recovery, "_share_count", lambda batch: 2)
+        monkeypatch.setattr(parallel, "share_count", lambda n: 2)
         try:
             put(2)
             train(TinyRegressor(t_f=8, seed=0), images, source, TrainConfig(learning_rate=0.01, epochs=2, batch=2))
@@ -669,16 +646,6 @@ class TestTrainShares:
         finally:
             put(before)
         assert seen == [1] * 4
-
-    def test_share_count(self, monkeypatch):
-        cpus = len(os.sched_getaffinity(0))
-        assert recovery._share_count(1) == 1
-        assert recovery._share_count(64) == min(cpus, 64)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert recovery._share_count(64) == 1
-        monkeypatch.undo()
-        monkeypatch.setattr(recovery, "_blas_thread_calls", lambda: None)
-        assert recovery._share_count(64) == 1
 
 
 class TestDraw:
@@ -728,8 +695,9 @@ class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         model = TinyRegressor(t_f=24, seed=12)
         model.params["conv1_b"][:] = np.arange(16) * 0.25
-        save_checkpoint(tmp_path / "m.ckpt", model, epochs=7)
+        save_checkpoint(tmp_path / "m.ckpt", model, ddpm_schedule(24), epochs=7)
         loaded, header = load_checkpoint(tmp_path / "m.ckpt")
+        assert header["source"] == "ddpm"
         assert np.array_equal(loaded.flat_params(), model.flat_params())
         assert loaded.t_f == 24
         assert header["epochs"] == 7
@@ -742,7 +710,7 @@ class TestCheckpoint:
             "param_order": lambda arch: arch["param_order"].insert(1, arch["param_order"].pop(4)),
             "hidden": lambda arch: arch.update(hidden=8),
         }[key]
-        save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12))
+        save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12), ProcessConfig(r_prime=2.0, t_f=24))
         edit_checkpoint_architecture(tmp_path / "m.ckpt", edit)
         with pytest.raises(ConfigError, match=f"architecture {key}="):
             load_checkpoint(tmp_path / "m.ckpt")
@@ -763,7 +731,7 @@ class TestCheckpoint:
     ], ids=["text", "cut_length", "cut_header", "short", "ragged", "long",
             "header_list", "architecture_number", "no_T_f", "no_seed", "T_f_string", "seed_float"])
     def test_bad_file_is_a_config_error(self, tmp_path, edit, match):
-        save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12))
+        save_checkpoint(tmp_path / "m.ckpt", TinyRegressor(t_f=24, seed=12), ProcessConfig(r_prime=2.0, t_f=24))
         (tmp_path / "m.ckpt").write_bytes(edit((tmp_path / "m.ckpt").read_bytes()))
         with pytest.raises(ConfigError, match=match):
             load_checkpoint(tmp_path / "m.ckpt")

@@ -128,7 +128,7 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
 
     k = parallel.share_count(mc_samples)
     with parallel.Workers(k, removed_sums, "Monte-Carlo") as workers:
-        for i, removed in enumerate(workers.ordered(mc_samples, removed_sums(0, k))):
+        for i, removed in enumerate(workers.ordered(mc_samples)):
             e0 = totals[i % len(images)]
             deficit = np.cumsum(removed)
             sum_et[0] += e0

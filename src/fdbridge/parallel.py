@@ -1,14 +1,16 @@
 """Independent items of one job run on every usable CPU, in forked workers, and come back in order.
 
 A job's n items are dealt round-robin into k shares: item i goes to
-share i mod k.  The calling process runs share 0; shares 1..k-1 run in
-workers forked once per ``Workers`` context, which inherit the caller's
-state (a model, images, grids, a corruption source) without pickling.
+share i mod k.  Every share runs one function, ``run(share, k, *args)``:
+the calling process runs share 0, and shares 1..k-1 run in workers
+forked once per ``Workers`` context, which inherit the caller's state (a
+model, images, grids, a corruption source) without pickling.
 ``Workers.ordered`` hands every worker the job and yields the n items in
 order 0..n-1, each as it arrives, so a caller that folds them in that
 order gets the same bytes for every k and holds only the items a worker
-has run ahead by.  ``recovery.train`` runs each batch's samples this way
-and ``correction.estimate_weights`` its Monte-Carlo draws.
+has run ahead by.  ``correction.estimate_weights`` runs its Monte-Carlo
+draws this way, one item per draw, and ``recovery.train`` each batch,
+one item per share.
 
 ``share_count`` picks k: the usable CPUs, at most the item count, and 1
 (no worker) where workers cannot start safely and fast.  OpenBLAS is
@@ -112,15 +114,16 @@ def _serve(conn, inherited, share: int, k: int, run, job: str, error: type) -> N
 class Workers:
     """Forked processes that run shares 1..k-1 of each job while the caller runs share 0.
 
-    ``run(share, k, *args)`` yields a share's items, in item order, in a
-    worker.  ``job`` names the work in errors, and ``error`` is the type
-    raised for a worker that dies or fails with an exception that cannot
-    be pickled.  OpenBLAS is pinned to one thread before the first fork,
-    so each worker starts with one thread and no pool to rebuild, and its
-    count is restored once the workers are gone.  Leaving the context
-    joins the workers: after an exception each is terminated first,
-    otherwise closing the pipes stops it.  With k = 1 there is no worker
-    and BLAS is left alone.
+    ``run(share, k, *args)`` yields a share's items, in item order, in
+    this process for share 0 and in a worker for the others.  ``job``
+    names the work in errors, and ``error`` is the type raised for a
+    worker that dies or fails with an exception that cannot be pickled.
+    OpenBLAS is pinned to one thread before the first fork, so each
+    worker starts with one thread and no pool to rebuild, and its count
+    is restored once the workers are gone.  Leaving the context joins the
+    workers: after an exception each is terminated first, otherwise
+    closing the pipes stops it.  With k = 1 there is no worker and BLAS
+    is left alone.
     """
 
     def __init__(self, k: int, run, job: str, error: type = WorkerError):
@@ -160,21 +163,21 @@ class Workers:
         if self.k > 1:
             blas_thread_calls()[1](self.threads)
 
-    def ordered(self, n: int, own, *args):
-        """The job's items 0..n-1, in order: item i is share i mod k's next, share 0's from ``own``.
+    def ordered(self, n: int, *args):
+        """The job's items 0..n-1, in order: item i is share i mod k's next.
 
-        ``own`` iterates this process's share, and each worker runs
-        ``run(share, k, *args)``.  Each item is yielded as it arrives;
-        after the last, each worker's end of share is read, so an
-        exception a share raised is raised here.  Read every item before
-        the next job.
+        Each worker is sent ``args`` and runs ``run(share, k, *args)``,
+        and this process runs share 0 as its items are needed.  Each item
+        is yielded as it arrives; after the last, each worker's end of
+        share is read, so an exception a share raised is raised here.
+        Read every item before the next job.
         """
         for share, conn in enumerate(self.conns, 1):
             try:
                 conn.send(args)
             except BrokenPipeError:
                 raise self.error(f"{self.job} worker {share} exited") from None
-        own = iter(own)
+        own = iter(self.run(0, self.k, *args))
         for i in range(n):
             share = i % self.k
             yield next(own) if share == 0 else self._receive(share)

@@ -540,23 +540,21 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     trace: list[float] = []
     k = parallel.share_count(cfg.batch)
 
-    def share_of(share, k, epoch, step_idx, indices):
-        """Share ``share`` of a batch as one item, its samples' list: the gradients are summed once the batch is in."""
+    def batch_share(share, k, flat, epoch, step_idx, indices):
+        """Share ``share`` of a batch on the parameters ``flat``, as one item: its samples' list.
+
+        One item, since the gradients are summed only once the batch is in.
+        """
+        model.set_flat_params(flat)
         yield _run_share(model, [images[i] for i in indices], grids, process, cfg, epoch, step_idx, share, k)
 
-    def worker_share(share, k, flat, *batch):
-        """A worker's ``share_of``, on the parameters ``flat`` this process trains."""
-        model.set_flat_params(flat)
-        return share_of(share, k, *batch)
-
-    with parallel.Workers(k, worker_share, "training", TrainingError) as workers:
+    with parallel.Workers(k, batch_share, "training", TrainingError) as workers:
         for epoch in range(cfg.epochs):
             order = substream(cfg.seed, "shuffle", epoch).permutation(len(images))
             epoch_losses: list[float] = []
             for step_idx, start in enumerate(range(0, len(images), cfg.batch)):
                 indices = order[start : start + cfg.batch]
-                own = share_of(0, k, epoch, step_idx, indices)
-                shares = list(workers.ordered(k, own, model.flat_params(), epoch, step_idx, indices))
+                shares = list(workers.ordered(k, model.flat_params(), epoch, step_idx, indices))
                 grads = {n: np.zeros_like(p) for n, p in model.params.items()}
                 loss = 0.0
                 for i in range(len(indices)):

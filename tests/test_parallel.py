@@ -45,14 +45,14 @@ class TestWorkers:
     def test_items_come_back_in_order_from_their_shares(self, k, n):
         with parallel.Workers(k, _tagged, "test") as workers:
             for job in range(2):  # the workers serve one job after another
-                items = list(workers.ordered(n, _tagged(0, k, n, 0.0), n, 0.001))
+                items = list(workers.ordered(n, n, 0.001))
                 assert items == [(i % k, i) for i in range(n)], job
         assert multiprocessing.active_children() == []
 
     def test_a_share_that_fails_after_its_last_item_fails_the_job(self):
         with pytest.raises(ValueError, match="^after the last item$"):
             with parallel.Workers(2, _failing_after, "test") as workers:
-                list(workers.ordered(3, _tagged(0, 2, 3, 0.0), 3))
+                list(workers.ordered(3, 3))
         assert multiprocessing.active_children() == []
 
     def test_a_worker_gone_between_jobs_is_the_error(self):
@@ -60,7 +60,7 @@ class TestWorkers:
             with parallel.Workers(2, _tagged, "test") as workers:
                 workers.procs[0].terminate()
                 workers.procs[0].join()
-                list(workers.ordered(2, _tagged(0, 2, 2, 0.0), 2, 0.0))
+                list(workers.ordered(2, 2, 0.0))
         assert multiprocessing.active_children() == []
 
 

@@ -288,18 +288,16 @@ def cmd_train(cfg, args, out: Path) -> None:
 
 
 def _load_operator(args, reference, source):
-    """The recovery operator: --checkpoint, which must be trained on ``source``'s kind and horizon, else --recovery."""
+    """The recovery operator: --checkpoint, which must be trained on ``source``'s kind, else --recovery.
+
+    The sampler checks the checkpoint's horizon before anything is written.
+    """
     if args.checkpoint:
         model, header = _read_input(load_checkpoint, args.checkpoint)
         if header.get("source") != source.kind:
             raise ConfigError(
                 f"checkpoint {args.checkpoint} was trained on source={header.get('source')!r}, "
                 f"but this run samples the {source.kind!r} source"
-            )
-        if model.t_f != source.t_f:
-            raise ConfigError(
-                f"checkpoint {args.checkpoint} was trained with T_f={model.t_f}, "
-                f"but this run queries it on {source.t_f} steps"
             )
         return model
     if args.recovery == "oracle":

@@ -9,11 +9,11 @@ difference form, a ratio of sums of non-negative terms; the
 energy-balance form subtracts nearly equal energies and serves only as a
 cross-check.  A draw's removed energies for every t are one O(N) pass,
 its trajectory's ``removed_sums``.  The draws are independent, so they
-run as ``parallel`` shares on every usable CPU (draw i in share i mod
-k), and each draw's removed energies are added into the running sums in
-draw order as they arrive: the schedule is the same bytes for every k,
-and no more than a few draws are held at once.  A linear ablation
-schedule is also provided.
+run as ``parallel.Workers`` items on every usable CPU, and each draw's
+removed energies are added into the running sums in draw order as they
+arrive: the schedule is the same bytes for every process count, and no
+more than a few draws are held at once.  A linear ablation schedule is
+also provided.
 """
 
 from __future__ import annotations
@@ -87,22 +87,20 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
 
     Draw i pairs image ``i mod len(images)`` with a fresh trajectory, whose
     ``removed_sums`` of the spectral energy are ||X_{t-1} - X_t||^2.  The
-    draws are dealt round-robin into k shares (draw i to share i mod k),
-    k being the usable CPUs, at most ``mc_samples``
-    (``parallel.share_count``).  This process runs share 0 and forked
-    ``parallel.Workers`` run the others, each sending back its draws'
-    removed sums one by one; they are added into the running sums here in
-    draw order 0..n-1 as they arrive, so the weights and energy fractions
-    are the same bytes for every k, and the n draws are never held at
-    once.  A worker's exception is raised here; one that cannot be
-    pickled, or a worker that dies, is a WorkerError.  w_t
-    is the removed-energy ratio E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2,
-    which lies in [0, 1] by construction.  The energy-balance ratio is
-    accumulated through an independent arithmetic path and must agree to
-    the relative tolerance 1e-8 + 4 n eps E||X_0||^2 / E||X_{t-1} - X_t||^2
-    over n draws: each of its running means of ||X_t||^2 carries up to
-    about (n+1)/2 eps E||X_0||^2 of summation rounding, which the
-    subtraction turns into that relative error.
+    draws are ``parallel.Workers`` items: this process and forked workers
+    compute them, and each draw's removed sums are added into the running
+    sums here in draw order 0..n-1 as they arrive, so the weights and
+    energy fractions are the same bytes for every process count, and the
+    n draws are never held at once.  A draw's exception is raised here; a
+    worker that dies, or an exception that cannot be pickled, is a
+    WorkerError.  w_t is the removed-energy ratio
+    E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2, which lies in [0, 1] by
+    construction.  The energy-balance ratio is accumulated through an
+    independent arithmetic path and must agree to the relative tolerance
+    1e-8 + 4 n eps E||X_0||^2 / E||X_{t-1} - X_t||^2 over n draws: each
+    of its running means of ||X_t||^2 carries up to about (n+1)/2 eps
+    E||X_0||^2 of summation rounding, which the subtraction turns into
+    that relative error.
     """
     images = [as_image(x) for x in images]
     if not images:
@@ -116,19 +114,17 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     energies = [np.abs(dft2(x).ravel()) ** 2 for x in images]
     totals = [float(energy.sum()) for energy in energies]  # ||X_0||^2 of each image
 
-    def removed_sums(share, k):
-        """Each of draws share, share + k, ...: its ||X_{t-1} - X_t||^2 for t = 1..T_f, in draw order."""
-        for i in range(share, mc_samples, k):
-            traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
-            yield sample_trajectory(grid, traj_cfg, t_total=t_f).removed_sums(energies[i % len(images)])
+    def removed_sums(i):
+        """Draw i's ||X_{t-1} - X_t||^2 for t = 1..T_f."""
+        traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
+        return sample_trajectory(grid, traj_cfg, t_total=t_f).removed_sums(energies[i % len(images)])
 
     sum_et = np.zeros(t_f + 1)            # running sums of ||X_t||^2, t = 0..t_f
     sum_removed = np.zeros(t_f)           # running sums of ||X_{t-1} - X_t||^2
     sum_deficit = np.zeros(t_f)           # running sums of ||X_0 - X_t||^2
 
-    k = parallel.share_count(mc_samples)
-    with parallel.Workers(k, removed_sums, "Monte-Carlo") as workers:
-        for i, removed in enumerate(workers.ordered(mc_samples)):
+    with parallel.Workers(mc_samples, removed_sums, "Monte-Carlo") as workers:
+        for i, removed in enumerate(workers.map(mc_samples)):
             e0 = totals[i % len(images)]
             deficit = np.cumsum(removed)
             sum_et[0] += e0
@@ -224,7 +220,9 @@ def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
 
     The CSV must hold ``process``'s T_f rows, and the metadata, if any,
     state its R_prime and T_f; a mismatch raises a ConfigError naming the
-    values.  Without metadata the schedule is a given one (provenance "constant").
+    values.  Metadata whose ``mc_samples`` is not an integer >= 0 raises
+    ValueError.  Without metadata the schedule is a given one (provenance
+    "constant").
     """
     header, rows = read_csv(csv_path)
     if header[:2] != ["t", "w"]:
@@ -251,6 +249,7 @@ def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
             f"{meta_path} describes R_prime={estimated_for[0]}, T_f={estimated_for[1]}, "
             f"but the process has R_prime={process.r_prime}, T_f={process.t_f}"
         )
-    return CorrectionSchedule(
-        weights=weights, provenance=meta.get("provenance", "constant"), mc_samples=int(meta.get("mc_samples", 0))
-    )
+    mc_samples = meta.get("mc_samples", 0)
+    if type(mc_samples) is not int or mc_samples < 0:  # bool is an int subclass, and no count
+        raise ValueError(f"{meta_path}: mc_samples={mc_samples!r}, expected an integer >= 0")
+    return CorrectionSchedule(weights=weights, provenance=meta.get("provenance", "constant"), mc_samples=mc_samples)

@@ -73,7 +73,7 @@ def write_kmsk(path, keep: np.ndarray) -> None:
 
 def read_kmsk(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if raw[:6] != KMSK_MAGIC:
+    if raw[:6] != KMSK_MAGIC or len(raw) < 14:
         raise ValueError(f"{path}: not a KMSK1 file")
     h, w = struct.unpack("<II", raw[6:14])
     expected = 14 + h * w

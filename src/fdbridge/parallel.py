@@ -1,16 +1,17 @@
 """Independent items of one job run on every usable CPU, in forked workers, and come back in order.
 
-A job's n items are dealt round-robin into k shares: item i goes to
-share i mod k.  Every share runs one function, ``run(share, k, *args)``:
-the calling process runs share 0, and shares 1..k-1 run in workers
-forked once per ``Workers`` context, which inherit the caller's state (a
-model, images, grids, a corruption source) without pickling.
-``Workers.ordered`` hands every worker the job and yields the n items in
-order 0..n-1, each as it arrives, so a caller that folds them in that
-order gets the same bytes for every k and holds only the items a worker
-has run ahead by.  ``correction.estimate_weights`` runs its Monte-Carlo
-draws this way, one item per draw, and ``recovery.train`` each batch,
-one item per share.
+``Workers(n_max, item, job)`` runs a job's items ``item(i, *args)`` for
+i = 0..n-1 on k processes, k = ``share_count(n_max)``.  Item i runs in
+share i mod k: the calling process runs share 0, and shares 1..k-1 run
+in workers forked once per ``Workers`` context, which inherit the
+caller's state (a model, images, grids, a corruption source) without
+pickling.  ``Workers.map`` hands every worker the job's arguments and
+yields the n items in order 0..n-1, each as it arrives, so a caller that
+folds them in that order gets the same bytes for every k and holds only
+the items run ahead of the fold: one of its own, and those a worker has
+sent early.  ``correction.estimate_weights``
+runs its Monte-Carlo draws this way, one item per draw, and
+``recovery.train`` each batch, one item per sample.
 
 ``share_count`` picks k: the usable CPUs, at most the item count, and 1
 (no worker) where workers cannot start safely and fast.  OpenBLAS is
@@ -76,58 +77,57 @@ def share_count(n: int) -> int:
     return min(len(os.sched_getaffinity(0)), n)
 
 
-def _portable(exc: Exception, text: str, job: str, error: type) -> Exception:
-    """``exc`` if it survives a pickle round trip, else an ``error`` carrying the worker's traceback ``text``."""
+def _portable(exc: Exception, text: str, job: str) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a WorkerError carrying the worker's traceback ``text``."""
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:  # pickling and unpickling raise whatever the exception's own methods raise
-        return error(f"a {job} worker failed:\n{text}")
+        return WorkerError(f"a {job} worker failed:\n{text}")
     return exc
 
 
-def _serve(conn, inherited, share: int, k: int, run, job: str, error: type) -> None:
-    """A worker's loop: run share ``share`` of each job it is sent, until the parent closes its end.
+def _serve(conn, inherited, share: int, k: int, item, job: str) -> None:
+    """A worker's loop: items share, share + k, ... of each job it is sent, until the parent closes its end.
 
-    Each item of ``run(share, k, *args)`` goes back as ("ok", item), then
-    ("done", None) ends the share; the first exception, raised by the
-    share or by pickling an item, ends it instead as ("error", the
-    exception made ``_portable``).  ``inherited`` holds the parent's ends
-    of this and earlier workers' pipes, which the fork copied; closing
-    them lets each pipe's EOF reach its worker.
+    A job arrives as (n, args).  Each item goes back as ("ok", item(i,
+    *args)); the first that raises, or whose pickling raises, goes back
+    as ("error", the exception made ``_portable``) and ends the share.
+    ``inherited`` holds the parent's ends of this and earlier workers'
+    pipes, which the fork copied; closing them lets each pipe's EOF reach
+    its worker.
     """
     for c in inherited:
         c.close()
     while True:
         try:
-            args = conn.recv()
-        except EOFError:  # the job is over
+            n, args = conn.recv()
+        except EOFError:  # the context is over
             return
-        try:
-            for item in run(share, k, *args):
-                conn.send(("ok", item))
-            reply = ("done", None)
-        except Exception as exc:  # the parent raises it as its own
-            reply = ("error", _portable(exc, traceback.format_exc(), job, error))
-        conn.send(reply)
+        for i in range(share, n, k):
+            try:
+                conn.send(("ok", item(i, *args)))
+            except Exception as exc:  # the parent raises it as its own
+                conn.send(("error", _portable(exc, traceback.format_exc(), job)))
+                break
 
 
 class Workers:
     """Forked processes that run shares 1..k-1 of each job while the caller runs share 0.
 
-    ``run(share, k, *args)`` yields a share's items, in item order, in
-    this process for share 0 and in a worker for the others.  ``job``
-    names the work in errors, and ``error`` is the type raised for a
-    worker that dies or fails with an exception that cannot be pickled.
-    OpenBLAS is pinned to one thread before the first fork, so each
-    worker starts with one thread and no pool to rebuild, and its count
-    is restored once the workers are gone.  Leaving the context joins the
-    workers: after an exception each is terminated first, otherwise
-    closing the pipes stops it.  With k = 1 there is no worker and BLAS
-    is left alone.
+    ``item(i, *args)`` computes item i of a job, in this process for
+    share 0 and in a worker for the others; k is ``share_count(n_max)``,
+    with ``n_max`` the most items a job holds.  ``job`` names the work in
+    errors: a worker that dies, or fails with an exception that cannot be
+    pickled, is a WorkerError.  OpenBLAS is pinned to one thread before
+    the first fork, so each worker starts with one thread and no pool to
+    rebuild, and its count is restored once the workers are gone.
+    Leaving the context joins the workers: after an exception each is
+    terminated first, otherwise closing the pipes stops it.  With k = 1
+    there is no worker and BLAS is left alone.
     """
 
-    def __init__(self, k: int, run, job: str, error: type = WorkerError):
-        self.k, self.run, self.job, self.error = k, run, job, error
+    def __init__(self, n_max: int, item, job: str):
+        self.k, self.item, self.job = share_count(n_max), item, job
         self.conns: list = []
         self.procs: list = []
 
@@ -141,7 +141,7 @@ class Workers:
             ctx = multiprocessing.get_context("fork")
             for share in range(1, self.k):
                 ours, theirs = ctx.Pipe()
-                args = (theirs, [ours, *self.conns], share, self.k, self.run, self.job, self.error)
+                args = (theirs, [ours, *self.conns], share, self.k, self.item, self.job)
                 proc = ctx.Process(target=_serve, args=args, daemon=True)
                 self.conns.append(ours)
                 proc.start()
@@ -163,33 +163,35 @@ class Workers:
         if self.k > 1:
             blas_thread_calls()[1](self.threads)
 
-    def ordered(self, n: int, *args):
-        """The job's items 0..n-1, in order: item i is share i mod k's next.
+    def map(self, n: int, *args):
+        """``item(i, *args)`` for i = 0..n-1, in order, each as it arrives.
 
-        Each worker is sent ``args`` and runs ``run(share, k, *args)``,
-        and this process runs share 0 as its items are needed.  Each item
-        is yielded as it arrives; after the last, each worker's end of
-        share is read, so an exception a share raised is raised here.
-        Read every item before the next job.
+        Every worker is sent (n, args).  This process computes items 0, k,
+        2k, ... one round ahead: item i + k before it reads the workers'
+        items i + 1..i + k - 1, so it holds one item of its own and sleeps
+        only on a worker slower than itself.  The first exception met, in
+        a worker or here, is raised here; it ends the job, so leave the
+        context.  Read every item before the next job.
         """
         for share, conn in enumerate(self.conns, 1):
             try:
-                conn.send(args)
+                conn.send((n, args))
             except BrokenPipeError:
-                raise self.error(f"{self.job} worker {share} exited") from None
-        own = iter(self.run(0, self.k, *args))
-        for i in range(n):
-            share = i % self.k
-            yield next(own) if share == 0 else self._receive(share)
-        for share in range(1, self.k):
-            self._receive(share)
+                raise WorkerError(f"{self.job} worker {share} exited") from None
+        own = self.item(0, *args) if n else None
+        for start in range(0, n, self.k):
+            yield own
+            if start + self.k < n:
+                own = self.item(start + self.k, *args)
+            for i in range(start + 1, min(start + self.k, n)):
+                yield self._receive(i - start)
 
     def _receive(self, share: int):
-        """Worker ``share``'s next reply: an item, or None at the end of its share; its exception is raised here."""
+        """Worker ``share``'s next item; its exception is raised here."""
         try:
             kind, value = self.conns[share - 1].recv()
         except EOFError:
-            raise self.error(f"{self.job} worker {share} exited without answering") from None
+            raise WorkerError(f"{self.job} worker {share} exited without answering") from None
         if kind == "error":
             raise value
         return value

@@ -29,12 +29,13 @@ reads each layer's stacked input as ``forward`` left it and overwrites
 them with the gradients, so a cache serves one ``backward``, and only
 until the model's next pass (``ForwardCache``).
 
-``train`` splits each batch between this process and workers forked once
-per call, one per further usable CPU: sample i runs in share i mod k.
-The workers, their OpenBLAS pinning and the cases that run in one process
-are ``parallel``'s, which ``correction.estimate_weights`` shares.  The
-parent adds the samples' losses and gradients in sample order, as one
-process would, so the trained bytes do not depend on k.
+``train`` runs each batch's samples as ``parallel.Workers`` items, in
+this process and in workers forked once per call, one per further usable
+CPU; the workers, their OpenBLAS pinning and the cases that run in one
+process are ``parallel``'s, which ``correction.estimate_weights``
+shares.  The parent adds the samples' losses and gradients in sample
+order, as one process would, so the trained bytes do not depend on the
+process count.
 """
 
 from __future__ import annotations
@@ -480,28 +481,6 @@ class _Adam:
             params[n] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _run_share(model: TinyRegressor, batch, grids, process, cfg: TrainConfig, epoch: int, step_idx: int,
-               share: int, k: int) -> list:
-    """(energy, gradients) of samples share, share + k, ... of one batch, in that order.
-
-    Sample i draws t in 1..T_f from ``(cfg.seed, "step-draw", epoch,
-    step_idx, i)`` and x_t from ``process.draw``; its gradients are those
-    of its energy over the batch size, and its ``backward`` reads its
-    ``forward``'s buffers in place.
-    """
-    out = []
-    for i in range(share, len(batch), k):
-        x0 = batch[i]
-        t = int(substream(cfg.seed, "step-draw", epoch, step_idx, i).integers(1, process.t_f + 1))
-        x_t, traj = process.draw(x0, grids[x0.shape], t, cfg.seed, epoch, step_idx, i)
-        estimate, cache = model.forward(x_t, t)
-        residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
-        residual.real *= 2.0 / len(batch)  # dL/d(estimate), each part scaled as a real plane
-        residual.imag *= 2.0 / len(batch)
-        out.append((energy, model.backward(cache, residual)))
-    return out
-
-
 def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     """Minibatch adaptive-moment training of the recovery loss.
 
@@ -512,20 +491,17 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     sample's ``backward`` reads its ``forward``'s buffers in place, and
     the model leaves with no workspace.
 
-    Each batch's samples are dealt round-robin into k shares (sample i to
-    share i mod k), k being the usable CPUs, at most ``cfg.batch``
-    (``parallel.share_count``).  This process runs share 0; shares
-    1..k-1 run in ``parallel.Workers`` forked once per call, which
-    inherit the model, the images, the grids and the source, are sent the
-    parameters with each batch and send back each share's samples as one
-    list.  OpenBLAS runs one thread in every process while they live.
-    The losses and gradients are summed here in
-    sample order 0..n-1, as one process would sum them, so parameters,
-    loss trace and checkpoint are the same bytes for every k.  k is 1, and
-    no worker starts, on one usable CPU, at batch 1, without fork, while
-    another thread runs or where OpenBLAS's thread count cannot be set.
-    A worker's exception is raised here; one that cannot be pickled, or a
-    worker that dies, is a TrainingError.  Every exit joins the workers.
+    Each batch's samples are ``parallel.Workers`` items, computed in this
+    process and in workers forked once per call, which inherit the model,
+    the images, the grids and the source.  Sample i of a batch draws t in
+    1..T_f from ``(cfg.seed, "step-draw", epoch, step_idx, i)``, sets the
+    parameters it is sent and returns its energy and the gradients of that
+    energy over the batch size.  The losses and gradients are summed here
+    in sample order, as one process would sum them, so parameters, loss
+    trace and checkpoint are the same bytes for every process count.  A
+    sample's exception is raised here; a worker that dies, or an
+    exception that cannot be pickled, is a WorkerError.  Every exit joins
+    the workers.
     """
     images = [as_image(x) for x in images]
     if len(images) < 2:
@@ -538,27 +514,28 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     grids = {x.shape: KSpaceGrid(*x.shape) for x in images}  # one per shape, so the radius order is sorted once
     opt = _Adam(model.params, cfg.learning_rate)
     trace: list[float] = []
-    k = parallel.share_count(cfg.batch)
 
-    def batch_share(share, k, flat, epoch, step_idx, indices):
-        """Share ``share`` of a batch on the parameters ``flat``, as one item: its samples' list.
-
-        One item, since the gradients are summed only once the batch is in.
-        """
+    def sample(i, flat, epoch, step_idx, indices):
+        """(energy, gradients) of sample i of a batch on the parameters ``flat``."""
         model.set_flat_params(flat)
-        yield _run_share(model, [images[i] for i in indices], grids, process, cfg, epoch, step_idx, share, k)
+        x0 = images[indices[i]]
+        t = int(substream(cfg.seed, "step-draw", epoch, step_idx, i).integers(1, process.t_f + 1))
+        x_t, traj = process.draw(x0, grids[x0.shape], t, cfg.seed, epoch, step_idx, i)
+        estimate, cache = model.forward(x_t, t)
+        residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
+        residual.real *= 2.0 / len(indices)  # dL/d(estimate), each part scaled as a real plane
+        residual.imag *= 2.0 / len(indices)
+        return energy, model.backward(cache, residual)
 
-    with parallel.Workers(k, batch_share, "training", TrainingError) as workers:
+    with parallel.Workers(cfg.batch, sample, "training") as workers:
         for epoch in range(cfg.epochs):
             order = substream(cfg.seed, "shuffle", epoch).permutation(len(images))
             epoch_losses: list[float] = []
             for step_idx, start in enumerate(range(0, len(images), cfg.batch)):
                 indices = order[start : start + cfg.batch]
-                shares = list(workers.ordered(k, model.flat_params(), epoch, step_idx, indices))
                 grads = {n: np.zeros_like(p) for n, p in model.params.items()}
                 loss = 0.0
-                for i in range(len(indices)):
-                    energy, sample_grads = shares[i % k][i // k]
+                for energy, sample_grads in workers.map(len(indices), model.flat_params(), epoch, step_idx, indices):
                     loss += energy
                     for n, g in sample_grads.items():
                         grads[n] += g

@@ -199,6 +199,9 @@ class TestExitCodes:
         "schedule_row_without_weight",
         "schedule_without_rows",
         "schedule_sidecar_list",
+        "schedule_sidecar_mc_samples_null",
+        "schedule_sidecar_mc_samples_fraction",
+        "schedule_sidecar_mc_samples_text",
         "image_not_cimg",
         "image_header_cut",
         "forward_image_not_cimg",
@@ -212,8 +215,14 @@ class TestExitCodes:
     def test_bad_input_file_is_one(self, tmp_path, config_path, capsys, case):
         """A missing or malformed input file is a config error that names the file and writes nothing."""
         save_schedule(tmp_path / "good", constant_schedule(8, 0.5), r_prime=2.0, seed=0)  # the config's process
-        schedule = tmp_path / "schedule.csv"
-        (tmp_path / "schedule.json").write_text(json.dumps({"R_prime": 2.0, "T_f": 8}))
+        schedule, sidecar = tmp_path / "schedule.csv", tmp_path / "schedule.json"
+        mc_samples = {  # sidecars whose draw count is no integer
+            "schedule_sidecar_mc_samples_null": None,
+            "schedule_sidecar_mc_samples_fraction": 1.5,
+            "schedule_sidecar_mc_samples_text": "7",
+        }
+        meta = {"R_prime": 2.0, "T_f": 8}
+        sidecar.write_text(json.dumps({**meta, "mc_samples": mc_samples[case]} if case in mc_samples else meta))
         rows = "".join(f"{t},0.5\n" for t in range(2, 9))
         schedule.write_text({
             "schedule_header": "step,weight\n1,1.0\n" + rows,
@@ -224,7 +233,7 @@ class TestExitCodes:
             "schedule_without_rows": "t,w\n",
         }.get(case, "t,w\n1,1.0\n" + rows))
         if case == "schedule_sidecar_list":
-            (tmp_path / "schedule.json").write_text("[2.0, 8]")
+            sidecar.write_text("[2.0, 8]")
         text = tmp_path / "text.cimg"
         text.write_text("not an image\n")
         cut = tmp_path / "cut.cimg"
@@ -238,7 +247,6 @@ class TestExitCodes:
         missing = tmp_path / "missing"
         bad_file, argv = {
             "schedule_missing": (missing, ["reconstruct", "--schedule", str(missing)]),
-            "schedule_sidecar_list": (tmp_path / "schedule.json", ["reconstruct", "--schedule", str(schedule)]),
             "image_not_cimg": (text, ["reconstruct", *good, "--image", str(text)]),
             "image_header_cut": (cut, ["reconstruct", *good, "--image", str(cut)]),
             "forward_image_not_cimg": (text, ["forward", "--image", str(text)]),
@@ -248,7 +256,7 @@ class TestExitCodes:
             "metrics_ref_not_cimg": (text, ["metrics", "--ref", str(text), "--test", str(image)]),
             "metrics_test_not_cimg": (text, ["metrics", "--ref", str(image), "--test", str(text)]),
             "metrics_dataset_without_ids": (dataset, ["metrics", "--ref", str(dataset), "--test", str(dataset)]),
-        }.get(case, (schedule, ["reconstruct", "--schedule", str(schedule)]))
+        }.get(case, (sidecar if "sidecar" in case else schedule, ["reconstruct", "--schedule", str(schedule)]))
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
         assert not out.exists()

@@ -65,6 +65,13 @@ def test_kmsk_rejects_other_bytes(tmp_path):
         read_kmsk(path)
 
 
+def test_kmsk_cut_header(tmp_path):
+    path = tmp_path / "cut.kmsk"
+    path.write_bytes(KMSK_MAGIC + b"\x04\x00")  # the magic, then half the height
+    with pytest.raises(ValueError, match="not a KMSK1 file"):
+        read_kmsk(path)
+
+
 def test_csv_round_trip_floats(tmp_path):
     path = tmp_path / "t.csv"
     rows = [(1, 0.1 + 0.2), (2, float("inf"))]

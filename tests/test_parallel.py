@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -22,45 +23,90 @@ def test_share_count(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(parallel, "blas_thread_calls", lambda: None)
     assert parallel.share_count(64) == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parallel.share_count(64) == 1
+    monkeypatch.undo()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert parallel.share_count(64) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert parallel.share_count(64) == min(cpus, 64)
 
 
-def _tagged(share, k, n, pause):
-    """Items share, share + k, ... of n as (share, item); share 1 is slower, so the parent waits for it."""
-    for i in range(share, n, k):
-        if share == 1:
-            time.sleep(pause)
-        yield share, i
+def _tagged(i, pause):
+    """Item i as (the pid that computed it, i); a worker's items are slower, so the caller waits for them."""
+    if multiprocessing.parent_process() is not None:
+        time.sleep(pause)
+    return os.getpid(), i
 
 
-def _failing_after(share, k, n):
-    """``_tagged``'s items, then worker 1 raises once its share is sent."""
-    yield from _tagged(share, k, n, 0.0)
-    if share == 1:
-        raise ValueError("after the last item")
+def _raising_at(at):
+    """An item function that returns i, except that item ``at`` raises."""
+
+    def item(i):
+        if i == at:
+            raise ValueError(f"item {i}")
+        return i
+
+    return item
 
 
 @needs_workers
 class TestWorkers:
-    @pytest.mark.parametrize("k,n", [(2, 7), (3, 7), (3, 2), (3, 1), (2, 0)])
-    def test_items_come_back_in_order_from_their_shares(self, k, n):
-        with parallel.Workers(k, _tagged, "test") as workers:
+    @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3) for n in (0, 1, 2, 7)])
+    def test_items_come_back_in_order_from_their_shares(self, monkeypatch, k, n):
+        monkeypatch.setattr(parallel, "share_count", lambda n_max: k)
+        pids = {}
+        with parallel.Workers(7, _tagged, "test") as workers:
             for job in range(2):  # the workers serve one job after another
-                items = list(workers.ordered(n, n, 0.001))
-                assert items == [(i % k, i) for i in range(n)], job
+                items = list(workers.map(n, 0.001))
+                assert [i for _, i in items] == list(range(n)), job
+                for pid, i in items:
+                    assert pids.setdefault(i % k, pid) == pid, (job, i)
+        assert pids.get(0, os.getpid()) == os.getpid()
+        assert len(set(pids.values())) == len(pids)  # one process per share
         assert multiprocessing.active_children() == []
 
-    def test_a_share_that_fails_after_its_last_item_fails_the_job(self):
-        with pytest.raises(ValueError, match="^after the last item$"):
-            with parallel.Workers(2, _failing_after, "test") as workers:
-                list(workers.ordered(3, 3))
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("at", [0, 1, 5], ids=["here", "worker", "later"])  # item 5 is the last worker's
+    def test_an_item_that_raises_reaches_the_caller(self, monkeypatch, k, at):
+        monkeypatch.setattr(parallel, "share_count", lambda n_max: k)
+        with pytest.raises(ValueError, match=f"^item {at}$"):
+            with parallel.Workers(7, _raising_at(at), "test") as workers:
+                assert list(workers.map(7)) == list(range(7))
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_gone_between_jobs_is_the_error(self):
+    def test_this_process_computes_its_next_item_before_reading_the_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel, "share_count", lambda n_max: 2)
+        events = []
+
+        def item(i):
+            events.append(("computed", i))  # a worker's appends stay in its own copy of the list
+            return i
+
+        with parallel.Workers(5, item, "test") as workers:
+            for i in workers.map(5):
+                events.append(("read", i))
+        assert events == [
+            ("computed", 0), ("read", 0), ("computed", 2), ("read", 1),
+            ("read", 2), ("computed", 4), ("read", 3), ("read", 4),
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_gone_between_jobs_is_the_error(self, monkeypatch):
+        monkeypatch.setattr(parallel, "share_count", lambda n_max: 2)
         with pytest.raises(WorkerError, match="^test worker 1 exited$"):
             with parallel.Workers(2, _tagged, "test") as workers:
+                assert len(list(workers.map(2, 0.0))) == 2
                 workers.procs[0].terminate()
-                workers.procs[0].join()
-                list(workers.ordered(2, 2, 0.0))
+                workers.procs[0].join(timeout=10)
+                list(workers.map(2, 0.0))
         assert multiprocessing.active_children() == []
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from fdbridge import parallel
 from fdbridge.degradation import AveragingProcess, ProcessConfig, corrupt, sample_trajectory
-from fdbridge.errors import ConfigError, TrainingError
+from fdbridge.errors import ConfigError, TrainingError, WorkerError
 from fdbridge.fileio import read_csv
 from fdbridge.grid import as_image, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
@@ -610,8 +610,8 @@ class TestTrainShares:
 
     @pytest.mark.parametrize("at,fail,error,match", [
         (1, raising(ValueError("sample one")), ValueError, "^sample one$"),
-        (1, raising(_Unpicklable("a", "b")), TrainingError, "(?s)a training worker failed:.*_Unpicklable: a-b"),
-        (1, die, TrainingError, "training worker 1 exited without answering"),
+        (1, raising(_Unpicklable("a", "b")), WorkerError, "(?s)a training worker failed:.*_Unpicklable: a-b"),
+        (1, die, WorkerError, "training worker 1 exited without answering"),
         (0, raising(ValueError("sample zero")), ValueError, "^sample zero$"),
     ], ids=["worker", "unpicklable", "worker-died", "parent"])
     def test_failure_reaches_the_caller_and_joins_the_workers(self, monkeypatch, at, fail, error, match):

@@ -474,10 +474,13 @@ def _metric_pairs(ref_path: Path, test_path: Path) -> list[tuple[str, str, Path,
 
 
 def cmd_metrics(cfg, args, out: Path) -> None:
-    rows = []
+    pairs = []  # every pair is read and checked before any is scored
     for ref_id, test_id, ref_path, test_path in _metric_pairs(Path(args.ref), Path(args.test)):
         ref, test = _read_input(read_cimg, ref_path), _read_input(read_cimg, test_path)
-        rows.append((ref_id, test_id, *_score(ref, test)))
+        if ref.shape != test.shape:
+            raise ConfigError(f"{ref_path} has shape {ref.shape} but {test_path} has shape {test.shape}")
+        pairs.append((ref_id, test_id, ref, test))
+    rows = [(ref_id, test_id, *_score(ref, test)) for ref_id, test_id, ref, test in pairs]
     write_csv(out / "metrics.csv", ["ref", "test", "psnr_db", "ssim"], rows)
 
 

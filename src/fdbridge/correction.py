@@ -4,16 +4,14 @@ The learned schedule is the per-step minimizer of the spectral blending
 regression: w_t = (E||X_{t-1}||^2 - E||X_t||^2) / (E||X_0||^2 - E||X_t||^2),
 estimated by Monte-Carlo over (image, trajectory) draws.  Because removal
 sets are disjoint, the same ratio equals
-E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2.  The weights come from this
-difference form, a ratio of sums of non-negative terms; the
-energy-balance form subtracts nearly equal energies and serves only as a
-cross-check.  A draw's removed energies for every t are one O(N) pass,
-its trajectory's ``removed_sums``.  The draws are independent, so they
-run as ``parallel.Workers`` items on every usable CPU, and each draw's
-removed energies are added into the running sums in draw order as they
-arrive: the schedule is the same bytes for every process count, and no
-more than a few draws are held at once.  A linear ablation schedule is
-also provided.
+E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2, a ratio of sums of non-negative
+terms, and only this form is computed.  A draw's removed energies for
+every t are one O(N) pass, its trajectory's ``removed_sums``.  The draws
+are independent, so they run as ``parallel.Workers`` items on every
+usable CPU, and each draw's removed energies are added into the running
+sums in draw order as they arrive: the schedule is the same bytes for
+every process count, and no more than a few draws are held at once.  A
+linear ablation schedule is also provided.
 """
 
 from __future__ import annotations
@@ -95,12 +93,9 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     worker that dies, or an exception that cannot be pickled, is a
     WorkerError.  w_t is the removed-energy ratio
     E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2, which lies in [0, 1] by
-    construction.  The energy-balance ratio is accumulated through an
-    independent arithmetic path and must agree to the relative tolerance
-    1e-8 + 4 n eps E||X_0||^2 / E||X_{t-1} - X_t||^2 over n draws: each
-    of its running means of ||X_t||^2 carries up to about (n+1)/2 eps
-    E||X_0||^2 of summation rounding, which the subtraction turns into
-    that relative error.
+    construction.  A draw's ||X_0 - X_t||^2 is the cumulative sum of its
+    removed energies, which never decreases in t, so the schedule is
+    degenerate (ScheduleError) exactly when step 1 removes no energy.
     """
     images = [as_image(x) for x in images]
     if not images:
@@ -109,8 +104,9 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
         raise ConfigError(f"mc_samples must be >= 1, got {mc_samples}")
     t_f = process.t_f
     grid = KSpaceGrid(*images[0].shape)
-    if any(x.shape != grid.shape for x in images):
-        raise ValueError("all dataset images must share one shape")
+    for x in images:
+        if x.shape != grid.shape:
+            raise ConfigError(f"all dataset images must share one shape, got {grid.shape} and {x.shape}")
     energies = [np.abs(dft2(x).ravel()) ** 2 for x in images]
     totals = [float(energy.sum()) for energy in energies]  # ||X_0||^2 of each image
 
@@ -119,50 +115,27 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
         traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
         return sample_trajectory(grid, traj_cfg, t_total=t_f).removed_sums(energies[i % len(images)])
 
-    sum_et = np.zeros(t_f + 1)            # running sums of ||X_t||^2, t = 0..t_f
     sum_removed = np.zeros(t_f)           # running sums of ||X_{t-1} - X_t||^2
     sum_deficit = np.zeros(t_f)           # running sums of ||X_0 - X_t||^2
+    sum_e0 = 0.0                          # running sum of ||X_0||^2
 
     with parallel.Workers(mc_samples, removed_sums, "Monte-Carlo") as workers:
         for i, removed in enumerate(workers.map(mc_samples)):
-            e0 = totals[i % len(images)]
-            deficit = np.cumsum(removed)
-            sum_et[0] += e0
-            sum_et[1:] += e0 - deficit
             sum_removed += removed
-            sum_deficit += deficit
+            sum_deficit += np.cumsum(removed)
+            sum_e0 += totals[i % len(images)]
 
-    mean_et = sum_et / mc_samples
-    mean_e0 = mean_et[0]
-    num_balance = mean_et[:-1] - mean_et[1:]
-    den_balance = mean_e0 - mean_et[1:]
-    num_diff = sum_removed / mc_samples
-    den_diff = sum_deficit / mc_samples
-    rounding = 4 * mc_samples * np.finfo(np.float64).eps * mean_e0
-
-    weights = np.empty(t_f)
-    for t in range(1, t_f + 1):
-        if den_balance[t - 1] <= 0.0 or den_diff[t - 1] <= 0.0:
-            raise ScheduleError(
-                f"degenerate schedule at t={t}: no spectral energy removed yet "
-                "(denominator of the weight ratio is zero)"
-            )
-        weight = num_diff[t - 1] / den_diff[t - 1]
-        balance = num_balance[t - 1] / den_balance[t - 1]
-        # the relative tolerance times w_t, so that a step removing no energy needs no division
-        if abs(weight - balance) > 1e-8 * max(abs(weight), abs(balance)) + rounding / den_diff[t - 1]:
-            raise ScheduleError(
-                f"energy-balance and energy-difference ratios disagree at t={t}: "
-                f"{balance!r} vs {weight!r}"
-            )
-        weights[t - 1] = weight
-
-    gamma = mean_et / mean_et[0]
+    mean_deficit = sum_deficit / mc_samples
+    if not mean_deficit[0] > 0.0:
+        raise ScheduleError(
+            "degenerate schedule at t=1: no spectral energy removed yet "
+            "(denominator of the weight ratio is zero)"
+        )
     return CorrectionSchedule(
-        weights=weights,
+        weights=(sum_removed / mc_samples) / mean_deficit,
         provenance="monte_carlo",
         mc_samples=mc_samples,
-        energy_fraction=gamma,
+        energy_fraction=np.concatenate(([1.0], 1.0 - mean_deficit / (sum_e0 / mc_samples))),
     )
 
 

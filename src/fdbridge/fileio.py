@@ -2,7 +2,8 @@
 
 CIMG1 (complex image): 6-byte magic ``43 49 4D 47 31 00``, u32-LE height,
 u32-LE width, then H*W interleaved (real, imag) little-endian float64 in
-row-major order.
+row-major order.  Every value is finite: the writer and the reader refuse
+NaN and infinity.
 
 KMSK1 (frequency mask): 6-byte magic ``4B 4D 53 4B 31 00``, u32-LE height,
 u32-LE width, then H*W bytes (0x00 = removed, 0x01 = kept).
@@ -59,6 +60,11 @@ def read_cimg(path) -> np.ndarray:
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated CIMG1 payload ({len(raw)} != {expected} bytes)")
     flat = np.frombuffer(raw, dtype="<f8", offset=14).reshape(h, w, 2)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        row, col, part = np.argwhere(~finite)[0]
+        value, name = flat[row, col, part], ("real", "imaginary")[part]
+        raise ValueError(f"{path}: non-finite value {value} in the {name} part at row {row}, column {col}")
     return (flat[..., 0] + 1j * flat[..., 1]).astype(np.complex128)
 
 
@@ -96,14 +102,7 @@ def read_json(path):
 def format_cell(value) -> str:
     """CSV cell formatting: shortest round-trip repr for floats, plain str otherwise."""
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if value != value:
-            return "nan"
-        if value in (float("inf"), float("-inf")):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    if isinstance(value, np.integer):
-        return str(int(value))
+        return repr(float(value))
     return str(value)
 
 

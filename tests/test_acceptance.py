@@ -78,10 +78,9 @@ def test_criterion_2_trajectory_laws():
 
 def test_criterion_3_correction_schedule():
     started = time.monotonic()
-    # Monte-Carlo schedule on toy phantoms; the energy-balance and
-    # energy-difference accumulation paths are cross-checked at 1e-8
-    # relative inside estimate_weights on these exact draws (violations
-    # raise).
+    # Monte-Carlo schedule on toy phantoms; that the energy-balance and
+    # energy-difference forms of w_t agree is checked from keep masks by
+    # tests/test_correction.py::TestEstimateWeights::test_ratio_paths_cross_checked_externally.
     images = [fb.make_phantom(fb.PhantomSpec(32, 32, seed=300 + i)) for i in range(8)]
     proc = fb.ProcessConfig(r_prime=2.0, t_f=16, seed=0)
     sched = fb.estimate_weights(images, proc, mc_samples=10_000, seed=42)

@@ -211,6 +211,10 @@ class TestExitCodes:
         "metrics_ref_not_cimg",
         "metrics_test_not_cimg",
         "metrics_dataset_without_ids",
+        "image_nan",
+        "forward_image_nan",
+        "dataset_file_nan",
+        "metrics_ref_nan",
     ])
     def test_bad_input_file_is_one(self, tmp_path, config_path, capsys, case):
         """A missing or malformed input file is a config error that names the file and writes nothing."""
@@ -240,6 +244,10 @@ class TestExitCodes:
         cut.write_bytes(b"CIMG1\x00\x20\x00")  # the magic, then half the height
         image = tmp_path / "image.cimg"
         write_cimg(image, np.ones((32, 32), dtype=np.complex128))
+        nan = tmp_path / "nan.cimg"  # the writer refuses NaN, so the payload is written by hand
+        body = np.ones((32, 32, 2), dtype="<f8")
+        body[5, 7, 0] = np.nan
+        nan.write_bytes(image.read_bytes()[:14] + body.tobytes())
         dataset = tmp_path / "ds"
         save_dataset(dataset, [np.ones((32, 32), dtype=np.complex128)] * 2, "t1_like", 0)
         (dataset / "manifest.json").write_text(json.dumps({"count": 2}))
@@ -256,12 +264,36 @@ class TestExitCodes:
             "metrics_ref_not_cimg": (text, ["metrics", "--ref", str(text), "--test", str(image)]),
             "metrics_test_not_cimg": (text, ["metrics", "--ref", str(image), "--test", str(text)]),
             "metrics_dataset_without_ids": (dataset, ["metrics", "--ref", str(dataset), "--test", str(dataset)]),
+            "image_nan": (nan, ["reconstruct", *good, "--image", str(nan)]),
+            "forward_image_nan": (nan, ["forward", "--image", str(nan)]),
+            "dataset_file_nan": (nan, ["train", "--dataset", str(nan)]),
+            "metrics_ref_nan": (nan, ["metrics", "--ref", str(nan), "--test", str(image)]),
         }.get(case, (sidecar if "sidecar" in case else schedule, ["reconstruct", "--schedule", str(schedule)]))
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read") and str(bad_file) in err
+
+    @pytest.mark.parametrize("command", ["metrics", "estimate-w"])
+    def test_mismatched_shapes_are_one(self, tmp_path, config_path, capsys, command):
+        """Input images whose shapes do not fit together are a config error naming both, and write nothing."""
+        small, large = np.ones((32, 32), dtype=np.complex128), np.ones((40, 40), dtype=np.complex128)
+        ref, test = tmp_path / "ref.cimg", tmp_path / "test.cimg"
+        write_cimg(ref, small)
+        write_cimg(test, large)
+        save_dataset(tmp_path / "ds", [small, large], "t1_like", 0)
+        argv = {
+            "metrics": ["--ref", str(ref), "--test", str(test)],
+            "estimate-w": ["--dataset", str(tmp_path / "ds"), "--mc-samples", "4"],
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--config", config_path, "--out", str(out)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "(32, 32)" in err and "(40, 40)" in err
+        if command == "metrics":
+            assert str(ref) in err and str(test) in err
 
     def test_success_is_zero(self, tmp_path, config_path):
         assert run("phantom", "--config", config_path, "--out", str(tmp_path / "ds")) == 0

@@ -47,6 +47,15 @@ def test_cimg_bad_magic(tmp_path):
         read_cimg(path)
 
 
+def test_cimg_rejects_non_finite(tmp_path):
+    path = tmp_path / "nan.cimg"
+    body = np.zeros((4, 3, 2), dtype="<f8")
+    body[2, 1, 1] = np.nan
+    path.write_bytes(CIMG_MAGIC + (4).to_bytes(4, "little") + (3).to_bytes(4, "little") + body.tobytes())
+    with pytest.raises(ValueError, match="non-finite value nan in the imaginary part at row 2, column 1"):
+        read_cimg(path)
+
+
 def test_kmsk_round_trip(tmp_path):
     mask = np.random.default_rng(0).random((6, 4)) > 0.4
     path = tmp_path / "m.kmsk"
@@ -74,9 +83,9 @@ def test_kmsk_cut_header(tmp_path):
 
 def test_csv_round_trip_floats(tmp_path):
     path = tmp_path / "t.csv"
-    rows = [(1, 0.1 + 0.2), (2, float("inf"))]
+    rows = [(1, 0.1 + 0.2), (2, float("inf")), (3, float("nan")), (np.int64(4), float("-inf")), (5, np.float32(0.1))]
     write_csv(path, ["t", "w"], rows)
     header, parsed = read_csv(path)
     assert header == ["t", "w"]
     assert float(parsed[0][1]) == 0.1 + 0.2  # repr round-trips exactly
-    assert parsed[1][1] == "inf"
+    assert parsed[1:] == [["2", "inf"], ["3", "nan"], ["4", "-inf"], ["5", repr(float(np.float32(0.1)))]]

@@ -51,7 +51,7 @@ from .imaging import (
     synth_coil_maps,
 )
 from .metrics import psnr, ssim
-from .phantoms import PhantomSpec, dataset_ids, generate_dataset, load_dataset, save_dataset, seeded_phantom
+from .phantoms import PhantomSpec, dataset_ids, generate_dataset, save_dataset, seeded_phantom
 from .recovery import (
     OracleRecovery,
     TinyRegressor,
@@ -145,12 +145,23 @@ def _process_config(cfg: dict, seed: int) -> ProcessConfig:
 
 
 def _training_images(cfg: dict, args) -> list[np.ndarray]:
-    """--dataset (a dataset directory or a single CIMG file), else the config's generated dataset."""
+    """--dataset (a dataset directory or a single CIMG file), else the config's generated dataset.
+
+    Every --dataset image must be (data.dims, data.dims); one of another
+    shape is a ConfigError naming its file and both shapes.
+    """
+    data = cfg["data"]
     if not args.dataset:
-        data = cfg["data"]
         return generate_dataset(data["count"], data["dims"], data["dims"], data["contrast"], cfg["seed"])
     path = Path(args.dataset)
-    return _read_input(load_dataset, path) if path.is_dir() else [_read_input(read_cimg, path)]
+    files = [path / "images" / name for name in _read_input(dataset_ids, path)] if path.is_dir() else [path]
+    images = []
+    for file in files:
+        image = _read_input(read_cimg, file)
+        if image.shape != (data["dims"], data["dims"]):
+            raise ConfigError(f"{file} has shape {image.shape}, but data.dims asks for {(data['dims'], data['dims'])}")
+        images.append(image)
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ class ScheduleError(RuntimeError):
 
 
 class TrainingError(RuntimeError):
-    """Optimization produced a non-finite loss (learning rate too high)."""
+    """Optimization produced a non-finite estimate, loss or gradient (learning rate too high)."""
 
 
 class SamplingError(RuntimeError):

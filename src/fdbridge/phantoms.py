@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_cimg, read_json, write_cimg, write_json
+from .fileio import read_json, write_cimg, write_json
 from .rng import child_seed, substream
 
 CONTRASTS = ("t1_like", "t2_like", "pd_like")
@@ -132,7 +132,3 @@ def dataset_ids(in_dir) -> list[str]:
         raise ValueError(f"{in_dir}: manifest.json lists no image ids")
     return ids
 
-
-def load_dataset(in_dir) -> list[np.ndarray]:
-    in_dir = Path(in_dir)
-    return [read_cimg(in_dir / "images" / name) for name in dataset_ids(in_dir)]

@@ -9,12 +9,12 @@ between layers.  The step index conditions the network through an
 bias added after the first convolution.  ``forward``, ``backward`` and
 ``recover`` take and return complex (H, W) images (``backward`` takes
 dL/d(estimate)), and one pass body, ``TinyRegressor._pass``, converts
-between images and planes.  Parameters, ``forward``, ``backward``,
-training and checkpoints are double precision; ``recover``, the inference
-pass the sampler calls once per reverse step, runs that body in
-``INFERENCE_DTYPE`` (float32) and widens the estimate, exactly, to
-complex128.  Its estimate differs from ``forward``'s by float32 rounding,
-about 1e-7 relative.  Everything is deterministic.
+between images and planes.  The network has one precision: ``forward``
+and ``recover`` run that body, and ``backward`` its gradients, in
+``INFERENCE_DTYPE`` (float32), and what they return is widened exactly:
+estimates to complex128, gradients to float64.  The parameters, the
+optimizer's moments, the per-batch gradient sums and checkpoints are
+double precision.  Everything is deterministic.
 
 Each convolution is a sum of three matrix products, one per kernel row,
 over a zero-padded, flattened copy of its input held three times, each
@@ -59,7 +59,7 @@ from .rng import substream
 LEAKY_SLOPE = 0.1
 EMB_DIM = 8
 HIDDEN = 16
-INFERENCE_DTYPE = np.float32  # the dtype recover runs the layers in
+INFERENCE_DTYPE = np.float32  # the dtype forward, backward and recover run the layers in
 # each parameter's shape, in the order ``params`` and a checkpoint's parameter block hold them
 PARAM_SHAPES = {
     "conv1_w": (HIDDEN, 2, 3, 3),
@@ -186,7 +186,7 @@ def _weight_grad(d: np.ndarray, x: np.ndarray, wd: int) -> np.ndarray:
     (dy, dx) of input channel c.
     """
     cout, n = d.shape
-    g = np.empty((3, x.shape[0], cout))
+    g = np.empty((3, x.shape[0], cout), dtype=x.dtype)
     for dy in range(3):
         o = dy * (wd + 2)
         np.matmul(x[:, o : o + n], d.T, out=g[dy])
@@ -211,8 +211,10 @@ def _leaky_slope(a: np.ndarray, out: np.ndarray) -> None:
 class _Workspace:
     """The buffers of one pass through the layers at one image shape and dtype.
 
-    The dtype is the pass's arithmetic: float64 for ``forward`` and
-    ``backward``, ``INFERENCE_DTYPE`` for ``recover``.
+    The dtype is the pass's arithmetic: ``INFERENCE_DTYPE`` for the
+    model's passes.  ``_pass`` takes it as an argument, so a float64
+    workspace holds the same body at double precision, which a
+    central-difference gradient check needs.
 
     ``x`` holds each layer's ``_stacked`` input: the image's (real, imag)
     planes, then the two hidden activations, each written into block 0
@@ -349,20 +351,24 @@ class TinyRegressor:
         return estimate, feat
 
     def forward(self, x_t: np.ndarray, t: int) -> tuple[np.ndarray, ForwardCache]:
-        """Float64 pass on the complex (H, W) image ``x_t``; returns (estimate, cache).
+        """The pass body on the complex (H, W) image ``x_t`` in ``INFERENCE_DTYPE``; returns (estimate, cache).
 
-        Runs in the model's workspace.  The estimate is a fresh complex128
-        array; the cache refers to the workspace, whose buffers keep each
-        layer's stacked input (the rectified activations for layers 2 and
-        3), so it holds no copies and is valid only until the model's next
-        ``forward``, ``recover`` or ``backward``.
+        The estimate is a fresh complex128 array, each plane widened
+        exactly, and the same bytes as ``recover``'s.  The cache refers to
+        the workspace, whose buffers keep each layer's stacked input (the
+        rectified activations for layers 2 and 3), so it holds no copies
+        and is valid only until the model's next ``forward``, ``recover``
+        or ``backward``.
         """
-        estimate, feat = self._pass(x_t, t, np.float64)
+        estimate, feat = self._pass(x_t, t, INFERENCE_DTYPE)
         return estimate, ForwardCache(feat, self._workspace, self._workspace.generation)
 
     def backward(self, cache: ForwardCache, dout: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients for the cached forward pass given ``dout``, dL/d(estimate) as a complex (H, W) image.
 
+        The gradients run in the dtype of the cache's workspace, on
+        ``dout`` rounded to it and the parameters cast to it (no-ops at
+        float64), and come back as float64 arrays, each widened exactly.
         The cache must be fresh (else ValueError), and this pass spends it:
         with h1 and h2 the outputs of layers 1 and 2 before their
         rectifiers, it reads each layer's stacked input in place for that
@@ -378,7 +384,7 @@ class TinyRegressor:
         if dout.shape != ws.shape:
             raise ValueError(f"dout of shape {dout.shape} for a forward pass at {ws.shape}")
         ws.generation += 1
-        p = self.params
+        p = {n: self.params[n].astype(ws.dtype, copy=False) for n in ("conv2_w", "conv3_w")}
         (h, wd), r = ws.shape, ws.region
         x1, x2, x3 = ws.x
         d = ws.out
@@ -407,18 +413,17 @@ class TinyRegressor:
         _zero_wrapped(dh1, wd)
 
         db1 = np.ascontiguousarray(dh1.reshape(HIDDEN, h, wd + 2)[:, :, :wd]).sum(axis=(1, 2))
-        grads["time_w"] = np.outer(db1, cache.feat)
+        grads["time_w"] = np.outer(db1, cache.feat)  # a float64 product, as the features are float64
         grads["conv1_w"] = _weight_grad(dh1, x1, wd)
         grads["conv1_b"] = db1
-        return grads
+        return {n: g.astype(np.float64, copy=False) for n, g in grads.items()}
 
     def recover(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        """Clean-image estimate from x_t: the pass body in an ``INFERENCE_DTYPE`` workspace, with no cache.
+        """Clean-image estimate from x_t: ``forward``'s estimate, with no cache.
 
-        The layers run in float32 on x_t rounded to float32; the estimate
-        comes back as a fresh complex128 array, each plane widened
-        exactly.  It differs from ``forward``'s float64 estimate by float32
-        rounding.  A pass that overflows float32 returns non-finite
+        The layers run in ``INFERENCE_DTYPE`` on x_t rounded to it; the
+        estimate comes back as a fresh complex128 array, each plane
+        widened exactly.  A pass that overflows float32 returns non-finite
         components, which the sampler's finiteness check reports.  The
         workspace makes this method, ``forward`` and ``backward``
         non-reentrant: one model must not run them on two threads at once.
@@ -488,8 +493,11 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
     or DdpmSchedule): each sample draws t in 1..T_f and takes x_t from
     ``process.draw``.  Returns the trained model and the per-epoch mean
     loss trace.  Deterministic given (cfg.seed, data order).  Each
-    sample's ``backward`` reads its ``forward``'s buffers in place, and
-    the model leaves with no workspace.
+    sample's ``forward`` and ``backward`` run in the model's
+    ``INFERENCE_DTYPE`` workspace, ``backward`` reading ``forward``'s
+    buffers in place, and the model keeps that workspace for ``recover``.
+    A pass that overflows float32, or a non-finite loss or gradient, is a
+    TrainingError, with no floating-point warning on the way.
 
     Each batch's samples are ``parallel.Workers`` items, computed in this
     process and in workers forked once per call, which inherit the model,
@@ -521,11 +529,14 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
         x0 = images[indices[i]]
         t = int(substream(cfg.seed, "step-draw", epoch, step_idx, i).integers(1, process.t_f + 1))
         x_t, traj = process.draw(x0, grids[x0.shape], t, cfg.seed, epoch, step_idx, i)
-        estimate, cache = model.forward(x_t, t)
-        residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
-        residual.real *= 2.0 / len(indices)  # dL/d(estimate), each part scaled as a real plane
-        residual.imag *= 2.0 / len(indices)
-        return energy, model.backward(cache, residual)
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows is reported as a TrainingError
+            estimate, cache = model.forward(x_t, t)
+            if not np.isfinite(estimate).all():  # before the weighted loss's corruption refuses it
+                raise TrainingError(f"non-finite estimate at epoch {epoch}, step {step_idx}; lower the learning rate")
+            residual, energy = _loss_residual(estimate, x0, traj, t, cfg.loss_mode)
+            residual.real *= 2.0 / len(indices)  # dL/d(estimate), each part scaled as a real plane
+            residual.imag *= 2.0 / len(indices)
+            return energy, model.backward(cache, residual)
 
     with parallel.Workers(cfg.batch, sample, "training") as workers:
         for epoch in range(cfg.epochs):
@@ -540,14 +551,13 @@ def train(model: TinyRegressor, images, process, cfg: TrainConfig):
                     for n, g in sample_grads.items():
                         grads[n] += g
                 loss /= len(indices)
-                if not math.isfinite(loss):
+                if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
                     raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, step {step_idx}; lower the learning rate"
+                        f"non-finite loss or gradients at epoch {epoch}, step {step_idx}; lower the learning rate"
                     )
                 epoch_losses.append(loss)
                 opt.step(model.params, grads)
             trace.append(float(np.mean(epoch_losses)))
-    model._workspace = None  # no cache of training's float64 buffers is left, and recover allocates its own
     return model, trace
 
 

@@ -1,10 +1,24 @@
-"""Central-difference check of ``TinyRegressor.backward``, shared by the recovery and acceptance tests."""
+"""The model's pass body at double precision, and the central-difference check of ``TinyRegressor.backward`` on it.
+
+Shared by the recovery, sampler and acceptance tests.
+"""
 
 import numpy as np
 
 from fdbridge.grid import as_image
-from fdbridge.recovery import PARAM_ORDER, TinyRegressor, _energy
+from fdbridge.recovery import PARAM_ORDER, ForwardCache, TinyRegressor, _energy
 from fdbridge.rng import substream
+
+
+def float64_forward(model: TinyRegressor, x_t: np.ndarray, t: int) -> tuple[np.ndarray, ForwardCache]:
+    """``model.forward`` with the pass body in a float64 workspace: (estimate, cache).
+
+    ``model.backward`` on the cache runs in that workspace's dtype, so it
+    gives the float64 gradients of the same network the model runs in
+    float32.
+    """
+    estimate, feat = model._pass(x_t, t, np.float64)
+    return estimate, ForwardCache(feat, model._workspace, model._workspace.generation)
 
 
 def _rectifier_pattern(cache) -> list[np.ndarray]:
@@ -27,8 +41,9 @@ def grad_check(
     step: float = 1e-5,
     seed: int = 0,
 ) -> float:
-    """Max relative error between analytic gradients and central differences.
+    """Max relative error between analytic gradients and central differences, both of the float64 pass.
 
+    Float32 rounding of the loss would swamp a 1e-5 step's difference.
     Checks ``n_params`` randomly chosen parameters of the upper-bound loss
     ||G(sample, t) - target||^2.  A parameter whose +/-step perturbation
     flips a rectifier region is redrawn: with a fixed activation pattern
@@ -41,7 +56,7 @@ def grad_check(
     def loss_and_state(params_flat=None):
         if params_flat is not None:
             model.set_flat_params(params_flat)
-        estimate, cache = model.forward(sample, t)
+        estimate, cache = float64_forward(model, sample, t)
         return _energy(estimate - target), cache, estimate
 
     base_flat = model.flat_params()

@@ -210,9 +210,11 @@ def test_criterion_7_end_to_end_toy_reconstruction():
 
     mean_margin = float(np.mean(margins))
     mean_plain = float(np.mean(margins_plain))
-    # frozen fixture: this configuration achieves ~+4.3 dB over least squares
-    # (worst held-out image ~+1.8 dB); training variance at 200 steps is
-    # large, so the seed and recipe are pinned together
+    # frozen fixture: this configuration achieves ~+2.8 dB over least squares
+    # (worst held-out image ~+0.3 dB) with float32 passes; training at 200
+    # steps is chaotic (a 1e-7 relative nudge of the initial parameters moves
+    # the float64 recipe from +4.3 to +5.3 or +7.3 dB), so the seed, recipe
+    # and pass precision are pinned together
     assert mean_margin >= 2.0, f"mean margin {mean_margin:.2f} dB < 2 dB"
     assert mean_plain < mean_margin, "ablating the correction must score strictly below full"
     elapsed = time.monotonic() - started

@@ -460,6 +460,9 @@ class TestTrainReconstruct:
         "ddpm_train_steps",
         "ddpm_reconstruct_steps",
         "power_law_schedule",
+        "train_dataset_mixed_shapes",
+        "train_dataset_other_dims",
+        "estimate_w_dataset_other_dims",
     ])
     def test_config_error_leaves_out_empty(self, tmp_path, config_path, capsys, case):
         image = tmp_path / "image.cimg"
@@ -496,6 +499,9 @@ class TestTrainReconstruct:
         save_schedule(power_law, constant_schedule(8, 0.5), r_prime=2.0, seed=0)
         meta = read_json(power_law / "schedule.json")
         (power_law / "schedule.json").write_text(json.dumps({**meta, "provenance": "power_law"}))
+        small, large = np.ones((32, 32), dtype=np.complex128), np.ones((40, 40), dtype=np.complex128)
+        save_dataset(tmp_path / "mixed", [small, large], "t1_like", 0)
+        save_dataset(tmp_path / "large", [large, large], "t1_like", 0)
         argv = {
             "forward_image_shape": ["forward", "--image", str(image)],
             "reconstruct_checkpoint_horizon": ["reconstruct", "--checkpoint", str(checkpoint),
@@ -519,6 +525,9 @@ class TestTrainReconstruct:
             "ddpm_train_steps": ["train", "--corruption", "ddpm", "--ddpm-steps", "10"],
             "ddpm_reconstruct_steps": ["ddpm-reconstruct", "--ddpm-steps", "10"],
             "power_law_schedule": ["reconstruct", "--schedule", str(power_law / "schedule.csv")],
+            "train_dataset_mixed_shapes": ["train", "--dataset", str(tmp_path / "mixed")],
+            "train_dataset_other_dims": ["train", "--dataset", str(tmp_path / "large")],
+            "estimate_w_dataset_other_dims": ["estimate-w", "--dataset", str(tmp_path / "large"), "--mc-samples", "4"],
         }[case]
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
@@ -529,6 +538,13 @@ class TestTrainReconstruct:
             "checkpoint_header_no_source": "trained on source=None, but this run samples the 'bridge' source",
             "reconstruct_ddpm_checkpoint": "trained on source='ddpm', but this run samples the 'bridge' source",
             "ddpm_reconstruct_bridge_checkpoint": "trained on source='bridge', but this run samples the 'ddpm' source",
+            # each dataset image is checked against the config's dims (32), the first that differs named
+            "train_dataset_mixed_shapes": f"{tmp_path / 'mixed' / 'images' / '0001.cimg'} has shape (40, 40), "
+                                          "but data.dims asks for (32, 32)",
+            "train_dataset_other_dims": f"{tmp_path / 'large' / 'images' / '0000.cimg'} has shape (40, 40), "
+                                        "but data.dims asks for (32, 32)",
+            "estimate_w_dataset_other_dims": f"{tmp_path / 'large' / 'images' / '0000.cimg'} has shape (40, 40), "
+                                             "but data.dims asks for (32, 32)",
         }.get(case, "")
         assert reason in capsys.readouterr().err
 

@@ -3,7 +3,8 @@ import pytest
 
 from fdbridge.errors import ConfigError
 from fdbridge.metrics import psnr, ssim
-from fdbridge.phantoms import PhantomSpec, generate_dataset, load_dataset, make_phantom, save_dataset
+from fdbridge.fileio import read_cimg
+from fdbridge.phantoms import PhantomSpec, dataset_ids, generate_dataset, make_phantom, save_dataset
 
 from conftest import rand_image
 
@@ -39,7 +40,7 @@ class TestMakePhantom:
     def test_dataset_round_trip(self, tmp_path):
         images = generate_dataset(3, 32, 32, "pd_like", seed=5)
         save_dataset(tmp_path, images, "pd_like", seed=5)
-        loaded = load_dataset(tmp_path)
+        loaded = [read_cimg(tmp_path / "images" / name) for name in dataset_ids(tmp_path)]
         assert len(loaded) == 3
         assert all(np.array_equal(x, y) for x, y in zip(images, loaded))
 

@@ -11,6 +11,8 @@ from fdbridge.fileio import read_csv
 from fdbridge.grid import as_image, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
 from fdbridge.recovery import (
+    INFERENCE_DTYPE,
+    LEAKY_SLOPE,
     LOSS_MODES,
     OracleRecovery,
     TinyRegressor,
@@ -35,7 +37,7 @@ from fdbridge.sampler import ddpm_schedule
 
 from conftest import _Unpicklable, die, edit_checkpoint_architecture, needs_workers, raising, rand_image, with_header
 from draw_oracle import draw_corrupted, step_draw
-from gradcheck import grad_check
+from gradcheck import float64_forward, grad_check
 
 
 def bridge_loss(operator, images, trajectories, steps, mode: str = "upper_bound") -> float:
@@ -161,18 +163,18 @@ class TestTinyRegressor:
 
     def test_workspace_bounds_training_memory(self):
         # three stacked layer inputs (2, 16, 16 channels) and the 2-channel output buffer:
-        # 108 rows of 66 * 66 + 2 float64 values, 3,765,312 bytes at 64^2
+        # 108 rows of 66 * 66 + 2 float32 values, 1,882,656 bytes at 64^2
         model = TinyRegressor(t_f=64, seed=4)
         x = rand_image(64, 64, seed=5)
         dout = x.imag + 1j * x.real
         _, cache = model.forward(x, 3)
         ws = cache.fresh_workspace()
-        assert ws is model._workspace and ws.dtype == np.float64
-        assert sum(b.nbytes for b in (*ws.x, ws.out)) <= 3_800_000
+        assert ws is model._workspace and ws.dtype == np.float32
+        assert sum(b.nbytes for b in (*ws.x, ws.out)) == 1_882_656
         assert cache.feat.nbytes == 64  # the cache's only array of its own: 8 time features
         model.backward(cache, dout)
-        # a later sample reuses the workspace: its forward and backward together hold under 1 MB
-        # of new arrays at once, where a copy of the layer inputs alone is about 1.2 MB
+        # a later sample reuses the workspace: its forward and backward together hold under 0.5 MB
+        # of new arrays at once (0.35 MB measured), where a copy of the layer inputs alone is about 0.56 MB
         tracemalloc.start()
         try:
             _, cache = model.forward(x, 3)
@@ -181,7 +183,7 @@ class TestTinyRegressor:
         finally:
             tracemalloc.stop()
         assert model._workspace is ws
-        assert peak <= 1_000_000
+        assert peak <= 500_000
 
 
 def _conv_reference(x, w):
@@ -232,15 +234,15 @@ def _conv3x3(x, w, b, dtype=np.float64):
 
 
 def _conv3x3_weight_grad(dout, xs):
-    """dL/dw given dL/d(out) as (C_out, H, W) and the stacked input ``_conv3x3`` returned."""
+    """dL/dw, in the dtype of the stacked input ``_conv3x3`` returned, given dL/d(out) as (C_out, H, W)."""
     cout, h, wd = dout.shape
-    d = np.zeros((cout, h, wd + 2))  # the uncropped layout; the wrapped columns get no gradient
+    d = np.zeros((cout, h, wd + 2), dtype=xs.dtype)  # the uncropped layout; the wrapped columns get no gradient
     d[:, :, :wd] = dout
     return _weight_grad(d.reshape(cout, -1), xs, wd)
 
 
 def _conv3x3_input_grad(dout, w):
-    return _conv3x3(dout, _flipped(w), None)[0]
+    return _conv3x3(dout, _flipped(w), None, dout.dtype)[0]
 
 
 class TestConv3x3:
@@ -317,12 +319,17 @@ def _forward_oracle(model, chan, t, dtype=np.float64):
 
 
 def _backward_oracle(model, cache, dout):
-    """Parameter gradients with the rectifier derivative taken from the pre-activations."""
+    """Parameter gradients with the rectifier derivative taken from the pre-activations.
+
+    They run in the dtype of the forward oracle's cache, on ``dout``
+    rounded to it, and come back as float64 arrays, each widened exactly.
+    """
     p = model.params
     feat, xp1, h1, xp2, h2, xp3 = cache
-    dh2 = _conv3x3_input_grad(dout, p["conv3_w"]) * np.where(h2 > 0, 1.0, 0.1)
-    dh1 = _conv3x3_input_grad(dh2, p["conv2_w"]) * np.where(h1 > 0, 1.0, 0.1)
-    return {
+    dout = dout.astype(xp1.dtype)
+    dh2 = _conv3x3_input_grad(dout, p["conv3_w"]) * np.where(h2 > 0, 1.0, 0.1).astype(xp1.dtype)
+    dh1 = _conv3x3_input_grad(dh2, p["conv2_w"]) * np.where(h1 > 0, 1.0, 0.1).astype(xp1.dtype)
+    grads = {
         "conv3_w": _conv3x3_weight_grad(dout, xp3),
         "conv3_b": dout.sum(axis=(1, 2)),
         "conv2_w": _conv3x3_weight_grad(dh2, xp2),
@@ -331,10 +338,11 @@ def _backward_oracle(model, cache, dout):
         "conv1_w": _conv3x3_weight_grad(dh1, xp1),
         "conv1_b": dh1.sum(axis=(1, 2)),
     }
+    return {name: g.astype(np.float64) for name, g in grads.items()}
 
 
 class TestLayerWorkspace:
-    """forward and backward equal the float64 layer-by-layer oracle bit for bit, and recover the float32 one.
+    """forward, backward and recover equal the ``INFERENCE_DTYPE`` layer-by-layer oracle bit for bit.
 
     The shapes include non-square and odd ones, where a wrapped column
     left unzeroed in a padded buffer would leak into the next row, grids
@@ -359,7 +367,7 @@ class TestLayerWorkspace:
         model = self._model()
         x = rand_image(*shape, seed=6)
         estimate, cache = model.forward(x, 7)
-        ref_out, ref_cache = _forward_oracle(model, _planes(x), 7)
+        ref_out, ref_cache = _forward_oracle(model, _planes(x), 7, INFERENCE_DTYPE)
         assert estimate.dtype == np.complex128 and estimate.flags.c_contiguous
         assert estimate.tobytes() == _image(ref_out).tobytes()
         dout = rand_image(*shape, seed=8).real + 1j * rand_image(*shape, seed=9).imag
@@ -376,11 +384,22 @@ class TestLayerWorkspace:
         assert (d * slope).tobytes() == (d * np.where(h > 0, 1.0, 0.1)).tobytes()
         assert a.tobytes() == np.where(h > 0, h, 0.1 * h).tobytes()
 
-    # largest |recover - forward| / max |forward| measured over SHAPES: 3.3e-7, under 3 float32 epsilons
-    RECOVER_VS_FORWARD_RTOL = 1e-6
+    def test_leaky_slope_writes_float32_constants(self):
+        """On a float32 buffer each slope is exactly float32 1.0 or LEAKY_SLOPE, under value-based and NEP 50 casting."""
+        h = np.array([-2.0, -1e-40, -0.0, 0.0, 1e-40, 3.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+        a = np.maximum(h, np.float32(0.1) * h)
+        slope = np.empty_like(a)
+        _leaky_slope(a, slope)
+        assert slope.dtype == np.float32
+        want = np.where(h > 0, np.float32(1.0), np.float32(LEAKY_SLOPE))
+        assert slope.tobytes() == want.tobytes()
+        assert set(slope.tolist()) == {float(np.float32(1.0)), float(np.float32(LEAKY_SLOPE))}
+
+    # largest |recover - float64 pass| / max |float64 pass| measured over SHAPES: 3.3e-7, under 3 float32 epsilons
+    RECOVER_VS_FLOAT64_RTOL = 1e-6
 
     def test_recover_matches_forward_across_alternating_shapes(self):
-        """recover is the float32 oracle bit for bit, and float32 rounding away from forward's float64 output."""
+        """recover is forward and the float32 oracle bit for bit, and float32 rounding away from the float64 pass."""
         model = self._model()
         results = {}
         for rep in range(2):
@@ -388,15 +407,33 @@ class TestLayerWorkspace:
                 x = rand_image(*shape, seed=10 + i)
                 got = model.recover(x, 2 + i)
                 assert got.dtype == np.complex128
-                ref, _ = _forward_oracle(model, _planes(x), 2 + i, np.float32)
-                assert got.tobytes() == _image(ref.astype(np.float64)).tobytes()
-                wide, _ = model.forward(x, 2 + i)
-                assert np.max(np.abs(got - wide)) <= self.RECOVER_VS_FORWARD_RTOL * np.max(np.abs(wide))
+                ref, _ = _forward_oracle(model, _planes(x), 2 + i, INFERENCE_DTYPE)
+                assert got.tobytes() == _image(ref).tobytes()
+                assert model.forward(x, 2 + i)[0].tobytes() == got.tobytes()
+                wide, _ = float64_forward(model, x, 2 + i)
+                assert np.max(np.abs(got - wide)) <= self.RECOVER_VS_FLOAT64_RTOL * np.max(np.abs(wide))
                 results.setdefault(shape, []).append(got)
         # each call returns a fresh array: later calls on the same workspace leave earlier results alone
         for first, second in results.values():
             assert not np.shares_memory(first, second)
             assert first.tobytes() == second.tobytes()
+
+    # largest |float32 - float64| / max |float64| of any parameter's gradient, measured over 6 models
+    # at each of 64^2, 33x31, 24x40 and 100x90: 3.2e-7, under 3 float32 epsilons
+    FLOAT32_GRAD_RTOL = 1e-6
+
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)])
+    def test_float32_gradients_match_float64(self, shape):
+        """backward's gradients, run in INFERENCE_DTYPE, are float32 rounding away from the float64 pass's."""
+        model = self._model()
+        x, target = rand_image(*shape, seed=18), rand_image(*shape, seed=19)
+        estimate, cache = model.forward(x, 5)
+        narrow = model.backward(cache, 2.0 * (estimate - target))
+        wide_estimate, wide_cache = float64_forward(model, x, 5)
+        wide = model.backward(wide_cache, 2.0 * (wide_estimate - target))
+        for name, ref in wide.items():
+            assert narrow[name].dtype == np.float64
+            assert np.max(np.abs(narrow[name] - ref)) <= self.FLOAT32_GRAD_RTOL * np.max(np.abs(ref)), name
 
     @pytest.mark.parametrize("later", ["forward", "forward_other_shape", "recover", "backward"])
     def test_stale_cache_is_rejected(self, later):
@@ -418,7 +455,7 @@ class TestLayerWorkspace:
             cache.fresh_workspace()
         _, fresh = model.forward(x, 5)
         grads = model.backward(fresh, dout)
-        _, ref_cache = _forward_oracle(model, _planes(x), 5)
+        _, ref_cache = _forward_oracle(model, _planes(x), 5, INFERENCE_DTYPE)
         for name, ref in _backward_oracle(model, ref_cache, _planes(dout)).items():
             assert grads[name].tobytes() == ref.tobytes(), name
 
@@ -467,14 +504,14 @@ class TestGradCheck:
 
 
 class _OracleRegressor(TinyRegressor):
-    """The model with its passes run by the layer-by-layer oracles, each pass in fresh buffers.
+    """The model with its passes run by the layer-by-layer oracles in ``INFERENCE_DTYPE``, each pass in fresh buffers.
 
     The complex images the passes take and return are converted to and
     from the oracles' plane stacks here.
     """
 
     def forward(self, x_t, t):
-        out, cache = _forward_oracle(self, _planes(x_t), t)
+        out, cache = _forward_oracle(self, _planes(x_t), t, INFERENCE_DTYPE)
         return _image(out), cache
 
     def backward(self, cache, dout):
@@ -502,7 +539,10 @@ class TestTrain:
         oracle, oracle_trace = train(_OracleRegressor(t_f=process.t_f, seed=9), images, process, tc)
         assert model.flat_params().tobytes() == oracle.flat_params().tobytes()
         assert trace == oracle_trace and len(trace) == 2
-        assert model._workspace is None  # training's float64 buffers are released with its last sample
+        ws = model._workspace  # training's last sample ran in recover's dtype, so recover reuses its buffers
+        assert ws.dtype == INFERENCE_DTYPE
+        model.recover(images[0], 1)
+        assert model._workspace is ws
 
     def test_zero_learning_rate_leaves_parameters(self):
         images, cfg, _, _ = _toy_setup()
@@ -530,13 +570,31 @@ class TestTrain:
         _, trace = train(TinyRegressor(t_f=8, seed=7), images, cfg, tc)
         assert len(trace) == 2 and all(np.isfinite(v) for v in trace)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostic(self):
         images, cfg, _, _ = _toy_setup()
         model = TinyRegressor(t_f=8, seed=8)
         model.set_flat_params(np.full(model.flat_params().size, 1e200))
         with pytest.raises(TrainingError, match="learning rate"):
             train(model, images, cfg, TrainConfig(learning_rate=0.01, epochs=1, batch=2, seed=0))
+
+    @pytest.mark.parametrize("loss_mode", LOSS_MODES)
+    @pytest.mark.parametrize("gain,what", [(1e15, "estimate"), (1e10, "loss or gradients")],
+                             ids=["estimate", "gradients"])
+    def test_float32_overflow_is_a_training_error(self, loss_mode, gain, what):
+        """Float32 overflow in training is a TrainingError with no RuntimeWarning (an error under this suite's filters).
+
+        A gain of 1e45 overflows the pass: the estimate is refused before
+        the weighted loss's corruption would refuse it with a ValueError.
+        A gain of 1e30 leaves the estimate finite and overflows the
+        gradients, on the one step there is, which would leave NaN
+        parameters.
+        """
+        images, cfg, _, _ = _toy_setup()
+        model = TinyRegressor(t_f=8, seed=8)
+        for name in ("conv1_w", "conv2_w", "conv3_w"):
+            model.params[name] *= gain
+        with pytest.raises(TrainingError, match=f"non-finite {what} at epoch 0, step 0; lower the learning rate"):
+            train(model, images[:2], cfg, TrainConfig(learning_rate=0.01, epochs=1, batch=2, loss_mode=loss_mode))
 
     def test_tiny_dataset_rejected(self):
         images, cfg, _, _ = _toy_setup(count=1)
@@ -579,7 +637,7 @@ class TestTrainShares:
         monkeypatch.setattr(parallel, "share_count", lambda n: k)
         model, trace = train(TinyRegressor(t_f=process.t_f, seed=9), images, process, tc)
         assert multiprocessing.active_children() == []
-        assert model._workspace is None
+        assert model._workspace.dtype == INFERENCE_DTYPE  # kept for recover
         return model.flat_params().tobytes(), trace
 
     @pytest.mark.parametrize("source,loss_mode", [
@@ -622,7 +680,6 @@ class TestTrainShares:
             train(TinyRegressor(t_f=8, seed=0), images, source, TrainConfig(learning_rate=0.01, epochs=1, batch=4))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_joins_the_workers(self, monkeypatch):
         images, cfg, _, _ = _toy_setup()
         monkeypatch.setattr(parallel, "share_count", lambda n: 2)

@@ -29,6 +29,7 @@ from fdbridge.sampler import (
 )
 
 from conftest import constant_schedule, rand_image, unit_system
+from gradcheck import float64_forward
 from loop_oracle import reference_ddpm_reconstruct, reference_reconstruct
 
 
@@ -348,13 +349,13 @@ class TestNativeLoopMatchesCenteredLoop:
 
 
 class _Float64Recover:
-    """Tests-only operator: the model's float64 ``forward`` pass, the estimate ``recover`` computes in float32."""
+    """Tests-only operator: the model's pass body in float64, the estimate ``recover`` computes in float32."""
 
     def __init__(self, model):
         self.model = model
 
     def recover(self, x, t):
-        return self.model.forward(x, t)[0]
+        return float64_forward(self.model, x, t)[0]
 
 
 class TestFloat32Recover:

@@ -14,17 +14,19 @@ what it wrote before it failed.  A config error writes nothing, not even
 malformed input file among them), 2 runtime failure.
 
 ``reconstruct``, ``ddpm-reconstruct`` and ``ablate`` share one path:
-simulate the acquisition of a reference image (sampling mask, coil maps,
-noisy multi-coil k-space), reconstruct it, and score the result by PSNR
-and SSIM against the reference.  ``train`` and each ablation variant
-train the recovery operator through one recipe.  Inputs are loaded and
-checked before anything is written.
+simulate the acquisition of a reference image (``_acquire``), sample it
+(``_bridge_sampler`` for ``reconstruct`` and each ablation cell), and
+score the result by PSNR and SSIM against the reference (``_score``);
+``ablate`` runs its variant x image cells in ``parallel.Workers``.
+``train`` and each ablation variant train the recovery operator through
+one recipe.  Inputs are loaded and checked before anything is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import io
 import json
 import sys
@@ -51,6 +53,7 @@ from .imaging import (
     synth_coil_maps,
 )
 from .metrics import psnr, ssim
+from .parallel import Workers
 from .phantoms import PhantomSpec, dataset_ids, generate_dataset, save_dataset, seeded_phantom
 from .recovery import (
     OracleRecovery,
@@ -341,6 +344,11 @@ def _sampler_config(cfg, process: ProcessConfig, *tags, **overrides) -> SamplerC
     )
 
 
+def _bridge_sampler(process: ProcessConfig, schedule, scfg: SamplerConfig):
+    """``sample(y, system, operator, reference=...)``: bridge sampling on ``process`` with ``schedule`` and ``scfg``."""
+    return functools.partial(reconstruct, process=process, schedule=schedule, cfg=scfg)
+
+
 def _score(reference, image) -> tuple[float, float]:
     """(PSNR in dB, SSIM) of ``image`` against ``reference``."""
     return psnr(reference, image), ssim(reference, image)
@@ -351,10 +359,11 @@ def _measure_reconstruct_score(cfg, args, out: Path, source, sample, steps_key: 
 
     Simulates the acquisition of --image (or of a generated held-out
     phantom), loads the operator that ``source`` samples with, runs
-    ``sample(y, system, operator, reference)``, and scores the result and
-    the zero-filled baseline.  Nothing is written until the reconstruction
-    succeeded, so a run that fails on its inputs or while sampling leaves
-    no output in ``out`` (a failure while sampling leaves its manifest).
+    ``sample(y, system, operator, reference=reference)``, and scores the
+    result and the zero-filled baseline.  Nothing is written until the
+    reconstruction succeeded, so a run that fails on its inputs or while
+    sampling leaves no output in ``out`` (a failure while sampling leaves
+    its manifest).
     """
     seed, data = cfg["seed"], cfg["data"]
     if args.image:
@@ -364,7 +373,7 @@ def _measure_reconstruct_score(cfg, args, out: Path, source, sample, steps_key: 
     seeds = [child_seed(seed, tag) for tag in ("mask", "coils", "measurement")]
     system, y = _acquire(cfg, args, reference, *seeds)
     operator = _load_operator(args, reference, source)
-    result = sample(y, system, operator, reference)
+    result = sample(y, system, operator, reference=reference)
     zero_fill = adjoint(system, y)
 
     write_cimg(out / "reference.cimg", reference)
@@ -390,42 +399,29 @@ def cmd_reconstruct(cfg, args, out: Path) -> None:
     if scfg.correction == "learned" and not args.schedule:
         raise ConfigError("correction='learned' requires --schedule")
     schedule = _read_input(load_schedule, args.schedule, proc) if args.schedule else None
-
-    def sample(y, system, operator, reference):
-        return reconstruct(y, system, operator, proc, schedule, scfg, reference=reference)
-
-    _measure_reconstruct_score(cfg, args, out, proc, sample, "T_r")
+    _measure_reconstruct_score(cfg, args, out, proc, _bridge_sampler(proc, schedule, scfg), "T_r")
 
 
 def cmd_ddpm_reconstruct(cfg, args, out: Path) -> None:
     schedule = ddpm_schedule(args.ddpm_steps)
-    seed = child_seed(cfg["seed"], "ddpm-sampling")
-
-    def sample(y, system, operator, reference):
-        return ddpm_reconstruct(y, system, operator, schedule, seed=seed, reference=reference)
-
+    sample = functools.partial(ddpm_reconstruct, schedule=schedule, seed=child_seed(cfg["seed"], "ddpm-sampling"))
     _measure_reconstruct_score(cfg, args, out, schedule, sample, "T")
 
 
-def _bridge(process: ProcessConfig) -> ProcessConfig:
-    """A bridge variant's corruption source: the process it samples, as it is."""
-    return process
-
-
-# Each ablation variant, in row order: the changes to fdb's process that
-# it samples (None: fdb's model and process), the corruption source it
-# makes of that process to train its own model on (on the upper bound if
-# the source has no removal masks), and the sampler settings it overrides.
-# Each process samples with its own schedule, which xt_averaging shares with
-# fdb, and with learned correction and ct_mode "independent", not the config's.
+# Each ablation variant, in row order: the changes to the config's process that
+# it samples, the source it trains on ("bridge": that process; "averaging": its
+# blend, on the upper bound), and the sampler settings it overrides, over learned
+# correction and ct_mode "independent", not the config's.  Variants with equal
+# sources share one model and with equal processes one schedule, each made under
+# the first such variant's name.
 ABLATION_VARIANTS = {
-    "fdb": ({}, _bridge, {}),
-    "ct_uniform": ({"density": "uniform"}, _bridge, {}),
-    "n_log_schedule": ({"step_count_schedule": "log"}, _bridge, {}),
-    "xt_averaging": ({}, AveragingProcess, {}),
-    "ct_fixed": (None, None, {"ct_mode": "fixed"}),
-    "no_correction": (None, None, {"correction": "none"}),
-    "wt_linear": (None, None, {"correction": "linear"}),
+    "fdb": ({}, "bridge", {}),
+    "ct_uniform": ({"density": "uniform"}, "bridge", {}),
+    "n_log_schedule": ({"step_count_schedule": "log"}, "bridge", {}),
+    "xt_averaging": ({}, "averaging", {}),
+    "ct_fixed": ({}, "bridge", {"ct_mode": "fixed"}),
+    "no_correction": ({}, "bridge", {"correction": "none"}),
+    "wt_linear": ({}, "bridge", {"correction": "linear"}),
 }
 
 
@@ -442,28 +438,31 @@ def cmd_ablate(cfg, args, out: Path) -> None:
         acquisitions.append(_acquire(cfg, args, reference, *seeds))
 
     base_proc = _process_config(cfg, seed=child_seed(seed, "process"))
-    trained, schedules = {}, {}  # variant -> (model, process); process -> schedule
-    for name, (changes, make_source, _) in ABLATION_VARIANTS.items():
-        if changes is None:
-            continue
+    models, schedules, variants = {}, {}, []  # source -> model; process -> schedule; (name, model, process, settings)
+    for name, (changes, kind, overrides) in ABLATION_VARIANTS.items():
         proc = replace(base_proc, **changes)
-        source = make_source(proc)
-        model, _ = _train_model(cfg, train_images, source, name, upper_bound=not source.loss_masks)
-        trained[name] = (model, proc)
+        source = proc if kind == "bridge" else AveragingProcess(proc)
+        if source not in models:
+            models[source], _ = _train_model(cfg, train_images, source, name, upper_bound=not source.loss_masks)
         if proc not in schedules:
             schedules[proc] = estimate_weights(train_images, proc, args.mc_samples, seed=child_seed(seed, "mc", name))
+        variants.append((name, models[source], proc, {"correction": "learned", "ct_mode": "independent", **overrides}))
 
+    n = len(eval_images)
+
+    def cell(j):
+        """(PSNR, SSIM) of variant j // n on held-out image j % n."""
+        (name, model, proc, settings), i = variants[j // n], j % n
+        sample = _bridge_sampler(proc, schedules[proc], _sampler_config(cfg, proc, name, i, **settings))
+        (system, y), reference = acquisitions[i], eval_images[i]
+        return _score(reference, sample(y, system, model, reference=reference).image)
+
+    with Workers(len(variants) * n, cell, "ablation") as workers:
+        scores = list(workers.map(len(variants) * n))
     rows = []
-    for variant, (changes, _, overrides) in ABLATION_VARIANTS.items():
-        model, proc = trained["fdb" if changes is None else variant]
-        settings = {"correction": "learned", "ct_mode": "independent", **overrides}
-        scores = []
-        for i, (reference, (system, y)) in enumerate(zip(eval_images, acquisitions)):
-            scfg = _sampler_config(cfg, proc, variant, i, **settings)
-            result = reconstruct(y, system, model, proc, schedules[proc], scfg, reference=reference)
-            scores.append(_score(reference, result.image))
-        ps, ss = np.array(scores).T
-        rows.append((variant, float(ps.mean()), float(ps.std()), float(ss.mean()), float(ss.std())))
+    for v, (name, *_) in enumerate(variants):
+        ps, ss = np.array(scores[v * n : (v + 1) * n]).T
+        rows.append((name, float(ps.mean()), float(ps.std()), float(ss.mean()), float(ss.std())))
     write_csv(out / "ablation.csv", ["variant", "psnr_mean", "psnr_std", "ssim_mean", "ssim_std"], rows)
     for row in rows:
         print(f"{row[0]:<16} PSNR {row[1]:6.2f} +/- {row[2]:.2f}  SSIM {row[3]:.4f}")
@@ -682,9 +681,9 @@ def _peak_rss_mb() -> float | None:
     """Peak resident set size of the run so far, in MiB, or None where ``resource`` is missing (Windows).
 
     The larger of this process's peak and that of its largest finished
-    child, so the forked workers of training and of the Monte-Carlo
-    schedule (``parallel.Workers``), which the process has joined by the
-    time the manifest is written, are counted.
+    child, so the forked workers (``parallel.Workers``) of training, of the
+    Monte-Carlo schedule and of the ablation's reconstructions, which the
+    process has joined by the time the manifest is written, are counted.
     ru_maxrss is KiB on Linux and bytes on macOS.
     """
     try:

@@ -209,7 +209,8 @@ def _reverse_loop(x, t_total: int, operator, step, native, y, dc: bool, referenc
     centered = to_centered(x)
     diagnostics: list[tuple] = []
     for t in range(t_total, 0, -1):
-        x0_est = operator.recover(centered, t)
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows is reported as a SamplingError
+            x0_est = operator.recover(centered, t)
         if not np.all(np.isfinite(x0_est)):  # a network pass that overflowed; a step would raise ValueError
             raise SamplingError(f"non-finite estimate at step {t}")
         x = step(x, t, to_native(x0_est))

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from fdbridge import cli, correction, parallel
+from fdbridge import cli, correction, parallel, sampler
 from fdbridge.cli import DEFAULT_CONFIG, main, validate_config
 from fdbridge.correction import save_schedule
 from fdbridge.degradation import ProcessConfig, sample_trajectory
@@ -676,6 +676,46 @@ class TestAblate:
             ["eval_count", "mc_samples", "coils", "noise_sigma", "mask_density", "calib"]
         )
 
+    @needs_workers
+    def test_same_bytes_at_any_process_count(self, tmp_path, config_path, monkeypatch):
+        # 14 cells: 3 processes run 5, 5 and 4 of them, so only a fold in cell order gives the same rows
+        tables = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(parallel, "share_count", lambda n, k=k: min(k, n))
+            out = tmp_path / f"abl{k}"
+            assert run("ablate", "--config", config_path, "--out", str(out),
+                       "--eval-count", "2", "--mc-samples", "20") == 0
+            tables.append((out / "ablation.csv").read_bytes())
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+
+    def test_variants_share_models_and_schedules_by_key(self, tmp_path, config_path, monkeypatch):
+        # one model per source and one schedule per process, each under the first such variant's seed tag
+        trained, estimated = [], []
+        train_model, estimate_weights = cli._train_model, cli.estimate_weights
+
+        def spy_train(cfg, images, source, *tags, **kwargs):
+            trained.append((source.kind, tags))
+            return train_model(cfg, images, source, *tags, **kwargs)
+
+        def spy_estimate(images, process, mc_samples, seed):
+            estimated.append((process.density, process.step_count_schedule, seed))
+            return estimate_weights(images, process, mc_samples, seed=seed)
+
+        monkeypatch.setattr(cli, "_train_model", spy_train)
+        monkeypatch.setattr(cli, "estimate_weights", spy_estimate)
+        assert run("ablate", "--config", config_path, "--out", str(tmp_path / "abl"),
+                   "--eval-count", "1", "--mc-samples", "5") == 0
+        assert trained == [
+            ("bridge", ("fdb",)), ("bridge", ("ct_uniform",)), ("bridge", ("n_log_schedule",)),
+            ("averaging", ("xt_averaging",)),
+        ]
+        seed = SMALL_CONFIG["seed"]
+        assert estimated == [
+            ("radius_scheduled", "constant", child_seed(seed, "mc", "fdb")),
+            ("uniform", "constant", child_seed(seed, "mc", "ct_uniform")),
+            ("radius_scheduled", "log", child_seed(seed, "mc", "n_log_schedule")),
+        ]
+
 
 class TestMetrics:
     def test_matches_library_values(self, tmp_path, config_path):
@@ -753,6 +793,27 @@ class TestRunManifest:
         manifest = read_json(out / "run_manifest.json")
         assert (manifest["status"], manifest["error"], manifest["outputs"]) == ("failed", error, [])
         assert manifest["command"] == "estimate-w" and manifest["wall_time_s"] > 0.0
+
+    @needs_workers
+    @pytest.mark.parametrize("fail,error", [
+        (die, "WorkerError: ablation worker 1 exited without answering"),
+        (raising(ValueError("cell one")), "ValueError: cell one"),
+    ], ids=["worker-died", "worker-raised"])
+    def test_ablation_cell_failure_is_recorded(self, tmp_path, config_path, monkeypatch, capsys, fail, error):
+        def reconstruct(*args, **kwargs):
+            if multiprocessing.parent_process() is not None:  # cells 1, 3, ..., in the worker
+                fail()
+            return sampler.reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "share_count", lambda n: min(2, n))
+        monkeypatch.setattr(cli, "reconstruct", reconstruct)
+        out = tmp_path / "abl"
+        assert run("ablate", "--config", config_path, "--out", str(out), "--eval-count", "1", "--mc-samples", "5") == 2
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == f"error: {error}\n"
+        manifest = read_json(out / "run_manifest.json")
+        assert (manifest["status"], manifest["error"], manifest["outputs"]) == ("failed", error, [])
+        assert not (out / "ablation.csv").exists()
 
     def test_peak_memory_counts_the_largest_child(self, monkeypatch):
         # a joined worker that peaked above the process is the run's peak, and the process's own peak otherwise

@@ -581,6 +581,12 @@ def _add_measurement_flags(p: _Parser) -> None:
     )
 
 
+MC_SAMPLES_HELP = (
+    "draws the learned schedule weighs: draw i is training image i mod the dataset size, so each image "
+    "counts by its number of draws (equally at a multiple of the dataset size); the mean over trajectories is exact"
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fdb", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fdbridge {__version__}")
@@ -601,10 +607,10 @@ def build_parser() -> _Parser:
     p.add_argument("--t-total", type=int, default=None, help="trajectory length (default: T_f)")
     p.add_argument("--image", type=_resolved, help="CIMG1 image to corrupt (default: a generated phantom)")
 
-    p = sub.add_parser("estimate-w", help="Monte-Carlo correction-weight schedule")
+    p = sub.add_parser("estimate-w", help="learned correction-weight schedule, exact over the process's trajectories")
     _add_common(p)
     p.add_argument("--dataset", type=_resolved, help="dataset directory (default: generate from the config)")
-    p.add_argument("--mc-samples", type=int, default=2000)
+    p.add_argument("--mc-samples", type=int, default=2000, help=MC_SAMPLES_HELP)
     p.add_argument("--no-plot", action="store_true")
 
     p = sub.add_parser("train", help="train the recovery operator")
@@ -637,7 +643,7 @@ def build_parser() -> _Parser:
     )
     _add_common(p)
     p.add_argument("--eval-count", type=int, default=5)
-    p.add_argument("--mc-samples", type=int, default=1000)
+    p.add_argument("--mc-samples", type=int, default=1000, help=MC_SAMPLES_HELP)
     _add_acquisition_flags(p)
 
     p = sub.add_parser("metrics", help="PSNR/SSIM between reference and test images")
@@ -681,9 +687,9 @@ def _peak_rss_mb() -> float | None:
     """Peak resident set size of the run so far, in MiB, or None where ``resource`` is missing (Windows).
 
     The larger of this process's peak and that of its largest finished
-    child, so the forked workers (``parallel.Workers``) of training, of the
-    Monte-Carlo schedule and of the ablation's reconstructions, which the
-    process has joined by the time the manifest is written, are counted.
+    child, so the forked workers (``parallel.Workers``) of training and of
+    the ablation's reconstructions, which the process has joined by the
+    time the manifest is written, are counted.
     ru_maxrss is KiB on Linux and bytes on macOS.
     """
     try:

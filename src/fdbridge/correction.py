@@ -2,33 +2,29 @@
 
 The learned schedule is the per-step minimizer of the spectral blending
 regression: w_t = (E||X_{t-1}||^2 - E||X_t||^2) / (E||X_0||^2 - E||X_t||^2),
-estimated by Monte-Carlo over (image, trajectory) draws.  Because removal
+with the expectation over (image, trajectory) pairs.  Because removal
 sets are disjoint, the same ratio equals
 E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2, a ratio of sums of non-negative
-terms, and only this form is computed.  A draw's removed energies for
-every t are one O(N) pass, its trajectory's ``removed_sums``.  The draws
-are independent, so they run as ``parallel.Workers`` items on every
-usable CPU, and each draw's removed energies are added into the running
-sums in draw order as they arrive: the schedule is the same bytes for
-every process count, and no more than a few draws are held at once.  A
-linear ablation schedule is also provided.
+terms, and only this form is computed.  The expectation over
+trajectories is exact: ``degradation.expected_removed_sums`` gives every
+step's expected removed energy in one O(N + T_f) pass, so the schedule is
+the limit that a Monte-Carlo estimate over sampled trajectories
+converges to.  A linear ablation schedule is also provided.
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import parallel
-from .degradation import ProcessConfig, sample_trajectory
+from .degradation import ProcessConfig, expected_removed_sums
 from .errors import ConfigError, ScheduleError
 from .fileio import read_csv, read_json, write_csv, write_json
 from .grid import KSpaceGrid, as_image, dft2
-from .rng import child_seed
 
 PROVENANCES = ("monte_carlo", "linear", "constant")
 _PACKAGE_DIR = Path(__file__).parent
@@ -70,7 +66,7 @@ class CorrectionSchedule:
                 # names the first frame above it that is outside the package
                 warnings.warn(
                     f"monte_carlo schedule is non-monotone by {worst:.3g} "
-                    "(beyond sampling-noise tolerance)",
+                    "(a weight exceeds the one before it by more than 1e-3)",
                     stacklevel=_outside_package(3),
                 )
 
@@ -81,61 +77,45 @@ class CorrectionSchedule:
 
 
 def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int = 0) -> CorrectionSchedule:
-    """Monte-Carlo estimate of the learned schedule over the given dataset.
+    """The learned schedule over the given dataset, exact in its expectation over trajectories.
 
-    Draw i pairs image ``i mod len(images)`` with a fresh trajectory, whose
-    ``removed_sums`` of the spectral energy are ||X_{t-1} - X_t||^2.  The
-    draws are ``parallel.Workers`` items: this process and forked workers
-    compute them, and each draw's removed sums are added into the running
-    sums here in draw order 0..n-1 as they arrive, so the weights and
-    energy fractions are the same bytes for every process count, and the
-    n draws are never held at once.  A draw's exception is raised here; a
-    worker that dies, or an exception that cannot be pickled, is a
-    WorkerError.  w_t is the removed-energy ratio
+    ``mc_samples`` counts (image, trajectory) draws, draw i standing for
+    image ``i mod len(images)``, so it weights each image by its number
+    of draws; the weights are equal whenever it is a multiple of the
+    dataset size.  No trajectory is drawn: each draw's
+    ||X_{t-1} - X_t||^2 is replaced by its mean over every trajectory of
+    ``process``, ``expected_removed_sums`` of the image's spectral
+    energy.  That mean is linear in the energy, so it is taken once, of
+    the draw-weighted mean spectrum.  ``seed`` is not read; it stays for
+    callers that pass one.  w_t is the removed-energy ratio
     E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2, which lies in [0, 1] by
-    construction.  A draw's ||X_0 - X_t||^2 is the cumulative sum of its
-    removed energies, which never decreases in t, so the schedule is
-    degenerate (ScheduleError) exactly when step 1 removes no energy.
+    construction.  ||X_0 - X_t||^2 is the cumulative sum of the removed
+    energies, which never decreases in t, so the schedule is degenerate
+    (ScheduleError) exactly when step 1 removes no energy.
     """
     images = [as_image(x) for x in images]
     if not images:
         raise ConfigError("dataset must not be empty")
     if mc_samples < 1:
         raise ConfigError(f"mc_samples must be >= 1, got {mc_samples}")
-    t_f = process.t_f
     grid = KSpaceGrid(*images[0].shape)
     for x in images:
         if x.shape != grid.shape:
             raise ConfigError(f"all dataset images must share one shape, got {grid.shape} and {x.shape}")
-    energies = [np.abs(dft2(x).ravel()) ** 2 for x in images]
-    totals = [float(energy.sum()) for energy in energies]  # ||X_0||^2 of each image
-
-    def removed_sums(i):
-        """Draw i's ||X_{t-1} - X_t||^2 for t = 1..T_f."""
-        traj_cfg = replace(process, seed=child_seed(seed, "mc-trajectory", i))
-        return sample_trajectory(grid, traj_cfg, t_total=t_f).removed_sums(energies[i % len(images)])
-
-    sum_removed = np.zeros(t_f)           # running sums of ||X_{t-1} - X_t||^2
-    sum_deficit = np.zeros(t_f)           # running sums of ||X_0 - X_t||^2
-    sum_e0 = 0.0                          # running sum of ||X_0||^2
-
-    with parallel.Workers(mc_samples, removed_sums, "Monte-Carlo") as workers:
-        for i, removed in enumerate(workers.map(mc_samples)):
-            sum_removed += removed
-            sum_deficit += np.cumsum(removed)
-            sum_e0 += totals[i % len(images)]
-
-    mean_deficit = sum_deficit / mc_samples
-    if not mean_deficit[0] > 0.0:
+    draws = np.bincount(np.arange(mc_samples) % len(images), minlength=len(images))
+    energy = sum(int(k) * np.abs(dft2(x)) ** 2 for k, x in zip(draws, images) if k) / mc_samples
+    removed = expected_removed_sums(grid, process, energy, process.t_f)  # E||X_{t-1} - X_t||^2
+    deficit = np.cumsum(removed)                                           # E||X_0 - X_t||^2
+    if not deficit[0] > 0.0:
         raise ScheduleError(
             "degenerate schedule at t=1: no spectral energy removed yet "
             "(denominator of the weight ratio is zero)"
         )
     return CorrectionSchedule(
-        weights=(sum_removed / mc_samples) / mean_deficit,
+        weights=removed / deficit,
         provenance="monte_carlo",
         mc_samples=mc_samples,
-        energy_fraction=np.concatenate(([1.0], 1.0 - mean_deficit / (sum_e0 / mc_samples))),
+        energy_fraction=np.concatenate(([1.0], 1.0 - deficit / energy.sum())),
     )
 
 

@@ -9,14 +9,18 @@ at step t (components never removed or removed after t) defines an
 image-domain corruption operator: forward DFT, mask, inverse DFT.  The DC
 component is never removed, so total image energy cannot vanish.  Only
 this module reads the map, in one pass per question: other modules use
-the trajectory's masks, its ``removed_sums`` (every step's sum in one
-``bincount``) and ``native_trajectory``, the map in FFT-native layout.
+the trajectory's masks and ``native_trajectory``, the map in FFT-native
+layout.
 
 Sampling keeps the eligible components in a pool that the falling
 threshold feeds in descending-radius order, and draws every step from
 one generator per trajectory, so a step costs O(count) whatever the grid
 size.  The pool's order is part of the rule: which components a seed
-removes depends on it.
+removes depends on it.  Which components enter the pool at each step,
+and so its size, does not depend on the draws; ``_pool_plan`` holds that
+admission rule once, for the sampler and for
+``expected_removed_sums``, the exact mean of a step's removed values over
+every trajectory of a process.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ class DegradationTrajectory:
     seed; ``removed_at``, an (H, W) map of the step in 1..t_total at which
     each component was removed, 0 if never (DC always); and ``counts`` and
     ``relaxed``, per step.  Derived: the grid shape from ``removed_at``,
-    ``t_total`` from ``counts``, masks and per-step sums on demand, so a
+    ``t_total`` from ``counts``, and masks on demand, so a
     trajectory holds O(N + t_total) bytes.  A radius-scheduled step's
     threshold is not kept: it is ``radius_threshold(t, T_f, R', min(H, W) / 2)``.
     """
@@ -175,80 +179,85 @@ class DegradationTrajectory:
     def keep_count(self, t: int) -> int:
         return int(np.count_nonzero(self.keep_mask(t)))
 
-    def removed_sums(self, values) -> np.ndarray:
-        """Sums of ``values`` (one per component) over each step's removals, 1..t_total, in flat-index order."""
-        return np.bincount(self.removed_at.ravel(), weights=np.ravel(values), minlength=self.t_total + 1)[1:]
-
 
 def native_trajectory(traj: DegradationTrajectory) -> DegradationTrajectory:
     """``traj`` with its removal-time map in FFT-native layout, the form ``sampler.reverse_step`` reads."""
     return replace(traj, removed_at=to_native(traj.removed_at))
 
 
+def _pool_plan(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int):
+    """(counts, reach, relaxed) over steps 1..t_total: the pool's admission rule, which no draw changes.
+
+    Components enter the eligible pool in ``grid.radius_order``
+    (descending radius, ties in ascending flat index; DC is not in it), and
+    by the draw of step t ``order[:reach[t - 1]]`` has entered.  Step t's
+    window is the candidates above its radius threshold, or every
+    candidate for uniform density.  If the pool would then hold fewer than
+    the step's count, the step relaxes: it takes in every candidate at or
+    above the radius of the count-th one, counting the pool first, and
+    those stay eligible at later steps.  The pool holds what has entered
+    less what earlier steps removed, so its size does not depend on the
+    draws, and neither does anything here.  Both bounds fall between two
+    radii, so reach[t - 1] is the running maximum over steps up to t of the
+    window's end and of the end of the radius tie that holds the last
+    component the step removes, ``order[removed_by_t - 1]``; step t relaxes
+    exactly when that tie reaches past its window and the earlier reach.
+    """
+    counts = step_counts(grid.n_components, cfg, t_total)
+    removed = np.cumsum(counts)  # removed by the end of each step
+    if t_total and removed[-1] > grid.n_components - 1:
+        raise TrajectoryError(
+            f"trajectory would remove {int(removed[-1])} of {grid.n_components} components; "
+            "the DC component must survive"
+        )
+    order = grid.radius_order
+    neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
+    if cfg.density == "radius_scheduled":
+        anchor = min(grid.shape) / 2  # the inscribed radius
+        thresholds = [radius_threshold(t, cfg.t_f, cfg.r_prime, anchor) for t in range(1, t_total + 1)]
+        stops = np.searchsorted(neg_radius, -np.array(thresholds, dtype=np.float64), side="left")
+    else:
+        stops = np.full(t_total, order.size)
+    ties = np.searchsorted(neg_radius, neg_radius[removed - 1], side="right")
+    reach = np.maximum.accumulate(np.maximum(stops, ties))
+    relaxed = np.maximum(stops, np.concatenate(([0], reach))[:-1]) < removed
+    return counts, reach, relaxed
+
+
 def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None = None) -> DegradationTrajectory:
     """Draw a removal trajectory; deterministic given ``cfg.seed``.
 
-    Components enter an eligible pool in ``grid.radius_order`` (descending
-    radius, ties in ascending flat index) once their radius exceeds the
-    threshold, and leave it only when drawn; uniform density puts the whole
-    grid in the pool at step 1.  Step t draws its count uniformly from the
-    pool: positions ``choice(pool_size, count, replace=False)`` from the
-    trajectory's one ``substream(seed, "degradation")`` generator, then a
-    swap-remove that fills the drawn positions below the new pool size,
-    lowest first, with the undrawn entries beyond it, in pool order.  The
-    pool order is part of the rule: it decides which components a seed
-    removes.  If the pool holds fewer than the count, it takes in every
-    component at or above the radius of the count-th candidate (descending
-    radius), which then stay eligible at later steps; such steps are
-    flagged in ``relaxed``.
+    The pool takes in components as ``_pool_plan``'s admission rule says,
+    in ``grid.radius_order``, and a component leaves it only when drawn.
+    Step t draws its count uniformly from the pool: positions
+    ``choice(pool_size, count, replace=False)`` from the trajectory's one
+    ``substream(seed, "degradation")`` generator, then a swap-remove that
+    fills the drawn positions below the new pool size, lowest first, with
+    the undrawn entries beyond it, in pool order.  The pool order is part
+    of the rule: it decides which components a seed removes.
 
     Cost: ``grid.radius_order`` is sorted once per grid, O(N log N); each
     component is copied into the pool at most once, and a step costs
-    O(count) for its draw and swap-remove plus one binary search for its
-    threshold.
+    O(count) for its draw and swap-remove.
     """
     if t_total is None:
         t_total = cfg.t_f
     if t_total < 0:
         raise ConfigError(f"trajectory length must be >= 0, got {t_total}")
-    counts = step_counts(grid.n_components, cfg, t_total)
-    total_removed = int(counts.sum())
-    if total_removed > grid.n_components - 1:
-        raise TrajectoryError(
-            f"trajectory would remove {total_removed} of {grid.n_components} components; "
-            "the DC component must survive"
-        )
+    counts, reach, relaxed = _pool_plan(grid, cfg, t_total)
 
     removed_at = np.zeros(grid.shape, dtype=np.int32)
     removed_flat = removed_at.reshape(-1)
-    relaxed = np.zeros(t_total, dtype=bool)
-
-    order = grid.radius_order  # the non-DC components, so DC never enters the pool
-    neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
-    if cfg.density == "radius_scheduled":
-        anchor = min(grid.shape) / 2  # the inscribed radius
-        thresholds = [radius_threshold(t, cfg.t_f, cfg.r_prime, anchor) for t in range(1, t_total + 1)]
-        # step t's window: the candidates above its threshold, order[:stops[t - 1]]
-        stops = np.searchsorted(neg_radius, -np.array(thresholds), side="left").tolist()
-    else:
-        stops = [order.size] * t_total
+    order = grid.radius_order
     pool = np.empty(order.size, dtype=order.dtype)
     size = 0  # pool[:size] holds the eligible components
-    reach = 0  # order[:reach] has entered the pool
+    entered = 0  # order[:entered] has entered the pool
     choice = substream(cfg.seed, "degradation").choice
 
-    for t, (need, stop) in enumerate(zip(counts.tolist(), stops), start=1):
-        if stop < reach:
-            stop = reach
-        if size + stop - reach < need:
-            # Relax: admit every candidate at or above the radius of the need-th
-            # one, counting the pool first and then order[reach:].
-            nth = reach + need - size - 1
-            stop = int(np.searchsorted(neg_radius, neg_radius[nth], side="right"))
-            relaxed[t - 1] = True
-        pool[size : size + stop - reach] = order[reach:stop]
-        size += stop - reach
-        reach = stop
+    for t, (need, stop) in enumerate(zip(counts.tolist(), reach.tolist()), start=1):
+        pool[size : size + stop - entered] = order[entered:stop]
+        size += stop - entered
+        entered = stop
 
         pos = choice(size, need, replace=False)
         removed_flat[pool[pos]] = t
@@ -261,6 +270,35 @@ def sample_trajectory(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int | None 
             pool[pos[:low]] = pool[size : size + need][survives]
 
     return DegradationTrajectory(process=cfg, counts=counts, removed_at=removed_at, relaxed=relaxed)
+
+
+def expected_removed_sums(grid: KSpaceGrid, process: ProcessConfig, values, t_total: int | None = None) -> np.ndarray:
+    """The mean over ``process``'s trajectories of each step's sum of ``values`` over its removals, steps 1..t_total.
+
+    ``values`` holds one number per component, in the grid's (H, W)
+    layout.  Step t draws count_t of the pool_t components in its pool
+    uniformly, so each leaves with probability count_t / pool_t, and by
+    ``_pool_plan`` neither depends on the draws.  So with A_t the values
+    that enter the pool at step t, the pool's expected sum before the draw
+    is P_t = P_{t-1} - R_{t-1} + A_t, and the expected sum removed is
+    R_t = (count_t / pool_t) P_t, relaxed steps included.  Cost
+    O(N + t_total).
+    """
+    if t_total is None:
+        t_total = process.t_f
+    if t_total < 0:
+        raise ConfigError(f"trajectory length must be >= 0, got {t_total}")
+    counts, reach, _ = _pool_plan(grid, process, t_total)
+    entered = np.concatenate(([0.0], np.cumsum(np.ravel(values)[grid.radius_order])))[reach]
+    entering = np.diff(entered, prepend=0.0)
+    pool_sizes = reach - (np.cumsum(counts) - counts)
+    sums = np.empty(t_total)
+    pool = 0.0
+    for t, (enter, share) in enumerate(zip(entering.tolist(), (counts / pool_sizes).tolist())):
+        pool += enter
+        sums[t] = share * pool
+        pool -= sums[t]
+    return sums
 
 
 def corrupt(x0: np.ndarray, traj: DegradationTrajectory, t: int) -> np.ndarray:

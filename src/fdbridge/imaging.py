@@ -269,10 +269,20 @@ def adjoint(system: ImagingSystem, y: Measurement) -> np.ndarray:
     return to_centered(native_adjoint(native_system(system), native_measurement(system, y)))
 
 
+def _norm(residual: np.ndarray) -> float:
+    """||residual|| for a contiguous complex array, summed the same way whatever BLAS's thread count.
+
+    ``np.linalg.norm`` takes a BLAS dot product, which OpenBLAS splits
+    across its threads on large inputs, so its last digits would follow
+    the CPUs a run may use; numpy's own pairwise sum does not.
+    """
+    return math.sqrt(np.add.reduce(np.square(residual.view(np.float64)), axis=None))
+
+
 def native_dc(native: NativeSystem, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """In FFT-native layout, the data-consistency update x + A^H (y - A x) and ||y - A x||, the input's residual."""
     residual = y - native_forward(native, x)
-    norm = float(np.linalg.norm(residual))
+    norm = _norm(residual)
     return x + native_adjoint(native, residual), norm
 
 
@@ -288,7 +298,7 @@ def dc_projection(system: ImagingSystem, x: np.ndarray, y: Measurement) -> tuple
 
 def native_residual(native: NativeSystem, x: np.ndarray, y: np.ndarray) -> float:
     """||A x - y|| in FFT-native layout."""
-    return float(np.linalg.norm(native_forward(native, x) - y))
+    return _norm(native_forward(native, x) - y)
 
 
 def residual_norm(system: ImagingSystem, x: np.ndarray, y: Measurement) -> float:

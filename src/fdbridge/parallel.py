@@ -9,8 +9,7 @@ pickling.  ``Workers.map`` hands every worker the job's arguments and
 yields the n items in order 0..n-1, each as it arrives, so a caller that
 folds them in that order gets the same bytes for every k and holds only
 the items run ahead of the fold: one of its own, and those a worker has
-sent early.  ``correction.estimate_weights`` runs its Monte-Carlo draws
-this way, one item per draw, ``recovery.train`` each batch, one item per
+sent early.  ``recovery.train`` runs each batch this way, one item per
 sample, and ``fdb ablate`` its variant x image cells, one per reconstruction.
 
 ``share_count`` picks k: the usable CPUs, at most the item count, and 1

@@ -32,8 +32,8 @@ until the model's next pass (``ForwardCache``).
 ``train`` runs each batch's samples as ``parallel.Workers`` items, in
 this process and in workers forked once per call, one per further usable
 CPU; the workers, their OpenBLAS pinning and the cases that run in one
-process are ``parallel``'s, which ``correction.estimate_weights``
-shares.  The parent adds the samples' losses and gradients in sample
+process are ``parallel``'s, which ``fdb ablate``'s reconstructions
+share.  The parent adds the samples' losses and gradients in sample
 order, as one process would, so the trained bytes do not depend on the
 process count.
 """

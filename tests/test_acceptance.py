@@ -78,7 +78,7 @@ def test_criterion_2_trajectory_laws():
 
 def test_criterion_3_correction_schedule():
     started = time.monotonic()
-    # Monte-Carlo schedule on toy phantoms; that the energy-balance and
+    # the learned schedule, exact over trajectories, on toy phantoms; that the energy-balance and
     # energy-difference forms of w_t agree is checked from keep masks by
     # tests/test_correction.py::TestEstimateWeights::test_ratio_paths_cross_checked_externally.
     images = [fb.make_phantom(fb.PhantomSpec(32, 32, seed=300 + i)) for i in range(8)]

@@ -4,11 +4,12 @@ import os
 import re
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
 
-from fdbridge import cli, correction, parallel, sampler
+from fdbridge import cli, degradation, parallel, sampler
 from fdbridge.cli import DEFAULT_CONFIG, main, validate_config
 from fdbridge.correction import save_schedule
 from fdbridge.degradation import ProcessConfig, sample_trajectory
@@ -387,6 +388,14 @@ class TestEstimateW:
         assert meta["provenance"] == "monte_carlo"
         assert meta["mc_samples"] == 100
         assert meta["R_prime"] == 2.0 and meta["T_f"] == 8
+
+    def test_default_config_schedule_does_not_warn(self, tmp_path):
+        # the exact schedule of the default 64^2 data and process rises nowhere by more than the tolerance
+        out = tmp_path / "west"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("estimate-w", "--out", str(out), "--no-plot") == 0
+        assert read_json(out / "schedule.json")["T_f"] == 64
 
     def test_plot_is_written_whole(self, tmp_path, config_path, monkeypatch):
         # a stub matplotlib whose figure writes a PNG signature to the file object it is given
@@ -775,24 +784,24 @@ class TestRunManifest:
 
     @needs_workers
     @pytest.mark.parametrize("fail,error", [
-        (die, "WorkerError: Monte-Carlo worker 1 exited without answering"),
+        (die, "WorkerError: training worker 1 exited without answering"),
         (raising(ValueError("draw one")), "ValueError: draw one"),
     ], ids=["worker-died", "worker-raised"])
     def test_worker_failure_is_recorded(self, tmp_path, config_path, monkeypatch, capsys, fail, error):
         def draw(grid, process, t_total):
-            if multiprocessing.parent_process() is not None:  # draws 1, 3, ..., in the worker
+            if multiprocessing.parent_process() is not None:  # samples 1, 3, ..., in the worker
                 fail()
             return sample_trajectory(grid, process, t_total=t_total)
 
         monkeypatch.setattr(parallel, "share_count", lambda n: 2)
-        monkeypatch.setattr(correction, "sample_trajectory", draw)
-        out = tmp_path / "west"
-        assert run("estimate-w", "--config", config_path, "--out", str(out), "--mc-samples", "20") == 2
+        monkeypatch.setattr(degradation, "sample_trajectory", draw)
+        out = tmp_path / "tr"
+        assert run("train", "--config", config_path, "--out", str(out)) == 2
         assert multiprocessing.active_children() == []
         assert capsys.readouterr().err == f"error: {error}\n"
         manifest = read_json(out / "run_manifest.json")
         assert (manifest["status"], manifest["error"], manifest["outputs"]) == ("failed", error, [])
-        assert manifest["command"] == "estimate-w" and manifest["wall_time_s"] > 0.0
+        assert manifest["command"] == "train" and manifest["wall_time_s"] > 0.0
 
     @needs_workers
     @pytest.mark.parametrize("fail,error", [

@@ -12,13 +12,14 @@ from fdbridge.correction import (
     resample_weights,
     save_schedule,
 )
-from fdbridge.degradation import ProcessConfig, sample_trajectory
+from fdbridge.degradation import ProcessConfig
 from fdbridge.errors import ScheduleError
 from fdbridge.fileio import read_json, write_json
 from fdbridge.grid import dft2, radius_map
 from fdbridge.phantoms import PhantomSpec, make_phantom
 
-from conftest import constant_schedule
+from conftest import constant_schedule, rand_image
+from trajectory_oracle import every_trajectory
 
 
 def flat_spectrum_image(dims: int) -> np.ndarray:
@@ -70,40 +71,45 @@ class TestEstimateWeights:
     def test_flat_spectrum_converges_to_reciprocal_t(self):
         proc = ProcessConfig(r_prime=2.0, t_f=8, seed=6)
         sched = estimate_weights([flat_spectrum_image(16)], proc, mc_samples=200, seed=7)
-        expected = 1.0 / np.arange(1, 9)
-        assert np.max(np.abs(sched.weights - expected)) < 0.05
+        expected = 1.0 / np.arange(1, 9)  # every step removes 16 components of equal energy
+        assert np.max(np.abs(sched.weights - expected)) <= 1e-12
 
     def test_ratio_paths_cross_checked_externally(self):
-        # the one check of the ratio identity: re-accumulate both forms from keep masks over the same draws
-        images = [make_phantom(PhantomSpec(32, 32, seed=40 + i)) for i in range(2)]
-        proc = ProcessConfig(r_prime=2.0, t_f=8, seed=8)
-        mc, seed = 60, 9
-        sched = estimate_weights(images, proc, mc_samples=mc, seed=seed)
+        # the one check of the ratio identity: both forms from keep masks, averaged over every trajectory
+        grid = radius_map(4, 4)
+        proc = ProcessConfig(r_prime=4.0, t_f=3)  # step 2's window takes in components and step 3 relaxes
+        img = rand_image(4, 4, seed=9)
+        spec = dft2(img).ravel()
+        probability, removed_at = (np.array(a) for a in zip(*every_trajectory(grid, proc, proc.t_f)))
+        # x_t_spec[t][j]: trajectory j's spectrum at step t, by its keep mask
+        x_t_spec = [np.where((removed_at == 0) | (removed_at > t), spec, 0) for t in range(proc.t_f + 1)]
 
-        from fdbridge.rng import child_seed
+        def mean_energy(x):
+            return probability @ np.sum(np.abs(x) ** 2, axis=1)
 
-        grid = radius_map(32, 32)
-        t_f = proc.t_f
-        sum_et = np.zeros(t_f + 1)
-        sum_diff = np.zeros(t_f)
-        sum_deficit = np.zeros(t_f)
-        for i in range(mc):
-            x0 = images[i % len(images)]
-            cfg_i = ProcessConfig(r_prime=2.0, t_f=t_f, seed=child_seed(seed, "mc-trajectory", i))
-            traj = sample_trajectory(grid, cfg_i, t_total=t_f)
-            spec = dft2(x0)
-            for t in range(t_f + 1):
-                x_t_spec = np.where(traj.keep_mask(t), spec, 0)
-                sum_et[t] += np.sum(np.abs(x_t_spec) ** 2)
-                if t >= 1:
-                    prev = np.where(traj.keep_mask(t - 1), spec, 0)
-                    sum_diff[t - 1] += np.sum(np.abs(prev - x_t_spec) ** 2)
-                    sum_deficit[t - 1] += np.sum(np.abs(spec - x_t_spec) ** 2)
+        sum_et = np.array([mean_energy(x) for x in x_t_spec])
+        sum_diff = np.array([mean_energy(x_t_spec[t - 1] - x_t_spec[t]) for t in range(1, proc.t_f + 1)])
+        sum_deficit = np.array([mean_energy(spec - x_t_spec[t]) for t in range(1, proc.t_f + 1)])
         balance = (sum_et[:-1] - sum_et[1:]) / (sum_et[0] - sum_et[1:])
         diff = sum_diff / sum_deficit
         assert np.max(np.abs(balance - diff)) <= 1e-8 * np.max(np.abs(balance))
+        sched = estimate_weights([img], proc, mc_samples=1)
         assert np.max(np.abs(diff - sched.weights) / diff) <= 1e-12
         assert np.max(np.abs(sum_et / sum_et[0] - sched.energy_fraction)) <= 1e-12
+
+    def test_draws_weight_the_images(self):
+        # draw i stands for image i mod n: 3 draws over (a, b) weigh a twice, as (a, b, a) does, and
+        # a multiple of the dataset size weighs every image equally
+        a, b = (make_phantom(PhantomSpec(32, 32, seed=s)) for s in (90, 91))
+        proc = ProcessConfig(r_prime=2.0, t_f=8)
+        pairs = [
+            (estimate_weights([a, b], proc, 3), estimate_weights([a, b, a], proc, 3)),
+            (estimate_weights([a, b], proc, 4), estimate_weights([a, b], proc, 2)),
+        ]
+        for x, y in pairs:
+            assert np.max(np.abs(x.weights - y.weights)) <= 1e-12
+            assert np.max(np.abs(x.energy_fraction - y.energy_fraction)) <= 1e-12
+        assert np.max(np.abs(pairs[0][0].weights - pairs[1][0].weights)) > 1e-6
 
     def test_dc_offset_leaves_weights_unchanged(self):
         # DC is never removed, so an offset only adds energy the weight ratio never reads; the
@@ -115,11 +121,13 @@ class TestEstimateWeights:
         assert np.max(np.abs(offset.weights - plain.weights) / plain.weights) <= 1e-12
 
     def test_seed_stability(self):
+        # no trajectory is drawn, so the seed does not change the bytes
         images = [make_phantom(PhantomSpec(32, 32, seed=60 + i)) for i in range(4)]
         proc = ProcessConfig(r_prime=2.0, t_f=8, seed=0)
         a = estimate_weights(images, proc, mc_samples=2000, seed=100)
         b = estimate_weights(images, proc, mc_samples=2000, seed=200)
-        assert np.max(np.abs(a.weights - b.weights)) < 0.02
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.energy_fraction.tobytes() == b.energy_fraction.tobytes()
 
     def test_degenerate_denominator_names_step(self):
         # constant image: all removable components carry zero energy

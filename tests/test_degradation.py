@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fdbridge.phantoms import PhantomSpec, make_phantom
 from fdbridge.rng import substream
 
 from conftest import rand_image
+from trajectory_oracle import every_trajectory
 
 
 def _full_grid_oracle(grid, cfg, t_total):
@@ -336,7 +338,34 @@ class TestSampleTrajectory:
             assert np.linalg.norm(corrupt(x, traj, t)) <= np.linalg.norm(x) * (1 + 1e-12)
 
 
+# small enough to list every trajectory, with a spectrum that is not flat
+ORACLE_PROCESSES = {
+    # counts 4, 4, 4 on pools of 7: step 2's window takes in 4 components and step 3 relaxes
+    "window-and-relaxed": ((4, 4), ProcessConfig(r_prime=4.0, t_f=3), 3),
+    # counts 2, 3, 3: step 3 relaxes
+    "log": ((4, 4), ProcessConfig(r_prime=2.0, t_f=3, step_count_schedule="log"), 3),
+    # counts 2, 3 on the whole grid
+    "uniform": ((4, 4), ProcessConfig(r_prime=1.5, t_f=2, density="uniform"), 2),
+}
+
+
 class TestRemovedSums:
+    """``expected_removed_sums``: the mean over a process's trajectories of each step's removed sum."""
+
+    @pytest.mark.parametrize("name", ORACLE_PROCESSES)
+    def test_equals_the_mean_over_every_trajectory(self, name):
+        shape, cfg, t_total = ORACLE_PROCESSES[name]
+        grid = radius_map(*shape)
+        values = np.abs(dft2(rand_image(*shape, seed=6))) ** 2
+        trajectories = every_trajectory(grid, cfg, t_total)
+        assert abs(sum(p for p, _ in trajectories) - 1.0) <= 1e-12
+        relaxed = sample_trajectory(grid, cfg, t_total=t_total).relaxed
+        assert relaxed.tolist() == ([False] * (t_total - 1) + [True] if name != "uniform" else [False] * t_total)
+        mean = sum(p * np.bincount(r, weights=values.ravel(), minlength=t_total + 1)[1:] for p, r in trajectories)
+        expected = degradation.expected_removed_sums(grid, cfg, values, t_total)
+        assert expected.shape == (t_total,)
+        assert np.all(np.abs(expected - mean) <= 1e-12 * mean)
+
     @pytest.mark.parametrize(
         "shape,t_f,t_total,density,schedule",
         [
@@ -351,17 +380,27 @@ class TestRemovedSums:
         ],
     )
     def test_matches_per_step_masked_sums(self, shape, t_f, t_total, density, schedule):
-        cfg = ProcessConfig(r_prime=2.0, t_f=t_f, density=density, step_count_schedule=schedule, seed=3)
-        traj = sample_trajectory(radius_map(*shape), cfg, t_total=t_total)
-        if t_total == 112:
-            assert traj.relaxation_count > 0
+        # the mean of sampled draws' per-step sums lies within 4 standard errors of the closed form at every step
+        grid = radius_map(*shape)
+        cfg = ProcessConfig(r_prime=2.0, t_f=t_f, density=density, step_count_schedule=schedule)
         values = np.abs(dft2(rand_image(*shape, seed=4))) ** 2
-        expected = np.array([values[traj.removed_mask(t)].sum() for t in range(1, t_total + 1)])
-        sums = traj.removed_sums(values)
-        assert sums.shape == (t_total,)
-        assert np.all(np.abs(sums - expected) <= 1e-13 * expected)
-        # unit weights count each step's removals
-        assert np.array_equal(traj.removed_sums(np.ones(shape)), traj.counts)
+        draws = np.array([
+            np.bincount(
+                sample_trajectory(grid, replace(cfg, seed=seed), t_total=t_total).removed_at.ravel(),
+                weights=values.ravel(), minlength=t_total + 1,
+            )[1:]
+            for seed in range(200)
+        ])
+        if t_total == 112:
+            assert sample_trajectory(grid, cfg, t_total=t_total).relaxation_count > 0
+        expected = degradation.expected_removed_sums(grid, cfg, values, t_total)
+        assert expected.shape == (t_total,)
+        error = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - expected) <= 4 * error)
+        # unit values count each step's removals, which no draw changes
+        counts = step_counts(grid.n_components, cfg, t_total)
+        ones = degradation.expected_removed_sums(grid, cfg, np.ones(shape), t_total)
+        assert np.all(np.abs(ones - counts) <= 1e-12 * counts)
 
 
 class TestCorrupt:

@@ -5,13 +5,10 @@ import time
 
 import pytest
 
-from fdbridge import correction, parallel
-from fdbridge.correction import estimate_weights
-from fdbridge.degradation import ProcessConfig, sample_trajectory
+from fdbridge import parallel
 from fdbridge.errors import WorkerError
-from fdbridge.phantoms import PhantomSpec, make_phantom
 
-from conftest import _Unpicklable, die, needs_workers, raising, rand_image
+from conftest import needs_workers
 
 
 def test_share_count(monkeypatch):
@@ -57,6 +54,22 @@ def _raising_at(at):
     return item
 
 
+class _Unsendable:
+    """An item's result that raises when pickled, as the pipe to the caller pickles it."""
+
+    def __reduce__(self):
+        raise TypeError("this result cannot be sent")
+
+
+def _unsendable_at(at):
+    """An item function that returns i, except that item ``at``'s result cannot be pickled."""
+
+    def item(i):
+        return _Unsendable() if i == at else i
+
+    return item
+
+
 @needs_workers
 class TestWorkers:
     @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3) for n in (0, 1, 2, 7)])
@@ -80,6 +93,14 @@ class TestWorkers:
         with pytest.raises(ValueError, match=f"^item {at}$"):
             with parallel.Workers(7, _raising_at(at), "test") as workers:
                 assert list(workers.map(7)) == list(range(7))
+        assert multiprocessing.active_children() == []
+
+    def test_a_result_that_cannot_be_sent_reaches_the_caller(self, monkeypatch):
+        # item 1 runs in the worker, whose pipe raises while pickling it
+        monkeypatch.setattr(parallel, "share_count", lambda n_max: 2)
+        with pytest.raises(TypeError, match="^this result cannot be sent$"):
+            with parallel.Workers(3, _unsendable_at(1), "test") as workers:
+                list(workers.map(3))
         assert multiprocessing.active_children() == []
 
     def test_this_process_computes_its_next_item_before_reading_the_workers(self, monkeypatch):
@@ -109,89 +130,3 @@ class TestWorkers:
                 list(workers.map(2, 0.0))
         assert multiprocessing.active_children() == []
 
-
-def _phantoms(shape, count=3):
-    return [make_phantom(PhantomSpec(*shape, seed=i)) for i in range(count)]
-
-
-def _worker_draws(fail):
-    """``correction.sample_trajectory`` in this process; a worker's draws first run ``fail``, which may replace them."""
-
-    def draw(grid, process, t_total):
-        traj = sample_trajectory(grid, process, t_total=t_total)
-        if multiprocessing.parent_process() is not None:  # draws 1, 3, ... when k = 2
-            return fail() or traj
-        return traj
-
-    return draw
-
-
-class _Unsendable:
-    """A draw's removed sums that raise when pickled, as the pipe to the caller pickles them."""
-
-    def __reduce__(self):
-        raise TypeError("this draw cannot be sent")
-
-
-class _UnsendableTrajectory:
-    def removed_sums(self, energy):
-        return _Unsendable()
-
-
-@needs_workers
-class TestEstimateShares:
-    """The Monte-Carlo schedule with its draws dealt to k processes gives the serial bytes, and leaves no process."""
-
-    @staticmethod
-    def _estimate(monkeypatch, k, images, process, mc_samples):
-        monkeypatch.setattr(parallel, "share_count", lambda n: k)
-        schedule = estimate_weights(images, process, mc_samples, seed=21)
-        assert multiprocessing.active_children() == []
-        return schedule.weights.tobytes(), schedule.energy_fraction.tobytes()
-
-    @pytest.mark.parametrize("shape,changes,mc_samples", [
-        ((64, 64), {}, 7),
-        ((33, 31), {}, 7),
-        ((64, 64), {"step_count_schedule": "log"}, 5),
-        ((64, 64), {"density": "uniform"}, 5),
-        ((32, 32), {}, 1),
-        ((32, 32), {}, 2),
-    ], ids=["64", "33x31", "log", "uniform", "one-draw", "two-draws"])
-    def test_shares_match_serial(self, monkeypatch, shape, changes, mc_samples):
-        images = _phantoms(shape) if shape[0] == shape[1] else [rand_image(*shape, seed=i) for i in range(3)]
-        process = ProcessConfig(r_prime=2.0, t_f=16, seed=5, **changes)
-        serial = self._estimate(monkeypatch, 1, images, process, mc_samples)
-        for k in (2, 3):
-            assert self._estimate(monkeypatch, k, images, process, mc_samples) == serial, k
-
-    @pytest.mark.parametrize("fail,error,match", [
-        (raising(ValueError("draw one")), ValueError, "^draw one$"),
-        (raising(_Unpicklable("a", "b")), WorkerError, "(?s)a Monte-Carlo worker failed:.*_Unpicklable: a-b"),
-        (lambda: _UnsendableTrajectory(), TypeError, "^this draw cannot be sent$"),
-        (die, WorkerError, "^Monte-Carlo worker 1 exited without answering$"),
-    ], ids=["worker", "unpicklable", "unsendable-draw", "worker-died"])
-    def test_failure_reaches_the_caller_and_joins_the_workers(self, monkeypatch, fail, error, match):
-        monkeypatch.setattr(parallel, "share_count", lambda n: 2)
-        monkeypatch.setattr(correction, "sample_trajectory", _worker_draws(fail))
-        with pytest.raises(error, match=match):
-            estimate_weights(_phantoms((32, 32)), ProcessConfig(r_prime=2.0, t_f=8), 6)
-        assert multiprocessing.active_children() == []
-
-    def test_blas_runs_one_thread_while_workers_live_and_is_restored(self, monkeypatch):
-        get, put = parallel.blas_thread_calls()
-        before = get()
-        seen = []
-
-        def draw(grid, process, t_total):
-            seen.append(get())  # only this process's draws land in this list
-            return sample_trajectory(grid, process, t_total=t_total)
-
-        monkeypatch.setattr(parallel, "share_count", lambda n: 2)
-        monkeypatch.setattr(correction, "sample_trajectory", draw)
-        try:
-            put(2)
-            estimate_weights(_phantoms((32, 32)), ProcessConfig(r_prime=2.0, t_f=8), 6)
-            assert get() == 2
-        finally:
-            put(before)
-        assert seen == [1] * 3

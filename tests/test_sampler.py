@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdbridge import degradation
+from fdbridge import degradation, parallel
 from fdbridge.correction import CorrectionSchedule, linear_weights, resample_weights
 from fdbridge.degradation import ProcessConfig, corrupt, native_trajectory, sample_trajectory
 from fdbridge.errors import ConfigError, SamplingError, ScheduleError
@@ -316,6 +316,25 @@ def _assert_same_run(result, image, diagnostics):
     assert [row[2] for row in result.diagnostics] == [row[2] for row in diagnostics]
     # the residual norms sum in FFT-native order, so only their rounding may differ
     assert [row[1] for row in result.diagnostics] == pytest.approx([row[1] for row in diagnostics], rel=1e-12)
+
+
+@pytest.mark.skipif(parallel.blas_thread_calls() is None, reason="needs a settable OpenBLAS thread count")
+def test_residuals_do_not_follow_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads; at 4 coils of 64^2 the residual is long enough
+    system, y, reference = _oracle_case((64, 64), 4, seed=52)
+    proc = ProcessConfig(r_prime=2.0, t_f=8, seed=53)
+    cfg = SamplerConfig(t_f=8, r_prime=2.0, r=4.0, correction="none", seed=54)
+    get, put = parallel.blas_thread_calls()
+    before = get()
+    residuals = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            result = reconstruct(y, system, TinyRegressor(t_f=8, seed=55), proc, None, cfg, reference=reference)
+            residuals.append([row[1] for row in result.diagnostics])
+    finally:
+        put(before)
+    assert residuals[0] == residuals[1]
 
 
 class TestNativeLoopMatchesCenteredLoop:

@@ -93,6 +93,12 @@ def radius_threshold(t: int, t_f: int, r_prime: float, r_anchor: float) -> float
     return max(0.0, r_anchor * fade)
 
 
+def _step_thresholds(t_total: int, t_f: int, r_prime: float, r_anchor: float) -> np.ndarray:
+    """``radius_threshold`` at steps 1..t_total, as one vector."""
+    steps = np.arange(1, t_total + 1)
+    return np.maximum(0.0, r_anchor * (1.0 - (1.0 - r_prime ** -0.5) * (steps / t_f)))
+
+
 def per_step_count(n_components: int, r_prime: float, t_f: int) -> int:
     """Components removed per step: floor(N*(R'-1)/(R'*T_f))."""
     if n_components < 1:
@@ -214,8 +220,8 @@ def _pool_plan(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int):
     neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
     if cfg.density == "radius_scheduled":
         anchor = min(grid.shape) / 2  # the inscribed radius
-        thresholds = [radius_threshold(t, cfg.t_f, cfg.r_prime, anchor) for t in range(1, t_total + 1)]
-        stops = np.searchsorted(neg_radius, -np.array(thresholds, dtype=np.float64), side="left")
+        thresholds = _step_thresholds(t_total, cfg.t_f, cfg.r_prime, anchor)
+        stops = np.searchsorted(neg_radius, -thresholds, side="left")
     else:
         stops = np.full(t_total, order.size)
     ties = np.searchsorted(neg_radius, neg_radius[removed - 1], side="right")

@@ -15,7 +15,7 @@ are the same functions on centered arrays, shifted in on entry and out
 on return, and the simulated acquisition ``forward`` is A plus noise on
 the sampled locations.  Coil maps are synthetic smooth Gaussian lobes
 with linear phase ramps, normalized to unit sum-of-squares per pixel, so
-the single-coil case reduces to a unit map.
+the single-coil map has unit magnitude but keeps its phase ramp.
 """
 
 from __future__ import annotations
@@ -95,11 +95,12 @@ def _bisect_sigma(radius: np.ndarray, budget: int) -> float:
             raise ConfigError("sampling-density calibration failed to bracket the budget")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if expected(mid) < budget:
+        got = expected(mid)
+        if got < budget:
             lo = mid
         else:
             hi = mid
-        if abs(expected(mid) - budget) <= 0.01 * budget:
+        if abs(got - budget) <= 0.01 * budget:
             return mid
     return 0.5 * (lo + hi)
 

@@ -2,9 +2,11 @@
 
 Each phantom is a sum of anti-aliased random ellipses (one enclosing
 shell plus internal structures) with magnitudes clamped to [0, 1] and a
-smooth low-order polynomial phase.  Contrast presets remap the same
-random intensity draws, so two presets under one seed share geometry and
-differ only in intensities.
+smooth low-order polynomial phase.  Each ellipse is evaluated over its
+bounding box only, outside which its coverage is exactly 0, so a phantom
+has the bytes of evaluating every ellipse over the whole grid.  Contrast
+presets remap the same random intensity draws, so two presets under one
+seed share geometry and differ only in intensities.
 
 Every generated phantom is named by a tag path under a run seed: its
 seed is ``child_seed(seed, group, *index)`` (``seeded_phantom``), and a
@@ -13,6 +15,7 @@ dataset is the phantoms ``(group, 0), (group, 1), ...``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,14 +53,27 @@ def _preset_intensity(contrast: str, kind: str, u: float) -> float:
     return 0.55 + 0.10 * u if kind == "shell" else 0.40 + 0.40 * u
 
 
+def _span(center: float, half: float, n: int) -> slice:
+    """The pixels of an axis of n whose normalized coordinate lies within half of center, and one more each side."""
+    mid, scale = (n - 1) / 2.0, n / 2.0
+    lo = math.floor((center - half) * scale + mid) - 1
+    hi = math.ceil((center + half) * scale + mid) + 2
+    return slice(max(lo, 0), min(hi, n))
+
+
 def make_phantom(spec: PhantomSpec) -> np.ndarray:
-    """Generate one phantom of MIN_ELLIPSES to MAX_ELLIPSES ellipses; bit-reproducible per spec."""
+    """Generate one phantom of MIN_ELLIPSES to MAX_ELLIPSES ellipses; bit-reproducible per spec.
+
+    Each ellipse is evaluated over its bounding box, widened by the
+    anti-aliasing band and one pixel.  Its coverage is exactly 0 outside
+    that box, so the result has the bytes of evaluating every ellipse over
+    the whole grid.
+    """
     rng = substream(spec.seed, "phantom")
     h, w = spec.height, spec.width
-    yy, xx = np.mgrid[0:h, 0:w]
-    # normalized coordinates in [-1, 1]
-    ny = (yy - (h - 1) / 2.0) / (h / 2.0)
-    nx = (xx - (w - 1) / 2.0) / (w / 2.0)
+    # normalized coordinates in [-1, 1], as a column and a row that broadcast
+    ny = ((np.arange(h) - (h - 1) / 2.0) / (h / 2.0))[:, None]
+    nx = (np.arange(w) - (w - 1) / 2.0) / (w / 2.0)
 
     count = int(rng.integers(MIN_ELLIPSES, MAX_ELLIPSES + 1))
     mag = np.zeros((h, w), dtype=np.float64)
@@ -79,11 +95,17 @@ def make_phantom(spec: PhantomSpec) -> np.ndarray:
         u = float(rng.uniform(0.0, 1.0))
         value = _preset_intensity(spec.contrast, kind, u)
         ct, st = np.cos(theta), np.sin(theta)
-        dy, dx = ny - cy, nx - cx
+        band = edge / min(a, b)
+        # coverage > 0 exactly where q < 1 + band / 2: the ellipse with both semi-axes scaled by that
+        grow = 1.0 + 0.5 * band
+        rows = _span(cy, grow * math.hypot(a * st, b * ct), h)
+        cols = _span(cx, grow * math.hypot(a * ct, b * st), w)
+        dy, dx = ny[rows] - cy, nx[cols] - cx
         q = np.sqrt(((dx * ct + dy * st) / a) ** 2 + ((-dx * st + dy * ct) / b) ** 2)
-        coverage = np.clip((1.0 - q) / (edge / min(a, b)) + 0.5, 0.0, 1.0)
-        sign = 1.0 if kind == "shell" else rng.choice([-1.0, 1.0, 1.0])
-        mag += sign * value * coverage
+        coverage = np.clip((1.0 - q) / band + 0.5, 0.0, 1.0)
+        # (-1.0, 1.0, 1.0)[integers(0, 3)] takes what choice([-1.0, 1.0, 1.0]) takes from the stream
+        sign = 1.0 if kind == "shell" else (-1.0, 1.0, 1.0)[rng.integers(0, 3)]
+        mag[rows, cols] += sign * value * coverage
 
     mag = np.clip(mag, 0.0, 1.0)
 

@@ -10,8 +10,31 @@ import numpy as np
 
 from fdbridge.errors import ConfigError
 from fdbridge.grid import KSpaceGrid
-from fdbridge.imaging import MASK_DENSITIES, _bisect_sigma, default_calib
+from fdbridge.imaging import MASK_DENSITIES, default_calib
 from fdbridge.rng import substream
+
+
+def _bisect_sigma(radius: np.ndarray, budget: int) -> float:
+    # evaluates the expected count at each midpoint twice: once to bisect, once to test the 1% exit
+    r2 = radius.astype(np.float64) ** 2
+
+    def expected(sigma: float) -> float:
+        return float(np.exp(-r2 / (2.0 * sigma * sigma)).sum())
+
+    lo, hi = 1e-3, 1.0
+    while expected(hi) < budget:
+        hi *= 2.0
+        if hi > 1e9:
+            raise ConfigError("sampling-density calibration failed to bracket the budget")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected(mid) < budget:
+            lo = mid
+        else:
+            hi = mid
+        if abs(expected(mid) - budget) <= 0.01 * budget:
+            return mid
+    return 0.5 * (lo + hi)
 
 
 def _calib_block(grid: KSpaceGrid, calib: int) -> np.ndarray:

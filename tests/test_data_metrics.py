@@ -4,9 +4,10 @@ import pytest
 from fdbridge.errors import ConfigError
 from fdbridge.metrics import psnr, ssim
 from fdbridge.fileio import read_cimg
-from fdbridge.phantoms import PhantomSpec, dataset_ids, generate_dataset, make_phantom, save_dataset
+from fdbridge.phantoms import CONTRASTS, PhantomSpec, dataset_ids, generate_dataset, make_phantom, save_dataset
 
 from conftest import rand_image
+from phantom_oracle import reference_phantom
 
 
 class TestMakePhantom:
@@ -32,6 +33,16 @@ class TestMakePhantom:
         # identical low-order phase on the common support, different magnitudes
         assert np.allclose(np.angle(a)[both], np.angle(b)[both], atol=1e-12)
         assert not np.allclose(np.abs(a)[both], np.abs(b)[both])
+
+    @pytest.mark.parametrize("contrast", CONTRASTS)
+    @pytest.mark.parametrize("shape", [(32, 32), (33, 47), (47, 33), (64, 64), (256, 256)])
+    def test_matches_full_grid_oracle(self, shape, contrast):
+        # each ellipse over its bounding box gives the bytes of every ellipse over the whole grid,
+        # and the sign drawn with integers(0, 3) takes what choice took from the stream
+        for seed in range(20):
+            spec = PhantomSpec(*shape, contrast=contrast, seed=seed)
+            got, want = make_phantom(spec), reference_phantom(spec)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (shape, contrast, seed)
 
     def test_small_dims_rejected(self):
         with pytest.raises(ConfigError):

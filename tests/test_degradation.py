@@ -25,6 +25,16 @@ from conftest import rand_image
 from trajectory_oracle import every_trajectory
 
 
+def _patch_threshold(monkeypatch, threshold):
+    """Make ``threshold(t, t_f, r_prime, r_anchor)`` step t's radius threshold, in the pool plan and in the oracles."""
+    monkeypatch.setattr(degradation, "radius_threshold", threshold)
+    monkeypatch.setattr(
+        degradation,
+        "_step_thresholds",
+        lambda t_total, *args: np.array([threshold(t, *args) for t in range(1, t_total + 1)], dtype=np.float64),
+    )
+
+
 def _full_grid_oracle(grid, cfg, t_total):
     """Re-enact the pool rule with a Python list, scanning the whole grid at every step.
 
@@ -87,6 +97,20 @@ class TestRadiusThreshold:
     def test_rejects_bad_r_prime(self):
         with pytest.raises(ConfigError):
             radius_threshold(1, 64, 1.0, 10.0)
+
+    @pytest.mark.parametrize("r_prime", [2.0, 4.0, 8.0])
+    @pytest.mark.parametrize(
+        "shape,t_f,t_total",
+        # horizons past T_f; the last runs into the clamp at 0 for every R'
+        [((64, 64), 64, 64), ((64, 64), 64, 112), ((33, 33), 16, 24), ((256, 256), 1000, 1000),
+         ((256, 256), 1000, 1750), ((32, 32), 8, 40)],
+    )
+    def test_step_vector_matches_per_step(self, shape, t_f, t_total, r_prime):
+        # the pool plan's thresholds, computed as one vector, have the bytes of one call per step
+        anchor = min(shape) / 2
+        vector = degradation._step_thresholds(t_total, t_f, r_prime, anchor)
+        per_step = np.array([radius_threshold(t, t_f, r_prime, anchor) for t in range(1, t_total + 1)])
+        assert vector.dtype == np.float64 and vector.tobytes() == per_step.tobytes()
 
 
 class TestPerStepCount:
@@ -215,7 +239,7 @@ class TestSampleTrajectory:
         def quantile_threshold(t, t_f, r_prime, r_anchor):
             return float(descending[min(descending.size - 1, int(slack * n * t))])
 
-        monkeypatch.setattr(degradation, "radius_threshold", quantile_threshold)
+        _patch_threshold(monkeypatch, quantile_threshold)
         traj = sample_trajectory(grid, cfg, t_total=40)
         removed_at, relaxed, counts = _full_grid_oracle(grid, cfg, 40)
         assert not relaxed.all()
@@ -229,7 +253,7 @@ class TestSampleTrajectory:
         # the count, and one taken one candidate late admits another radius.
         grid = radius_map(16, 12)
         cfg = ProcessConfig(r_prime=2.0, t_f=8, seed=5)
-        monkeypatch.setattr(degradation, "radius_threshold", lambda t, t_f, r_prime, r_anchor: 7.0 if t == 1 else 100.0)
+        _patch_threshold(monkeypatch, lambda t, t_f, r_prime, r_anchor: 7.0 if t == 1 else 100.0)
         traj = sample_trajectory(grid, cfg)
         removed_at, relaxed, counts = _full_grid_oracle(grid, cfg, 8)
         assert relaxed.tolist() == [False] * 4 + [True] * 4

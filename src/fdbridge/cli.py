@@ -262,7 +262,7 @@ def _plot_schedule(out: Path, weights: np.ndarray) -> None:
 def cmd_estimate_w(cfg, args, out: Path) -> None:
     images = _training_images(cfg, args)
     proc = _process_config(cfg, seed=child_seed(cfg["seed"], "process"))
-    schedule = estimate_weights(images, proc, args.mc_samples, seed=child_seed(cfg["seed"], "mc"))
+    schedule = estimate_weights(images, proc)
     save_schedule(out, schedule, r_prime=proc.r_prime, seed=cfg["seed"])
     if not args.no_plot:
         _plot_schedule(out, schedule.weights)
@@ -412,8 +412,9 @@ def cmd_ddpm_reconstruct(cfg, args, out: Path) -> None:
 # it samples, the source it trains on ("bridge": that process; "averaging": its
 # blend, on the upper bound), and the sampler settings it overrides, over learned
 # correction and ct_mode "independent", not the config's.  Variants with equal
-# sources share one model and with equal processes one schedule, each made under
-# the first such variant's name.
+# sources share one model, trained under the first such variant's name, and
+# variants with equal processes share one schedule, which depends on the process
+# alone and takes no seed tag.
 ABLATION_VARIANTS = {
     "fdb": ({}, "bridge", {}),
     "ct_uniform": ({"density": "uniform"}, "bridge", {}),
@@ -426,8 +427,8 @@ ABLATION_VARIANTS = {
 
 
 def cmd_ablate(cfg, args, out: Path) -> None:
-    if args.mc_samples < 1:
-        raise ConfigError(f"--mc-samples must be >= 1, got {args.mc_samples}")
+    if args.eval_count < 1:
+        raise ConfigError(f"--eval-count must be >= 1, got {args.eval_count}")
     seed, data = cfg["seed"], cfg["data"]
     dims, contrast = data["dims"], data["contrast"]
     train_images = generate_dataset(data["count"], dims, dims, contrast, seed)
@@ -445,7 +446,7 @@ def cmd_ablate(cfg, args, out: Path) -> None:
         if source not in models:
             models[source], _ = _train_model(cfg, train_images, source, name, upper_bound=not source.loss_masks)
         if proc not in schedules:
-            schedules[proc] = estimate_weights(train_images, proc, args.mc_samples, seed=child_seed(seed, "mc", name))
+            schedules[proc] = estimate_weights(train_images, proc)
         variants.append((name, models[source], proc, {"correction": "learned", "ct_mode": "independent", **overrides}))
 
     n = len(eval_images)
@@ -581,12 +582,6 @@ def _add_measurement_flags(p: _Parser) -> None:
     )
 
 
-MC_SAMPLES_HELP = (
-    "draws the learned schedule weighs: draw i is training image i mod the dataset size, so each image "
-    "counts by its number of draws (equally at a multiple of the dataset size); the mean over trajectories is exact"
-)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fdb", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fdbridge {__version__}")
@@ -610,7 +605,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate-w", help="learned correction-weight schedule, exact over the process's trajectories")
     _add_common(p)
     p.add_argument("--dataset", type=_resolved, help="dataset directory (default: generate from the config)")
-    p.add_argument("--mc-samples", type=int, default=2000, help=MC_SAMPLES_HELP)
     p.add_argument("--no-plot", action="store_true")
 
     p = sub.add_parser("train", help="train the recovery operator")
@@ -643,7 +637,6 @@ def build_parser() -> _Parser:
     )
     _add_common(p)
     p.add_argument("--eval-count", type=int, default=5)
-    p.add_argument("--mc-samples", type=int, default=1000, help=MC_SAMPLES_HELP)
     _add_acquisition_flags(p)
 
     p = sub.add_parser("metrics", help="PSNR/SSIM between reference and test images")

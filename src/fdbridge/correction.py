@@ -47,7 +47,6 @@ class CorrectionSchedule:
 
     weights: np.ndarray
     provenance: str
-    mc_samples: int = 0
     energy_fraction: np.ndarray | None = None  # E||X_t||^2 / E||X_0||^2 for t = 0..t_f
 
     def __post_init__(self):
@@ -76,18 +75,16 @@ class CorrectionSchedule:
         return self.weights.size
 
 
-def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int = 0) -> CorrectionSchedule:
-    """The learned schedule over the given dataset, exact in its expectation over trajectories.
+def estimate_weights(images, process: ProcessConfig, mc_samples=None, seed=None) -> CorrectionSchedule:
+    """The learned schedule of the dataset's mean spectrum, exact in its expectation over trajectories.
 
-    ``mc_samples`` counts (image, trajectory) draws, draw i standing for
-    image ``i mod len(images)``, so it weights each image by its number
-    of draws; the weights are equal whenever it is a multiple of the
-    dataset size.  No trajectory is drawn: each draw's
-    ||X_{t-1} - X_t||^2 is replaced by its mean over every trajectory of
-    ``process``, ``expected_removed_sums`` of the image's spectral
-    energy.  That mean is linear in the energy, so it is taken once, of
-    the draw-weighted mean spectrum.  ``seed`` is not read; it stays for
-    callers that pass one.  w_t is the removed-energy ratio
+    Each image counts once: the expectation over the data is taken of
+    ``sum(|dft2(x)|**2) / len(images)``.  No trajectory is drawn: each
+    image's ||X_{t-1} - X_t||^2 is replaced by its mean over every
+    trajectory of ``process``, ``expected_removed_sums`` of the spectral
+    energy, and that mean is linear in the energy, so it is taken once, of
+    the mean spectrum.  ``mc_samples`` and ``seed`` are not read; the
+    benchmark still passes them.  w_t is the removed-energy ratio
     E||X_{t-1} - X_t||^2 / E||X_0 - X_t||^2, which lies in [0, 1] by
     construction.  ||X_0 - X_t||^2 is the cumulative sum of the removed
     energies, which never decreases in t, so the schedule is degenerate
@@ -96,14 +93,11 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     images = [as_image(x) for x in images]
     if not images:
         raise ConfigError("dataset must not be empty")
-    if mc_samples < 1:
-        raise ConfigError(f"mc_samples must be >= 1, got {mc_samples}")
     grid = KSpaceGrid(*images[0].shape)
     for x in images:
         if x.shape != grid.shape:
             raise ConfigError(f"all dataset images must share one shape, got {grid.shape} and {x.shape}")
-    draws = np.bincount(np.arange(mc_samples) % len(images), minlength=len(images))
-    energy = sum(int(k) * np.abs(dft2(x)) ** 2 for k, x in zip(draws, images) if k) / mc_samples
+    energy = sum(np.abs(dft2(x)) ** 2 for x in images) / len(images)
     removed = expected_removed_sums(grid, process, energy, process.t_f)  # E||X_{t-1} - X_t||^2
     deficit = np.cumsum(removed)                                           # E||X_0 - X_t||^2
     if not deficit[0] > 0.0:
@@ -114,7 +108,6 @@ def estimate_weights(images, process: ProcessConfig, mc_samples: int, seed: int 
     return CorrectionSchedule(
         weights=removed / deficit,
         provenance="monte_carlo",
-        mc_samples=mc_samples,
         energy_fraction=np.concatenate(([1.0], 1.0 - deficit / energy.sum())),
     )
 
@@ -160,7 +153,6 @@ def save_schedule(out_dir, schedule: CorrectionSchedule, r_prime: float, seed: i
         out_dir / "schedule.json",
         {
             "provenance": schedule.provenance,
-            "mc_samples": schedule.mc_samples,
             "R_prime": r_prime,
             "T_f": schedule.t_f,
             "seed": seed,
@@ -173,9 +165,8 @@ def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
 
     The CSV must hold ``process``'s T_f rows, and the metadata, if any,
     state its R_prime and T_f; a mismatch raises a ConfigError naming the
-    values.  Metadata whose ``mc_samples`` is not an integer >= 0 raises
-    ValueError.  Without metadata the schedule is a given one (provenance
-    "constant").
+    values.  Keys it does not read are ignored.  Without metadata the
+    schedule is a given one (provenance "constant").
     """
     header, rows = read_csv(csv_path)
     if header[:2] != ["t", "w"]:
@@ -202,7 +193,4 @@ def load_schedule(csv_path, process: ProcessConfig) -> CorrectionSchedule:
             f"{meta_path} describes R_prime={estimated_for[0]}, T_f={estimated_for[1]}, "
             f"but the process has R_prime={process.r_prime}, T_f={process.t_f}"
         )
-    mc_samples = meta.get("mc_samples", 0)
-    if type(mc_samples) is not int or mc_samples < 0:  # bool is an int subclass, and no count
-        raise ValueError(f"{meta_path}: mc_samples={mc_samples!r}, expected an integer >= 0")
-    return CorrectionSchedule(weights=weights, provenance=meta.get("provenance", "constant"), mc_samples=mc_samples)
+    return CorrectionSchedule(weights=weights, provenance=meta.get("provenance", "constant"))

@@ -76,27 +76,22 @@ class ProcessConfig:
         return corrupt(x0, traj, t), traj
 
 
-def radius_threshold(t: int, t_f: int, r_prime: float, r_anchor: float) -> float:
+def radius_threshold(t: int | np.ndarray, t_f: int, r_prime: float, r_anchor: float) -> float | np.ndarray:
     """Scheduled radius threshold: r_anchor at t=0 down to r_anchor/sqrt(R') at t=T_f.
 
     ``sample_trajectory`` anchors it at the grid's inscribed radius
     min(H, W)/2, which leaves the steps of the default processes up to
     T_f unrelaxed (anchored at the corner radius, every step would relax).  The schedule
     extrapolates linearly past t_f (clamped at 0) so reconstruction-time
-    trajectories can extend the same process.
+    trajectories can extend the same process.  ``t`` is one step or an
+    array of steps; an array gives each step's threshold, with the bytes
+    of one call per step.
     """
     if not r_prime > 1.0:
         raise ConfigError(f"R_prime must be > 1, got {r_prime}")
     if t_f < 1:
         raise ConfigError(f"T_f must be >= 1, got {t_f}")
-    fade = 1.0 - (1.0 - r_prime ** -0.5) * (t / t_f)
-    return max(0.0, r_anchor * fade)
-
-
-def _step_thresholds(t_total: int, t_f: int, r_prime: float, r_anchor: float) -> np.ndarray:
-    """``radius_threshold`` at steps 1..t_total, as one vector."""
-    steps = np.arange(1, t_total + 1)
-    return np.maximum(0.0, r_anchor * (1.0 - (1.0 - r_prime ** -0.5) * (steps / t_f)))
+    return np.maximum(0.0, r_anchor * (1.0 - (1.0 - r_prime ** -0.5) * (t / t_f)))
 
 
 def per_step_count(n_components: int, r_prime: float, t_f: int) -> int:
@@ -220,7 +215,7 @@ def _pool_plan(grid: KSpaceGrid, cfg: ProcessConfig, t_total: int):
     neg_radius = -grid.radius.ravel()[order]  # ascending, for searchsorted
     if cfg.density == "radius_scheduled":
         anchor = min(grid.shape) / 2  # the inscribed radius
-        thresholds = _step_thresholds(t_total, cfg.t_f, cfg.r_prime, anchor)
+        thresholds = radius_threshold(np.arange(1, t_total + 1), cfg.t_f, cfg.r_prime, anchor)
         stops = np.searchsorted(neg_radius, -thresholds, side="left")
     else:
         stops = np.full(t_total, order.size)

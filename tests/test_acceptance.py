@@ -83,13 +83,13 @@ def test_criterion_3_correction_schedule():
     # tests/test_correction.py::TestEstimateWeights::test_ratio_paths_cross_checked_externally.
     images = [fb.make_phantom(fb.PhantomSpec(32, 32, seed=300 + i)) for i in range(8)]
     proc = fb.ProcessConfig(r_prime=2.0, t_f=16, seed=0)
-    sched = fb.estimate_weights(images, proc, mc_samples=10_000, seed=42)
+    sched = fb.estimate_weights(images, proc)
     assert abs(sched.weights[0] - 1.0) <= 1e-6, "w_1 must be 1"
 
     # flat spectra: convergence to 1/t
     flat = np.zeros((32, 32), dtype=complex)
     flat[0, 0] = 1.0
-    flat_sched = fb.estimate_weights([flat], proc, mc_samples=10_000, seed=43)
+    flat_sched = fb.estimate_weights([flat], proc)
     dev = np.max(np.abs(flat_sched.weights - 1.0 / np.arange(1, 17)))
     assert dev < 0.05, f"flat-spectrum deviation from 1/t: {dev:.3f}"
 
@@ -184,7 +184,7 @@ def test_criterion_7_end_to_end_toy_reconstruction():
     model, trace = fb.train(model, train_images, proc, tcfg)
     assert trace[-1] < 0.5 * trace[0], f"loss {trace[0]:.1f} -> {trace[-1]:.1f} not halved"
 
-    schedule = fb.estimate_weights(train_images, proc, mc_samples=300, seed=child_seed(seed, "mc"))
+    schedule = fb.estimate_weights(train_images, proc)
 
     grid = radius_map(64, 64)
     margins, margins_plain = [], []
@@ -245,7 +245,7 @@ def test_criterion_8_manifest_replay_determinism(tmp_path):
     for name in read_json(a / "manifest.json")["ids"]:
         assert (a / "images" / name).read_bytes() == (b / "images" / name).read_bytes()
 
-    a, b = replayed_pair("estimate-w", "--mc-samples", "80", "--no-plot")
+    a, b = replayed_pair("estimate-w", "--no-plot")
     assert (a / "schedule.csv").read_bytes() == (b / "schedule.csv").read_bytes()
 
     a, b = replayed_pair("reconstruct")

@@ -151,12 +151,14 @@ class TestExitCodes:
         assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_ablate_mc_samples_below_one_is_one(self, tmp_path, config_path, capsys, monkeypatch):
-        # rejected before fdb's model, which takes seconds at the default config, is trained
+    def test_ablate_eval_count_below_one_is_one(self, tmp_path, config_path, capsys, monkeypatch):
+        # rejected, naming the flag, before any data is generated or fdb's model, which takes seconds at the
+        # default config, is trained
+        monkeypatch.setattr(cli, "generate_dataset", lambda *a, **k: pytest.fail("data generated"))
         monkeypatch.setattr(cli, "_train_model", lambda *a, **k: pytest.fail("model trained"))
         out = tmp_path / "abl"
-        assert run("ablate", "--config", config_path, "--out", str(out), "--mc-samples", "0") == 1
-        assert "--mc-samples must be >= 1, got 0" in capsys.readouterr().err
+        assert run("ablate", "--config", config_path, "--out", str(out), "--eval-count", "0") == 1
+        assert "--eval-count must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("manifest", [[1], {"flags": {}}, {"command": "phantom", "flags": [], "config": {}},
@@ -200,9 +202,6 @@ class TestExitCodes:
         "schedule_row_without_weight",
         "schedule_without_rows",
         "schedule_sidecar_list",
-        "schedule_sidecar_mc_samples_null",
-        "schedule_sidecar_mc_samples_fraction",
-        "schedule_sidecar_mc_samples_text",
         "image_not_cimg",
         "image_header_cut",
         "forward_image_not_cimg",
@@ -221,13 +220,7 @@ class TestExitCodes:
         """A missing or malformed input file is a config error that names the file and writes nothing."""
         save_schedule(tmp_path / "good", constant_schedule(8, 0.5), r_prime=2.0, seed=0)  # the config's process
         schedule, sidecar = tmp_path / "schedule.csv", tmp_path / "schedule.json"
-        mc_samples = {  # sidecars whose draw count is no integer
-            "schedule_sidecar_mc_samples_null": None,
-            "schedule_sidecar_mc_samples_fraction": 1.5,
-            "schedule_sidecar_mc_samples_text": "7",
-        }
-        meta = {"R_prime": 2.0, "T_f": 8}
-        sidecar.write_text(json.dumps({**meta, "mc_samples": mc_samples[case]} if case in mc_samples else meta))
+        sidecar.write_text(json.dumps({"R_prime": 2.0, "T_f": 8}))
         rows = "".join(f"{t},0.5\n" for t in range(2, 9))
         schedule.write_text({
             "schedule_header": "step,weight\n1,1.0\n" + rows,
@@ -286,7 +279,7 @@ class TestExitCodes:
         save_dataset(tmp_path / "ds", [small, large], "t1_like", 0)
         argv = {
             "metrics": ["--ref", str(ref), "--test", str(test)],
-            "estimate-w": ["--dataset", str(tmp_path / "ds"), "--mc-samples", "4"],
+            "estimate-w": ["--dataset", str(tmp_path / "ds")],
         }[command]
         out = tmp_path / "out"
         assert run(command, *argv, "--config", config_path, "--out", str(out)) == 1
@@ -379,14 +372,13 @@ class TestMaskAndForward:
 class TestEstimateW:
     def test_first_row_weight_is_one(self, tmp_path, config_path):
         out = tmp_path / "west"
-        assert run("estimate-w", "--config", config_path, "--out", str(out),
-                   "--mc-samples", "100", "--no-plot") == 0
+        assert run("estimate-w", "--config", config_path, "--out", str(out), "--no-plot") == 0
         header, rows = read_csv(out / "schedule.csv")
         assert header == ["t", "w"]
         assert rows[0][0] == "1" and float(rows[0][1]) == 1.0
         meta = read_json(out / "schedule.json")
+        assert sorted(meta) == ["R_prime", "T_f", "provenance", "seed"]
         assert meta["provenance"] == "monte_carlo"
-        assert meta["mc_samples"] == 100
         assert meta["R_prime"] == 2.0 and meta["T_f"] == 8
 
     def test_default_config_schedule_does_not_warn(self, tmp_path):
@@ -419,7 +411,7 @@ class TestEstimateW:
         monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
 
         out = tmp_path / "west"
-        assert run("estimate-w", "--config", config_path, "--out", str(out), "--mc-samples", "20") == 0
+        assert run("estimate-w", "--config", config_path, "--out", str(out)) == 0
         assert (out / "schedule.png").read_bytes() == b"\x89PNG\r\n\x1a\n"
         assert "schedule.png" in read_json(out / "run_manifest.json")["outputs"]
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
@@ -430,7 +422,7 @@ class TestTrainReconstruct:
         ds, west, tr, rec = (tmp_path / n for n in ("ds", "west", "tr", "rec"))
         assert run("phantom", "--config", config_path, "--out", str(ds)) == 0
         assert run("estimate-w", "--config", config_path, "--out", str(west),
-                   "--dataset", str(ds), "--mc-samples", "100", "--no-plot") == 0
+                   "--dataset", str(ds), "--no-plot") == 0
         assert run("train", "--config", config_path, "--out", str(tr),
                    "--dataset", str(ds)) == 0
         model, header = load_checkpoint(tr / "checkpoint.ckpt")
@@ -536,7 +528,7 @@ class TestTrainReconstruct:
             "power_law_schedule": ["reconstruct", "--schedule", str(power_law / "schedule.csv")],
             "train_dataset_mixed_shapes": ["train", "--dataset", str(tmp_path / "mixed")],
             "train_dataset_other_dims": ["train", "--dataset", str(tmp_path / "large")],
-            "estimate_w_dataset_other_dims": ["estimate-w", "--dataset", str(tmp_path / "large"), "--mc-samples", "4"],
+            "estimate_w_dataset_other_dims": ["estimate-w", "--dataset", str(tmp_path / "large")],
         }[case]
         out = tmp_path / "out"
         assert run(*argv, "--config", config_path, "--out", str(out)) == 1
@@ -618,14 +610,14 @@ class TestTrainReconstruct:
             "phantom": ([], "images/0003.cimg", []),
             "mask": (["--count", "2"], "mask_01.kmsk", ["density", "calib", "count"]),
             "forward": (["--image", str(image)], "mask_t0008.kmsk", ["snapshots", "t_total", "image"]),
-            "estimate-w": (["--mc-samples", "20"], "schedule.json", ["dataset", "mc_samples", "no_plot"]),
+            "estimate-w": ([], "schedule.json", ["dataset", "no_plot"]),
             "train": ([], "checkpoint.ckpt", ["dataset", "corruption", "ddpm_steps"]),
             "reconstruct": (["--coils", "2", "--recovery", "oracle", "--schedule", str(tmp_path / "schedule.csv")],
                             "measurement/sens_01.cimg", measurement + ["schedule"]),
             "ddpm-reconstruct": (["--coils", "2", "--recovery", "oracle", "--ddpm-steps", "30"],
                                  "measurement/sens_01.cimg", measurement + ["ddpm_steps"]),
-            "ablate": (["--eval-count", "1", "--mc-samples", "20"], "ablation.csv",
-                       ["eval_count", "mc_samples", "coils", "noise_sigma", "mask_density", "calib"]),
+            "ablate": (["--eval-count", "1"], "ablation.csv",
+                       ["eval_count", "coils", "noise_sigma", "mask_density", "calib"]),
             "metrics": (["--ref", str(image), "--test", str(image)], "metrics.csv", ["ref", "test"]),
         }[command]
         out = tmp_path / "out"
@@ -671,7 +663,7 @@ class TestAblate:
     def test_seven_variant_rows(self, tmp_path, config_path):
         out = tmp_path / "abl"
         assert run("ablate", "--config", config_path, "--out", str(out),
-                   "--eval-count", "2", "--mc-samples", "60") == 0
+                   "--eval-count", "2") == 0
         header, rows = read_csv(out / "ablation.csv")
         assert header == ["variant", "psnr_mean", "psnr_std", "ssim_mean", "ssim_std"]
         assert [r[0] for r in rows] == [
@@ -682,7 +674,7 @@ class TestAblate:
             assert np.isfinite(float(row[1])) and np.isfinite(float(row[3]))
         flags = read_json(out / "run_manifest.json")["flags"]
         assert sorted(flags) == sorted(
-            ["eval_count", "mc_samples", "coils", "noise_sigma", "mask_density", "calib"]
+            ["eval_count", "coils", "noise_sigma", "mask_density", "calib"]
         )
 
     @needs_workers
@@ -693,12 +685,13 @@ class TestAblate:
             monkeypatch.setattr(parallel, "share_count", lambda n, k=k: min(k, n))
             out = tmp_path / f"abl{k}"
             assert run("ablate", "--config", config_path, "--out", str(out),
-                       "--eval-count", "2", "--mc-samples", "20") == 0
+                       "--eval-count", "2") == 0
             tables.append((out / "ablation.csv").read_bytes())
         assert tables[1] == tables[0] and tables[2] == tables[0]
 
     def test_variants_share_models_and_schedules_by_key(self, tmp_path, config_path, monkeypatch):
-        # one model per source and one schedule per process, each under the first such variant's seed tag
+        # one model per source, under the first such variant's seed tag, and one schedule per process,
+        # made of the training images and the process alone
         trained, estimated = [], []
         train_model, estimate_weights = cli._train_model, cli.estimate_weights
 
@@ -706,23 +699,21 @@ class TestAblate:
             trained.append((source.kind, tags))
             return train_model(cfg, images, source, *tags, **kwargs)
 
-        def spy_estimate(images, process, mc_samples, seed):
-            estimated.append((process.density, process.step_count_schedule, seed))
-            return estimate_weights(images, process, mc_samples, seed=seed)
+        def spy_estimate(images, process, *args, **kwargs):
+            estimated.append((process.density, process.step_count_schedule, args, kwargs))
+            return estimate_weights(images, process)
 
         monkeypatch.setattr(cli, "_train_model", spy_train)
         monkeypatch.setattr(cli, "estimate_weights", spy_estimate)
-        assert run("ablate", "--config", config_path, "--out", str(tmp_path / "abl"),
-                   "--eval-count", "1", "--mc-samples", "5") == 0
+        assert run("ablate", "--config", config_path, "--out", str(tmp_path / "abl"), "--eval-count", "1") == 0
         assert trained == [
             ("bridge", ("fdb",)), ("bridge", ("ct_uniform",)), ("bridge", ("n_log_schedule",)),
             ("averaging", ("xt_averaging",)),
         ]
-        seed = SMALL_CONFIG["seed"]
         assert estimated == [
-            ("radius_scheduled", "constant", child_seed(seed, "mc", "fdb")),
-            ("uniform", "constant", child_seed(seed, "mc", "ct_uniform")),
-            ("radius_scheduled", "log", child_seed(seed, "mc", "n_log_schedule")),
+            ("radius_scheduled", "constant", (), {}),
+            ("uniform", "constant", (), {}),
+            ("radius_scheduled", "log", (), {}),
         ]
 
 
@@ -758,8 +749,7 @@ class TestReplayDeterminism:
 
     def test_estimate_w_replay_byte_identical(self, tmp_path, config_path):
         w1, w2 = tmp_path / "w1", tmp_path / "w2"
-        assert run("estimate-w", "--config", config_path, "--out", str(w1),
-                   "--mc-samples", "80", "--no-plot") == 0
+        assert run("estimate-w", "--config", config_path, "--out", str(w1), "--no-plot") == 0
         assert run("replay", str(w1 / "run_manifest.json"), "--out", str(w2)) == 0
         assert (w1 / "schedule.csv").read_bytes() == (w2 / "schedule.csv").read_bytes()
 
@@ -817,7 +807,7 @@ class TestRunManifest:
         monkeypatch.setattr(parallel, "share_count", lambda n: min(2, n))
         monkeypatch.setattr(cli, "reconstruct", reconstruct)
         out = tmp_path / "abl"
-        assert run("ablate", "--config", config_path, "--out", str(out), "--eval-count", "1", "--mc-samples", "5") == 2
+        assert run("ablate", "--config", config_path, "--out", str(out), "--eval-count", "1") == 2
         assert multiprocessing.active_children() == []
         assert capsys.readouterr().err == f"error: {error}\n"
         manifest = read_json(out / "run_manifest.json")

@@ -26,13 +26,11 @@ from trajectory_oracle import every_trajectory
 
 
 def _patch_threshold(monkeypatch, threshold):
-    """Make ``threshold(t, t_f, r_prime, r_anchor)`` step t's radius threshold, in the pool plan and in the oracles."""
+    """Make ``threshold(t, t_f, r_prime, r_anchor)``, for one step or an array of steps, the radius threshold.
+
+    The pool plan calls it once with every step; the oracles call it per step.
+    """
     monkeypatch.setattr(degradation, "radius_threshold", threshold)
-    monkeypatch.setattr(
-        degradation,
-        "_step_thresholds",
-        lambda t_total, *args: np.array([threshold(t, *args) for t in range(1, t_total + 1)], dtype=np.float64),
-    )
 
 
 def _full_grid_oracle(grid, cfg, t_total):
@@ -106,9 +104,9 @@ class TestRadiusThreshold:
          ((256, 256), 1000, 1750), ((32, 32), 8, 40)],
     )
     def test_step_vector_matches_per_step(self, shape, t_f, t_total, r_prime):
-        # the pool plan's thresholds, computed as one vector, have the bytes of one call per step
+        # the pool plan's thresholds, one call with every step, have the bytes of one call per step
         anchor = min(shape) / 2
-        vector = degradation._step_thresholds(t_total, t_f, r_prime, anchor)
+        vector = radius_threshold(np.arange(1, t_total + 1), t_f, r_prime, anchor)
         per_step = np.array([radius_threshold(t, t_f, r_prime, anchor) for t in range(1, t_total + 1)])
         assert vector.dtype == np.float64 and vector.tobytes() == per_step.tobytes()
 
@@ -237,7 +235,7 @@ class TestSampleTrajectory:
         n = per_step_count(grid.n_components, cfg.r_prime, cfg.t_f)
 
         def quantile_threshold(t, t_f, r_prime, r_anchor):
-            return float(descending[min(descending.size - 1, int(slack * n * t))])
+            return descending[np.minimum(descending.size - 1, (slack * n * np.asarray(t)).astype(int))]
 
         _patch_threshold(monkeypatch, quantile_threshold)
         traj = sample_trajectory(grid, cfg, t_total=40)
@@ -253,7 +251,7 @@ class TestSampleTrajectory:
         # the count, and one taken one candidate late admits another radius.
         grid = radius_map(16, 12)
         cfg = ProcessConfig(r_prime=2.0, t_f=8, seed=5)
-        _patch_threshold(monkeypatch, lambda t, t_f, r_prime, r_anchor: 7.0 if t == 1 else 100.0)
+        _patch_threshold(monkeypatch, lambda t, t_f, r_prime, r_anchor: np.where(np.asarray(t) == 1, 7.0, 100.0))
         traj = sample_trajectory(grid, cfg)
         removed_at, relaxed, counts = _full_grid_oracle(grid, cfg, 8)
         assert relaxed.tolist() == [False] * 4 + [True] * 4

@@ -281,7 +281,7 @@ class TestReconstruct:
         cfg = SamplerConfig(t_f=proc.t_f, r_prime=2.0, r=4.0, correction="none", seed=37)
         assert reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg).relaxed_steps == 0
         # a threshold above every radius relaxes each of the T_r steps
-        monkeypatch.setattr(degradation, "_step_thresholds", lambda t_total, t_f, r_prime, r_anchor: np.full(t_total, 1e9))
+        monkeypatch.setattr(degradation, "radius_threshold", lambda t, t_f, r_prime, r_anchor: np.full(np.shape(t), 1e9))
         result = reconstruct(y, sys_, ZeroFillRecovery(), proc, None, cfg)
         assert result.relaxed_steps == result.t_r == 12
 
